@@ -3,14 +3,19 @@
 Label-setting search over the auxiliary graph.  A label carries the path
 cost, a discretized pseudo-fidelity budget, the bottleneck edge
 log-throughput, and a discretized path log-throughput; per-edge
-purification options come from throughput tables precomputed per
-(pair budget, elementary fidelity).
+purification options come from throughput tables over one purification
+frontier per elementary fidelity.
+
+The search starts from a single label at the top source copy.  Every
+intermediate copy index is fixed by the allocation into it (j = Q_v - m),
+and the top source copy reaches every arc a lower one does, so each
+physical plan has exactly one auxiliary path and one label sequence.
 
 Budget accounting: an edge expanded at split index k demands per-edge
 pseudo-fidelity -k*delta_phi but is charged only (k-1)*delta_phi against
-the label's budget.  The round-down credit keeps every mirror of an exactly
-feasible path alive (so cost never exceeds the true optimum) while retained
-labels still certify phi_hat >= phi0 - |path|*delta_phi.
+the label's budget.  The round-down credit keeps the label of an exactly
+feasible path alive (so cost never exceeds the true optimum) while
+retained labels still certify phi_hat >= phi0 - |path|*delta_phi.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .auxgraph import VIRTUAL_SINK, VIRTUAL_SOURCE, AuxiliaryGraph, build_aux_graph
+from .auxgraph import VIRTUAL_SINK, AuxiliaryGraph, build_aux_graph
 from .network import QuantumNetwork
 from .pair_algebra import inverse_pseudo_fidelity, pseudo_fidelity, swap_fidelity
 from .purification import (
@@ -39,14 +44,40 @@ from .purification import (
 _TOL = 1e-12
 _INF = math.inf
 
+# Bounds of the caches below.  They are keyed by float fidelities, so a
+# long-lived process would otherwise grow them without limit; one search
+# needs a frontier per edge fidelity and a table per (budget, fidelity).
+FRONTIER_CACHE_SIZE = 1024
+TABLE_CACHE_SIZE = 8192
+FRONTS_CACHE_SIZE = 256
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=FRONTIER_CACHE_SIZE)
+def _frontier_cell(f_e: float, delta_f: float, delta_xi: float, mode: str) -> list:
+    """One cell per (elementary fidelity, grid, mode) holding the
+    (budget, entries) of the largest frontier built for it so far."""
+    return [(0, ())]
+
+
 def _frontier(pair_budget: int, f_e: float, delta_f: float, delta_xi: float, mode: str = "optimal"):
-    if mode == "pumping":
-        return tuple(pumping_frontier(pair_budget, f_e, delta_f, delta_xi))
-    if mode != "optimal":
+    """Frontier entries with at most pair_budget leaves.
+
+    Filtering a frontier built at a larger budget equals a fresh build at
+    pair_budget, entry for entry and in order: an entry with b leaves is
+    built only from entries with at most b leaves, and only such entries
+    can dominate it.  So one build per fidelity serves every budget.
+    """
+    if mode not in ("optimal", "pumping"):
         raise ValueError(f"unknown schedule mode {mode!r}")
-    return tuple(candidate_frontier(pair_budget, f_e, delta_f, delta_xi))
+    cell = _frontier_cell(f_e, delta_f, delta_xi, mode)
+    budget, entries = cell[0]
+    if budget < pair_budget:
+        build = pumping_frontier if mode == "pumping" else candidate_frontier
+        budget, entries = pair_budget, tuple(build(pair_budget, f_e, delta_f, delta_xi))
+        cell[0] = (budget, entries)
+    if budget == pair_budget:
+        return entries
+    return tuple(e for e in entries if e.b <= pair_budget)
 
 
 class EdgeThroughputTable:
@@ -140,7 +171,7 @@ class EdgeThroughputTable:
             return [k for k in self._breaks if k <= kmax]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def edge_throughput_table(
     pair_budget: int,
     f_e: float,
@@ -187,16 +218,7 @@ class RoutePlan:
 
 class _Label:
     __slots__ = (
-        "cost",
-        "phi_credit",
-        "psi_b",
-        "psi_hat",
-        "path",
-        "vertex",
-        "parent",
-        "arc",
-        "alive",
-        "sig",
+        "cost", "phi_credit", "psi_b", "psi_hat", "path", "vertex", "parent", "arc", "alive", "copy"
     )
 
     def __init__(self, cost, phi_credit, psi_b, psi_hat, path, vertex, parent, arc):
@@ -209,7 +231,8 @@ class _Label:
         self.parent = parent
         self.arc = arc  # (m, k, edge, schedule entry) of the arc into vertex
         self.alive = True
-        self.sig = None
+        # remaining-qubit copy index; the sink counts as copy 0
+        self.copy = vertex[1] if vertex[0] != "__virtual__" else 0
 
 
 def _dominates(a: _Label, b: _Label) -> bool:
@@ -220,67 +243,36 @@ def _dominates(a: _Label, b: _Label) -> bool:
     )
 
 
-def _copy_index(lab: _Label):
-    return lab.vertex[1] if lab.vertex[0] != "__virtual__" else 0
-
-
-def _plan_signature(lab: _Label):
-    """Physical content of a label's plan; mirrors of one plan reaching the
-    sink through different interchangeable copies hash equal."""
-    sig = []
-    cur = lab
-    while cur is not None:
-        if cur.arc is not None:
-            m, _, _, entry = cur.arc
-            sig.append((m, entry.tree))
-        cur = cur.parent
-    return lab.path, tuple(sig)
-
-
-def _sig_of(lab: _Label):
-    if lab.sig is None:
-        lab.sig = _plan_signature(lab)
-    return lab.sig
+def _dominated_by(pool: list, lab: _Label, R: int) -> bool:
+    """Whether >= R other alive labels of the pool at the same or a higher
+    remaining-qubit copy dominate lab (a higher copy reaches every arc a
+    lower one does, at identical terms)."""
+    count = 0
+    for e in pool:
+        if e is not lab and e.alive and e.copy >= lab.copy and _dominates(e, lab):
+            count += 1
+            if count >= R:
+                return True
+    return False
 
 
 def _try_insert(pool: list, lab: _Label, R: int) -> bool:
     """Relaxed-dominance insert into the pool of one original node.
 
-    A label is admitted unless >= R alive labels at the same or a higher
-    remaining-qubit copy dominate it (a higher copy reaches every arc a
-    lower one does, at identical terms).  Mirrors of one physical plan are
-    collapsed first so they can never stack up as fake dominators.
+    A label is admitted unless it is _dominated_by R labels of the pool.
+    After an insert every alive label has fewer than R alive dominators,
+    so the newcomer can push over that line only the labels it dominates
+    itself, at a copy index <= its own: only those are recounted, in pool
+    order, which kills exactly the labels a recount of the whole pool
+    would.  With R = 1 the newcomer alone is enough to kill them.
     """
-    j = _copy_index(lab)
-    sig = _sig_of(lab)
-    for e in pool:
-        if e.alive and _sig_of(e) == sig:
-            if _copy_index(e) >= j:
-                return False
-            e.alive = False
-    dominators = 0
-    for e in pool:
-        if e.alive and _copy_index(e) >= j and _dominates(e, lab):
-            dominators += 1
-            if dominators >= R:
-                return False
+    if _dominated_by(pool, lab, R):
+        return False
     pool[:] = [e for e in pool if e.alive]
     pool.append(lab)
-    if R == 1:
-        for e in pool[:-1]:
-            if _copy_index(e) <= j and _dominates(lab, e):
-                e.alive = False
-    else:
-        for e in pool[:-1]:
-            cnt = 0
-            je = _copy_index(e)
-            for other in pool:
-                if other is not e and other.alive and _copy_index(other) >= je:
-                    if _dominates(other, e):
-                        cnt += 1
-                        if cnt >= R:
-                            e.alive = False
-                            break
+    for e in pool[:-1]:
+        if e.copy <= lab.copy and _dominates(lab, e) and (R == 1 or _dominated_by(pool, e, R)):
+            e.alive = False
     return True
 
 
@@ -308,6 +300,7 @@ def _search(
     heap: list = []
     pushed = 0
     expanded = 0
+    touched: set = set()
 
     def push(lab: _Label):
         nonlocal pushed
@@ -319,39 +312,28 @@ def _search(
             )
             pushed += 1
 
-    root = _Label(0.0, 0.0, _INF, _INF, (aux.s,), VIRTUAL_SOURCE, None, None)
-    pools[VIRTUAL_SOURCE] = [root]
-    heapq.heappush(heap, (0.0, 0, (str(aux.s),), next(counter), root))
+    source_copies = aux.copy_indices(aux.s)
+    if source_copies:
+        root = _Label(0.0, 0.0, _INF, _INF, (aux.s,), (aux.s, max(source_copies)), None, None)
+        pools[aux.s] = [root]
+        heapq.heappush(heap, (0.0, 0, (str(aux.s),), next(counter), root))
 
     results: list[_Label] = []
-    seen_plans: set = set()
     while heap:
         _, _, _, _, lab = heapq.heappop(heap)
         if not lab.alive:
             continue
         if lab.vertex == VIRTUAL_SINK:
-            sig = _plan_signature(lab)
-            if sig not in seen_plans:
-                seen_plans.add(sig)
-                results.append(lab)
-                if len(results) >= R:
-                    break
+            results.append(lab)
+            if len(results) >= R:
+                break
             continue
         expanded += 1
         for head, m, edge in aux.out_arcs(lab.vertex):
             if edge is None:
-                # zero-cost virtual hop: source fan-out or sink collect
+                # zero-cost virtual hop into the sink
                 push(
-                    _Label(
-                        lab.cost,
-                        lab.phi_credit,
-                        lab.psi_b,
-                        lab.psi_hat,
-                        lab.path,
-                        head,
-                        lab,
-                        None,
-                    )
+                    _Label(lab.cost, lab.phi_credit, lab.psi_b, lab.psi_hat, lab.path, head, lab, None)
                 )
                 continue
             v, _ = head
@@ -360,6 +342,10 @@ def _search(
             kmax = int(math.floor((lab.phi_credit - phi0) / delta_phi + 1e-9)) + 1
             if kmax < 1:
                 continue
+            if edge not in touched:
+                # build this fidelity's frontier once, at the edge's largest budget
+                touched.add(edge)
+                _frontier(_max_allocation(aux, edge), edge.fidelity, delta_f, delta_xi, mode)
             table = edge_throughput_table(m, edge.fidelity, delta_phi, delta_f, delta_xi, mode)
             psi_v = 0.0 if v == aux.t else math.log(net.node(v).swap_prob)
             for k in table.breakpoints(kmax):
@@ -525,7 +511,7 @@ def _max_allocation(aux: AuxiliaryGraph, edge) -> int:
 # exhaustive oracle
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FRONTS_CACHE_SIZE)
 def _fronts(m: int, f_e: float):
     return _pareto_sets(m, f_e)
 

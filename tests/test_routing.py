@@ -2,7 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from entroute import routing
 from entroute.auxgraph import build_aux_graph
 from entroute.network import EdgeSpec, NodeSpec, QuantumNetwork
 from entroute.pair_algebra import (
@@ -11,7 +13,13 @@ from entroute.pair_algebra import (
     purification_success_prob,
     purified_fidelity,
 )
-from entroute.purification import LEAF, _pareto_sets, brute_force_optimal
+from entroute.purification import (
+    LEAF,
+    _pareto_sets,
+    brute_force_optimal,
+    candidate_frontier,
+    pumping_frontier,
+)
 from entroute.routing import (
     brute_force_route,
     discretization_steps,
@@ -357,3 +365,133 @@ def test_label_invariants():
                 )
                 assert not (a_dom_b or b_dom_a), (vertex, a, b)
     assert stats["expanded"] <= stats["pushed"] + 1
+
+
+# --- label engine: frontier nesting, incremental recount, bounded caches ---
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([candidate_frontier, pumping_frontier]),
+    st.floats(0.5, 1.0),
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.sampled_from([(1e-4, 1e-4), (1e-3, 1e-3), (1e-2, 1e-3), (1e-3, 1e-2)]),
+)
+def test_frontier_nests_by_budget(build, f_e, a, b, grid):
+    """Filtering frontier(N) to b <= m equals a fresh frontier(m), entry for
+    entry and in order; the per-fidelity frontier cache relies on it."""
+    m, n = min(a, b), max(a, b)
+    big = [e for e in build(n, f_e, *grid) if e.b <= m]
+    fresh = build(m, f_e, *grid)
+    key = lambda e: (e.b, e.f_hat, e.xi_hat, e.tree)  # noqa: E731
+    assert [key(e) for e in big] == [key(e) for e in fresh]
+
+
+def test_frontier_cache_serves_smaller_budgets():
+    f_e = 0.8123
+    big = routing._frontier(12, f_e, 1e-3, 1e-3)
+    small = routing._frontier(5, f_e, 1e-3, 1e-3)
+    assert small == tuple(candidate_frontier(5, f_e, 1e-3, 1e-3))
+    assert small == tuple(e for e in big if e.b <= 5)
+    # the cell keeps the largest build; a larger request rebuilds it
+    assert routing._frontier_cell(f_e, 1e-3, 1e-3, "optimal")[0][0] == 12
+    routing._frontier(20, f_e, 1e-3, 1e-3)
+    assert routing._frontier_cell(f_e, 1e-3, 1e-3, "optimal")[0][0] == 20
+    with pytest.raises(ValueError):
+        routing._frontier(3, f_e, 1e-3, 1e-3, "greedy")
+
+
+def _full_recount_insert(pool, lab, R):
+    """The former insert: after admitting a label, recount every pool
+    label's alive dominators from scratch (no mirrors arise any more, so
+    the old mirror collapse is left out)."""
+    j = lab.copy
+    dominators = 0
+    for e in pool:
+        if e.alive and e.copy >= j and routing._dominates(e, lab):
+            dominators += 1
+            if dominators >= R:
+                return False
+    pool[:] = [e for e in pool if e.alive]
+    pool.append(lab)
+    if R == 1:
+        for e in pool[:-1]:
+            if e.copy <= j and routing._dominates(lab, e):
+                e.alive = False
+    else:
+        for e in pool[:-1]:
+            cnt = 0
+            je = e.copy
+            for other in pool:
+                if other is not e and other.alive and other.copy >= je:
+                    if routing._dominates(other, e):
+                        cnt += 1
+                        if cnt >= R:
+                            e.alive = False
+                            break
+    return True
+
+
+_coarse_labels = st.lists(
+    st.tuples(
+        st.integers(0, 4),  # cost
+        st.integers(-3, 0),  # phi credit, in steps
+        st.integers(-3, 0),  # psi, in steps
+        st.integers(0, 3),  # copy index
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coarse_labels, st.integers(1, 3))
+def test_incremental_recount_matches_full_recount(stream, R):
+    def make(i, cost, phi, psi, j):
+        return routing._Label(float(cost), 0.01 * phi, 0.0, 0.1 * psi, (i,), ("v", j), None, None)
+
+    oracle_pool, pool = [], []
+    oracle_labels, labels = [], []
+    for i, fields in enumerate(stream):
+        a, b = make(i, *fields), make(i, *fields)
+        oracle_labels.append(a)
+        labels.append(b)
+        assert routing._try_insert(pool, b, R) == _full_recount_insert(oracle_pool, a, R), i
+        assert [x.alive for x in labels] == [x.alive for x in oracle_labels], i
+        assert [x.path for x in pool] == [x.path for x in oracle_pool], i
+
+
+def test_k_paths_plans_are_distinct():
+    checked = 0
+    instances = [(build_aux_graph(parallel_net(), "s", "t"), 0.8)]
+    instances += [
+        (build_aux_graph(line_net(qubits=(4, 6, 6, 4), caps=(4, 4, 4)), "s", "t", dq), 0.78)
+        for dq in (1, 2)
+    ]
+    for seed in range(10):
+        net, s, t, f0 = rand_net(seed)
+        instances.append((build_aux_graph(net, s, t), f0))
+    for aux, f0 in instances:
+        plans = k_paths(aux, pseudo_fidelity(f0), math.log(0.2), (0.005, 0.005), 3)
+        keys = [(tuple(p.nodes), tuple(p.pair_counts), tuple(p.trees)) for p in plans]
+        assert len(set(keys)) == len(keys), keys
+        checked += len(plans) > 1
+    assert checked >= 3  # several instances must return more than one plan
+
+
+def test_routing_caches_stay_bounded():
+    n = max(routing.TABLE_CACHE_SIZE, routing.FRONTIER_CACHE_SIZE, routing.FRONTS_CACHE_SIZE) + 500
+    for i in range(n):
+        f_e = 0.6 + 0.3 * i / n
+        routing.edge_throughput_table(1, f_e, 0.01)
+        routing._fronts(1, f_e)
+    for cache, bound in (
+        (routing.edge_throughput_table, routing.TABLE_CACHE_SIZE),
+        (routing._frontier_cell, routing.FRONTIER_CACHE_SIZE),
+        (routing._fronts, routing.FRONTS_CACHE_SIZE),
+    ):
+        info = cache.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize <= bound
+    assert routing.edge_throughput_table.cache_info().currsize == routing.TABLE_CACHE_SIZE
