@@ -55,16 +55,16 @@ def evaluate_tree(tree, f_e: float) -> tuple[float, float]:
 def tree_success_prob(tree, f_e: float) -> float:
     """Probability that every purification in a single run of the tree
     succeeds (one-shot semantics, no min-yield accounting)."""
-    if is_leaf(tree):
-        return 1.0
-    left, right = tree
-    f1, _ = evaluate_tree(left, f_e)
-    f2, _ = evaluate_tree(right, f_e)
-    return (
-        purification_success_prob(f1, f2)
-        * tree_success_prob(left, f_e)
-        * tree_success_prob(right, f_e)
-    )
+
+    def run(t) -> tuple[float, float]:
+        # (fidelity, success probability) of subtree t, in one pass
+        if is_leaf(t):
+            return f_e, 1.0
+        f1, p_left = run(t[0])
+        f2, p_right = run(t[1])
+        return purified_fidelity(f1, f2), purification_success_prob(f1, f2) * p_left * p_right
+
+    return run(tree)[1]
 
 
 def tree_to_text(tree) -> str:
@@ -151,47 +151,46 @@ class ScheduleEntry:
         return self.xi_hat / self.b
 
 
-def gamma_table(n: int, f_e: float) -> list[float]:
-    """Best achievable fidelity per leaf budget; entry i (1-based) is the
-    maximum over all trees with at most i leaves.  Index 0 is NaN padding."""
+def _best_schedules(n: int, f_e: float):
+    """Yield (gamma_i, tree attaining it) for i = 1..n, where gamma_i is the
+    best fidelity of any tree with at most i leaves.  Merging
+    fidelity-optimal subtrees is optimal because the merge map is
+    increasing in both child fidelities."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.5 <= f_e <= 1.0 + _GRID_TOL:
         raise ValueError(f"f_e={f_e!r} outside [0.5, 1]")
-    gamma = [math.nan] * (n + 1)
-    gamma[1] = f_e
-    for i in range(2, n + 1):
-        best = f_e
-        for k in range(1, i // 2 + 1):
-            cand = purified_fidelity(gamma[k], gamma[i - k])
-            if best < cand:
-                best = cand
-        gamma[i] = best
-    return gamma
-
-
-def max_fidelity_schedule(n: int, f_e: float) -> tuple[object, float]:
-    """Tree attaining gamma_table(n, f_e)[n], i.e. the best fidelity with at
-    most n pairs.  Merging fidelity-optimal subtrees is optimal because the
-    merge map is increasing in both child fidelities."""
-    gamma = gamma_table(n, f_e)
-    trees: list = [None, LEAF]
+    gamma, trees = [math.nan, f_e], [None, LEAF]
+    yield f_e, LEAF
     for i in range(2, n + 1):
         best, pick = f_e, LEAF
         for k in range(1, i // 2 + 1):
             cand = purified_fidelity(gamma[k], gamma[i - k])
             if best < cand:
-                best = cand
-                pick = (trees[k], trees[i - k])
+                best, pick = cand, (trees[k], trees[i - k])
+        gamma.append(best)
         trees.append(pick)
-    return trees[n], gamma[n]
+        yield best, pick
+
+
+def gamma_table(n: int, f_e: float) -> list[float]:
+    """Best achievable fidelity per leaf budget; entry i (1-based) is the
+    maximum over all trees with at most i leaves.  Index 0 is NaN padding."""
+    return [math.nan] + [f for f, _ in _best_schedules(n, f_e)]
+
+
+def max_fidelity_schedule(n: int, f_e: float) -> tuple[object, float]:
+    """Tree attaining gamma_table(n, f_e)[n], i.e. the best fidelity with at
+    most n pairs."""
+    *_, (f, tree) = _best_schedules(n, f_e)
+    return tree, f
 
 
 def min_leaves(n: int, f_e: float, f_theta: float) -> Optional[int]:
-    """Smallest leaf budget whose best fidelity reaches f_theta, or None."""
-    gamma = gamma_table(n, f_e)
-    for i in range(1, n + 1):
-        if gamma[i] >= f_theta - _GRID_TOL:
+    """Smallest leaf budget whose best fidelity reaches f_theta, or None;
+    the table is built only up to that budget."""
+    for i, (f, _) in enumerate(_best_schedules(n, f_e), 1):
+        if f >= f_theta - _GRID_TOL:
             return i
     return None
 
@@ -201,23 +200,85 @@ def _ceil_to_grid(x: float, delta: float) -> float:
     return math.ceil(x / delta - 1e-9) * delta
 
 
-def _dominates(a: ScheduleEntry, b: ScheduleEntry) -> bool:
-    """a weakly dominates b: no more leaves, at least the fidelity and yield."""
-    return (
-        a.b <= b.b
-        and a.f_hat >= b.f_hat - _GRID_TOL
-        and a.xi_hat >= b.xi_hat - _GRID_TOL
-    )
-
-
 def _insert(entries: list[ScheduleEntry], cand: ScheduleEntry) -> bool:
-    """Dominance-filtered insert; returns True if the candidate was kept."""
+    """Dominance-filtered insert; returns True if the candidate was kept.
+    An entry dominates another with no more leaves and at least its fidelity
+    and yield."""
+    b, f, xi = cand.b, cand.f_hat, cand.xi_hat
     for e in entries:
-        if _dominates(e, cand):
+        if e.b <= b and e.f_hat >= f - _GRID_TOL and e.xi_hat >= xi - _GRID_TOL:
             return False
-    entries[:] = [e for e in entries if not _dominates(cand, e)]
+    entries[:] = [
+        e
+        for e in entries
+        if not (b <= e.b and f >= e.f_hat - _GRID_TOL and xi >= e.xi_hat - _GRID_TOL)
+    ]
     entries.append(cand)
     return True
+
+
+def _merge_frontier(
+    bound: int, f_e: float, delta_f: float, delta_xi: float, trace: Optional[list] = None
+) -> list[ScheduleEntry]:
+    """Dominance-filtered candidate list over all trees with at most bound
+    leaves, in merge order (unsorted).
+
+    Rounds are semi-naive: each round merges, in (i1 <= i2) order, only the
+    pairs of its snapshot in which at least one entry (by identity) was not
+    in the previous round's snapshot, and the loop stops when a snapshot
+    holds no new entry (or after bound rounds).  This gives the same list as
+    re-merging every pair each round: an old-by-old pair was merged in the
+    previous round, where its candidate was kept or rejected by a
+    dominator; an entry leaves the list only when a newcomer dominates it,
+    so a dominator of that candidate is always present, the candidate
+    would be rejected again, and a rejected insert changes nothing.
+
+    When trace is a list, every merged pair's candidate is appended to it
+    as (entry, kept), then ("final", entries).
+    """
+    entries: list[ScheduleEntry] = [ScheduleEntry(1, f_e, 1.0, LEAF)]
+    snapshot: list[ScheduleEntry] = []
+    for _ in range(bound):
+        prev = {id(e) for e in snapshot}
+        snapshot = list(entries)
+        # kept candidates are appended and removals keep order, so the
+        # survivors of the previous snapshot are the first `old` entries
+        old = sum(id(e) in prev for e in snapshot)
+        if old == len(snapshot):
+            break
+        for i1, l1 in enumerate(snapshot):
+            for l2 in snapshot[max(i1, old) :]:
+                b3 = l1.b + l2.b
+                if b3 > bound:
+                    continue
+                f3 = _ceil_to_grid(purified_fidelity(l1.f_hat, l2.f_hat), delta_f)
+                xi3 = _ceil_to_grid(
+                    purification_success_prob(l1.f_hat, l2.f_hat) * min(l1.xi_hat, l2.xi_hat),
+                    delta_xi,
+                )
+                cand = ScheduleEntry(b3, min(f3, 1.0), min(xi3, 1.0), (l1.tree, l2.tree))
+                kept = _insert(entries, cand)
+                if trace is not None:
+                    trace.append((cand, kept))
+    if trace is not None:
+        trace.append(("final", list(entries)))
+    return entries
+
+
+def best_entry(entries, f_theta: float) -> Optional[ScheduleEntry]:
+    """The entry with discretized fidelity >= f_theta maximizing xi_hat/b;
+    ties (within _GRID_TOL) prefer fewer leaves, then higher f_hat, and
+    otherwise the first in scan order.  None when no entry qualifies."""
+    best: Optional[ScheduleEntry] = None
+    for e in entries:
+        if e.f_hat < f_theta - _GRID_TOL:
+            continue
+        if best is None or e.ratio() > best.ratio() + _GRID_TOL:
+            best = e
+        elif abs(e.ratio() - best.ratio()) <= _GRID_TOL:
+            if e.b < best.b or (e.b == best.b and e.f_hat > best.f_hat + _GRID_TOL):
+                best = e
+    return best
 
 
 def schedule(cfg: SchedulerConfig, trace: Optional[list] = None) -> Optional[ScheduleEntry]:
@@ -227,53 +288,16 @@ def schedule(cfg: SchedulerConfig, trace: Optional[list] = None) -> Optional[Sch
     xi_hat/b (ties: smaller b, then higher f_hat), or None when the
     threshold is unreachable with n pairs.
 
-    When trace is a list, every generated candidate is appended to it as
-    (entry, kept) so tests can audit the dominance pruning.
+    When trace is a list, one (entry, kept) record per distinct pair merged
+    is appended to it, then ("final", entries), so tests can audit the
+    dominance pruning.
     """
     nprime = min_leaves(cfg.n, cfg.f_e, cfg.f_theta)
     if nprime is None:
         return None
     bound = min(cfg.n, 2 * (nprime - 1)) if nprime > 1 else 1
-
-    entries: list[ScheduleEntry] = [ScheduleEntry(1, cfg.f_e, 1.0, LEAF)]
-    for _ in range(max(bound, 1)):
-        snapshot = list(entries)
-        changed = False
-        for i1 in range(len(snapshot)):
-            for i2 in range(i1, len(snapshot)):
-                l1, l2 = snapshot[i1], snapshot[i2]
-                b3 = l1.b + l2.b
-                if b3 > bound:
-                    continue
-                f3 = _ceil_to_grid(purified_fidelity(l1.f_hat, l2.f_hat), cfg.delta_f)
-                xi3 = _ceil_to_grid(
-                    purification_success_prob(l1.f_hat, l2.f_hat) * min(l1.xi_hat, l2.xi_hat),
-                    cfg.delta_xi,
-                )
-                cand = ScheduleEntry(b3, min(f3, 1.0), min(xi3, 1.0), (l1.tree, l2.tree))
-                kept = _insert(entries, cand)
-                if trace is not None:
-                    trace.append((cand, kept))
-                if kept:
-                    changed = True
-        if not changed:
-            break
-    if trace is not None:
-        trace.append(("final", list(entries)))
-
-    best: Optional[ScheduleEntry] = None
-    for e in entries:
-        if e.f_hat < cfg.f_theta - _GRID_TOL:
-            continue
-        if best is None:
-            best = e
-            continue
-        if e.ratio() > best.ratio() + _GRID_TOL:
-            best = e
-        elif abs(e.ratio() - best.ratio()) <= _GRID_TOL:
-            if e.b < best.b or (e.b == best.b and e.f_hat > best.f_hat + _GRID_TOL):
-                best = e
-    return best
+    entries = _merge_frontier(bound, cfg.f_e, cfg.delta_f, cfg.delta_xi, trace)
+    return best_entry(entries, cfg.f_theta)
 
 
 def candidate_frontier(
@@ -282,33 +306,14 @@ def candidate_frontier(
     """Dominance-filtered candidate list over all trees with up to n leaves,
     independent of any fidelity threshold.
 
-    Same merge loop as schedule() but with the leaf bound fixed at n, so one
+    The merge loop of schedule() with the leaf bound fixed at n, so one
     frontier serves queries at every threshold (sorted by f_hat ascending).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.5 <= f_e <= 1.0 + _GRID_TOL:
         raise ValueError(f"f_e={f_e!r} outside [0.5, 1]")
-    entries: list[ScheduleEntry] = [ScheduleEntry(1, f_e, 1.0, LEAF)]
-    for _ in range(n):
-        snapshot = list(entries)
-        changed = False
-        for i1 in range(len(snapshot)):
-            for i2 in range(i1, len(snapshot)):
-                l1, l2 = snapshot[i1], snapshot[i2]
-                b3 = l1.b + l2.b
-                if b3 > n:
-                    continue
-                f3 = _ceil_to_grid(purified_fidelity(l1.f_hat, l2.f_hat), delta_f)
-                xi3 = _ceil_to_grid(
-                    purification_success_prob(l1.f_hat, l2.f_hat) * min(l1.xi_hat, l2.xi_hat),
-                    delta_xi,
-                )
-                cand = ScheduleEntry(b3, min(f3, 1.0), min(xi3, 1.0), (l1.tree, l2.tree))
-                if _insert(entries, cand):
-                    changed = True
-        if not changed:
-            break
+    entries = _merge_frontier(n, f_e, delta_f, delta_xi)
     entries.sort(key=lambda e: (e.f_hat, -e.xi_hat, e.b))
     return entries
 

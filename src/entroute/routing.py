@@ -36,6 +36,7 @@ from .purification import (
     ScheduleEntry,
     _ceil_to_grid,
     _pareto_sets,
+    best_entry,
     candidate_frontier,
     evaluate_tree,
     pumping_frontier,
@@ -119,18 +120,9 @@ class EdgeThroughputTable:
         return inverse_pseudo_fidelity(-k * self.delta_phi)
 
     def entry_at(self, f_theta: float) -> Optional[ScheduleEntry]:
-        """Best yield-per-pair entry meeting the threshold; ties prefer fewer
-        leaves, then higher fidelity (same rules as the scheduler)."""
-        best = None
-        for e in self.frontier:
-            if e.f_hat < f_theta - _GRID_TOL:
-                continue
-            if best is None or e.ratio() > best.ratio() + _GRID_TOL:
-                best = e
-            elif abs(e.ratio() - best.ratio()) <= _GRID_TOL:
-                if e.b < best.b or (e.b == best.b and e.f_hat > best.f_hat + _GRID_TOL):
-                    best = e
-        return best
+        """Best yield-per-pair entry meeting the threshold, picked as the
+        scheduler picks (purification.best_entry)."""
+        return best_entry(self.frontier, f_theta)
 
     def entry(self, k: int) -> Optional[ScheduleEntry]:
         with self._lock:

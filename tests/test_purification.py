@@ -2,22 +2,28 @@ import math
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entroute.pair_algebra import purification_success_prob, purified_fidelity
 from entroute.purification import (
     LEAF,
+    ScheduleEntry,
     SchedulerConfig,
+    _ceil_to_grid,
     brute_force_optimal,
+    candidate_frontier,
     deltas_for_epsilon,
     evaluate_tree,
     gamma_table,
     leaf_count,
+    max_fidelity_schedule,
     min_leaves,
     pumping_schedule,
     schedule,
     symmetric_schedule,
     tree_from_json,
     tree_from_text,
+    tree_success_prob,
     tree_to_json,
     tree_to_text,
 )
@@ -85,6 +91,16 @@ def test_gamma_monotone_bounded():
         for i in range(2, 13):
             assert g[i] >= g[i - 1] - 1e-15
             assert g[i] <= 1.0 + 1e-12
+
+
+def test_max_fidelity_schedule_attains_gamma():
+    for f_e in (0.5, 0.7, 0.93, 1.0):
+        g = gamma_table(24, f_e)
+        for n in (1, 2, 7, 24):
+            tree, f = max_fidelity_schedule(n, f_e)
+            assert f == g[n]
+            assert leaf_count(tree) <= n
+            assert evaluate_tree(tree, f_e)[0] == pytest.approx(f, abs=1e-12)
 
 
 def test_min_leaves():
@@ -272,3 +288,133 @@ def test_config_validation():
         SchedulerConfig(4, 0.75, 0.2)
     with pytest.raises(ValueError):
         SchedulerConfig(4, 0.75, 0.8, delta_f=0.0)
+
+
+# --- semi-naive merge loop against the full re-merge loop it replaced ---
+
+
+def _oracle_dominates(a, b):
+    return a.b <= b.b and a.f_hat >= b.f_hat - 1e-12 and a.xi_hat >= b.xi_hat - 1e-12
+
+
+def _oracle_insert(entries, cand):
+    for e in entries:
+        if _oracle_dominates(e, cand):
+            return False
+    entries[:] = [e for e in entries if not _oracle_dominates(cand, e)]
+    entries.append(cand)
+    return True
+
+
+def _full_remerge_frontier(bound, f_e, delta_f, delta_xi):
+    """Reference loop: every round re-merges every pair (i1 <= i2) of its
+    snapshot and stops after a round that keeps nothing."""
+    entries = [ScheduleEntry(1, f_e, 1.0, LEAF)]
+    for _ in range(bound):
+        snapshot = list(entries)
+        changed = False
+        for i1 in range(len(snapshot)):
+            for i2 in range(i1, len(snapshot)):
+                l1, l2 = snapshot[i1], snapshot[i2]
+                b3 = l1.b + l2.b
+                if b3 > bound:
+                    continue
+                f3 = _ceil_to_grid(purified_fidelity(l1.f_hat, l2.f_hat), delta_f)
+                xi3 = _ceil_to_grid(
+                    purification_success_prob(l1.f_hat, l2.f_hat) * min(l1.xi_hat, l2.xi_hat),
+                    delta_xi,
+                )
+                cand = ScheduleEntry(b3, min(f3, 1.0), min(xi3, 1.0), (l1.tree, l2.tree))
+                if _oracle_insert(entries, cand):
+                    changed = True
+        if not changed:
+            break
+    return entries
+
+
+def _oracle_pick(entries, f_theta):
+    best = None
+    for e in entries:
+        if e.f_hat < f_theta - 1e-12:
+            continue
+        if best is None:
+            best = e
+            continue
+        if e.ratio() > best.ratio() + 1e-12:
+            best = e
+        elif abs(e.ratio() - best.ratio()) <= 1e-12:
+            if e.b < best.b or (e.b == best.b and e.f_hat > best.f_hat + 1e-12):
+                best = e
+    return best
+
+
+def _keys(entries):
+    return [(e.b, e.f_hat, e.xi_hat, e.tree) for e in entries]
+
+
+_GRIDS = [(1e-4, 1e-4), (1e-3, 1e-3), (1e-2, 1e-2), (1e-3, 1e-2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.5, 1.0),
+    st.integers(1, 40),
+    st.sampled_from(_GRIDS),
+    st.floats(0.0, 1.1),
+)
+def test_merge_loop_matches_full_remerge_oracle(f_e, n, grid, reach):
+    """candidate_frontier and schedule (its final list and the returned
+    entry) equal the full re-merge loop entry for entry and in order; the
+    1e-2 grid makes equal candidates, where the first one must win."""
+    oracle = sorted(_full_remerge_frontier(n, f_e, *grid), key=lambda e: (e.f_hat, -e.xi_hat, e.b))
+    assert _keys(candidate_frontier(n, f_e, *grid)) == _keys(oracle)
+
+    # thresholds between f_e and past the best fidelity with n pairs
+    f_theta = min(f_e + reach * (gamma_table(n, f_e)[n] - f_e), 1.0)
+    trace = []
+    got = schedule(SchedulerConfig(n, f_e, f_theta, *grid), trace=trace)
+    nprime = min_leaves(n, f_e, f_theta)
+    if nprime is None:
+        assert got is None and trace == []
+        return
+    bound = min(n, 2 * (nprime - 1)) if nprime > 1 else 1
+    entries = _full_remerge_frontier(bound, f_e, *grid)
+    assert _keys(trace[-1][1]) == _keys(entries)
+    assert _keys([got]) == _keys([_oracle_pick(entries, f_theta)])
+
+
+@pytest.mark.parametrize(
+    "n, f_e, f_theta, delta",
+    [(8, 0.75, 0.8, 1e-4), (20, 0.7, 0.85, 1e-4), (40, 0.7, 0.88, 1e-4), (40, 0.6, 0.74, 1e-2)],
+)
+def test_schedule_merges_each_pair_once(n, f_e, f_theta, delta):
+    """Entry trees are unique, so a repeated candidate tree means a pair of
+    entries was merged twice."""
+    trace = []
+    schedule(SchedulerConfig(n, f_e, f_theta, delta, delta), trace=trace)
+    trees = [cand.tree for cand, _ in trace[:-1]]
+    assert len(trees) > 1
+    assert len(set(trees)) == len(trees)
+
+
+def _quadratic_success_prob(tree, f_e):
+    """Former form: re-evaluates every subtree at every node."""
+    if tree == LEAF:
+        return 1.0
+    left, right = tree
+    f1, _ = evaluate_tree(left, f_e)
+    f2, _ = evaluate_tree(right, f_e)
+    return (
+        purification_success_prob(f1, f2)
+        * _quadratic_success_prob(left, f_e)
+        * _quadratic_success_prob(right, f_e)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.recursive(st.just(LEAF), lambda t: st.tuples(t, t), max_leaves=40),
+    st.floats(0.5, 1.0),
+)
+def test_tree_success_prob_bit_equal_to_quadratic_form(tree, f_e):
+    assert tree_success_prob(tree, f_e) == _quadratic_success_prob(tree, f_e)
