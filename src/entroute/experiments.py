@@ -17,7 +17,6 @@ import json
 import math
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -371,22 +370,13 @@ def _route_trial(cfg, spec, theta, dphi, trial):
 def _route_compare(cfg: ExperimentConfig):
     spec = _route_spec(cfg)
     dphis = cfg.opt("dphi", (0.01, 0.02))
-    workers = cfg.opt("workers", 1)
-    tasks = [
-        (theta, dphi, trial)
-        for theta in cfg.thresholds
-        for dphi in dphis
-        for trial in range(cfg.trials)
-    ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(lambda t: _route_trial(cfg, spec, *t), tasks))
-    else:
-        outs = [_route_trial(cfg, spec, *t) for t in tasks]
     rows, artifacts = [], []
-    for r, a in outs:
-        rows.extend(r)
-        artifacts.extend(a)
+    for theta in cfg.thresholds:
+        for dphi in dphis:
+            for trial in range(cfg.trials):
+                r, a = _route_trial(cfg, spec, theta, dphi, trial)
+                rows.extend(r)
+                artifacts.extend(a)
     # aggregate rows; deterministic values only (runtimes stay per-trial)
     for theta in cfg.thresholds:
         for dphi in dphis:

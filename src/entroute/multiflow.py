@@ -160,7 +160,7 @@ class RoundedSelection:
         return bool(self.node_ok.all() and self.link_ok.all())
 
 
-def _select(xrow: list, u: float) -> Optional[int]:
+def _select(xrow, u: float) -> Optional[int]:
     """Index whose cumulative-probability interval contains u, else None."""
     acc = 0.0
     for i, xi in enumerate(xrow):
@@ -182,12 +182,11 @@ def randomized_round(
     """One uniform draw per flow selects at most one candidate; feasibility
     is judged against the ORIGINAL undiscounted budgets."""
     draws = _trial_rng(seed, trial).random(len(prog.flows))
-    chosen: list = [None] * len(prog.flows)
-    for k in range(len(prog.flows)):
-        xrow = [
-            x[j] for j, (kk, _) in enumerate(prog.columns) if kk == k
-        ]
-        chosen[k] = _select(xrow, draws[k])
+    chosen: list = []
+    start = 0  # columns are contiguous per flow, in flow order
+    for k, pool in enumerate(prog.candidates):
+        chosen.append(_select(x[start:start + len(pool)], draws[k]))
+        start += len(pool)
     node_usage, link_usage = prog.column_usage(chosen)
     total = sum(
         prog.flows[k].weight for k, i in enumerate(chosen) if i is not None

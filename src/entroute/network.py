@@ -104,6 +104,17 @@ class QuantumNetwork:
     def degree(self, v) -> int:
         return len(self._adj[v])
 
+    def reachable(self, s) -> set:
+        """Nodes connected to s, s included."""
+        seen = {s}
+        stack = [s]
+        while stack:
+            for w in self._adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
     def to_json(self) -> dict:
         nodes = [
             {"id": n.id, "qubits": n.qubits, "swap_prob": n.swap_prob}

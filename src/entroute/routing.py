@@ -2,9 +2,10 @@
 
 Label-setting search over the auxiliary graph.  A label carries the path
 cost, a discretized pseudo-fidelity budget, the bottleneck edge
-log-throughput, and a discretized path log-throughput; per-edge
-purification options come from throughput tables over one purification
-frontier per elementary fidelity.
+log-throughput, and a discretized path log-throughput.  Per-edge
+purification options come from throughput tables: immutable staircases of
+(split index, schedule) steps, computed once per (pair budget, fidelity)
+over one purification frontier per elementary fidelity.
 
 The search starts from a single label at the top source copy.  Every
 intermediate copy index is fixed by the allocation into it (j = Q_v - m),
@@ -23,7 +24,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -33,7 +33,6 @@ from .network import QuantumNetwork
 from .pair_algebra import inverse_pseudo_fidelity, pseudo_fidelity, swap_fidelity
 from .purification import (
     _GRID_TOL,
-    ScheduleEntry,
     _ceil_to_grid,
     _pareto_sets,
     best_entry,
@@ -81,86 +80,19 @@ def _frontier(pair_budget: int, f_e: float, delta_f: float, delta_xi: float, mod
     return tuple(e for e in entries if e.b <= pair_budget)
 
 
-class EdgeThroughputTable:
-    """Threshold-indexed best purification schedules for one (pair budget,
-    elementary fidelity) pair.
+def _first_k(f_hat: float, delta_phi: float) -> int:
+    """Least k >= 1 whose threshold f_hat meets by best_entry's test, by
+    unit steps from the closed-form estimate (the test is monotone in k)."""
 
-    psi(k) is the log of expected delivered pairs when the edge must reach
-    pseudo-fidelity -k*delta_phi: ln((xi_hat/b) * budget).  Built once and
-    then queried read-only by searches sharing the cache.
-    """
+    def meets(k):
+        return not f_hat < inverse_pseudo_fidelity(-k * delta_phi) - _GRID_TOL
 
-    def __init__(
-        self,
-        pair_budget: int,
-        f_e: float,
-        delta_phi: float,
-        delta_f: float = 1e-4,
-        delta_xi: float = 1e-4,
-        mode: str = "optimal",
-    ):
-        if pair_budget < 1:
-            raise ValueError("pair_budget must be >= 1")
-        if delta_phi <= 0:
-            raise ValueError("delta_phi must be positive")
-        self.pair_budget = pair_budget
-        self.f_e = f_e
-        self.delta_phi = delta_phi
-        self.frontier = _frontier(pair_budget, f_e, delta_f, delta_xi, mode)
-        self._leaf = next(e for e in self.frontier if e.b == 1)
-        self._entries: dict[int, Optional[ScheduleEntry]] = {}
-        self._breaks: list[int] = []
-        self._scanned_to = 0
-        self._saturated = False
-        # tables are shared via the factory cache; searches on worker threads
-        # fill the lazy state under this lock
-        self._lock = threading.RLock()
-
-    def threshold(self, k: int) -> float:
-        return inverse_pseudo_fidelity(-k * self.delta_phi)
-
-    def entry_at(self, f_theta: float) -> Optional[ScheduleEntry]:
-        """Best yield-per-pair entry meeting the threshold, picked as the
-        scheduler picks (purification.best_entry)."""
-        return best_entry(self.frontier, f_theta)
-
-    def entry(self, k: int) -> Optional[ScheduleEntry]:
-        with self._lock:
-            if k not in self._entries:
-                f_theta = self.threshold(k)
-                if f_theta <= self.f_e + _GRID_TOL:
-                    # raw pairs already qualify; nothing beats yield 1 per pair
-                    self._entries[k] = self._leaf
-                else:
-                    self._entries[k] = self.entry_at(f_theta)
-            return self._entries[k]
-
-    def psi(self, k: int) -> Optional[float]:
-        e = self.entry(k)
-        if e is None:
-            return None
-        return math.log(e.ratio() * self.pair_budget)
-
-    def breakpoints(self, kmax: int) -> list[int]:
-        """Split indices worth expanding: the first feasible k and each k
-        whose best ratio strictly improves.  Labels at skipped k are
-        dominated by the preceding breakpoint (same cost and throughput,
-        more fidelity budget left)."""
-        with self._lock:
-            while self._scanned_to < kmax and not self._saturated:
-                k = self._scanned_to + 1
-                self._scanned_to = k
-                e = self.entry(k)
-                if e is None:
-                    continue
-                if (
-                    not self._breaks
-                    or e.ratio() > self._entries[self._breaks[-1]].ratio() + _GRID_TOL
-                ):
-                    self._breaks.append(k)
-                if e.b == 1:
-                    self._saturated = True
-            return [k for k in self._breaks if k <= kmax]
+    k = max(1, math.ceil(-pseudo_fidelity(f_hat) / delta_phi))
+    while k > 1 and meets(k - 1):
+        k -= 1
+    while not meets(k):
+        k += 1
+    return k
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -171,8 +103,33 @@ def edge_throughput_table(
     delta_f: float = 1e-4,
     delta_xi: float = 1e-4,
     mode: str = "optimal",
-) -> EdgeThroughputTable:
-    return EdgeThroughputTable(pair_budget, f_e, delta_phi, delta_f, delta_xi, mode)
+) -> tuple:
+    """Throughput table of one (pair budget, elementary fidelity): the
+    staircase of (k, entry) steps worth expanding, ascending in k.
+
+    At split index k the edge must reach pseudo-fidelity -k*delta_phi and
+    takes best_entry's pick at that threshold.  A step is kept when its
+    ratio xi_hat/b beats the previous step's; a label at any other k is
+    dominated by the step before it (same cost and throughput, less budget
+    left).  The pick can change only at some entry's first k, the least k
+    whose threshold it meets, as the qualifying set is fixed between two
+    of them; so it is made at those k only, and the cost depends on the
+    frontier size, not on delta_phi.  The staircase ends at the raw pair
+    (ratio 1, which no purified entry reaches).
+    """
+    if pair_budget < 1:
+        raise ValueError("pair_budget must be >= 1")
+    if delta_phi <= 0:
+        raise ValueError("delta_phi must be positive")
+    frontier = _frontier(pair_budget, f_e, delta_f, delta_xi, mode)
+    steps: list = []
+    for k in sorted({_first_k(e.f_hat, delta_phi) for e in frontier}):
+        e = best_entry(frontier, inverse_pseudo_fidelity(-k * delta_phi))
+        if not steps or e.ratio() > steps[-1][1].ratio() + _GRID_TOL:
+            steps.append((k, e))
+        if e.b == 1:
+            break
+    return tuple(steps)
 
 
 @dataclass
@@ -338,10 +295,11 @@ def _search(
                 # build this fidelity's frontier once, at the edge's largest budget
                 touched.add(edge)
                 _frontier(_max_allocation(aux, edge), edge.fidelity, delta_f, delta_xi, mode)
-            table = edge_throughput_table(m, edge.fidelity, delta_phi, delta_f, delta_xi, mode)
+            steps = edge_throughput_table(m, edge.fidelity, delta_phi, delta_f, delta_xi, mode)
             psi_v = 0.0 if v == aux.t else math.log(net.node(v).swap_prob)
-            for k in table.breakpoints(kmax):
-                entry = table.entry(k)
+            for k, entry in steps:
+                if k > kmax:
+                    break
                 psi_e = math.log(entry.ratio() * m)
                 if lab.psi_b == _INF:
                     psi_hat2 = _ceil_to_grid(psi_v + psi_e, delta_psi)

@@ -87,24 +87,6 @@ def _build(spec: TopologySpec, ids, pairs, rng) -> QuantumNetwork:
     return QuantumNetwork(nodes, edges)
 
 
-def _connected(ids, pairs) -> bool:
-    adj: dict = {v: [] for v in ids}
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {ids[0]}
-    frontier = [ids[0]]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(seen) == len(ids)
-
-
 def generate(spec: TopologySpec) -> QuantumNetwork:
     """Deterministic per seed; Waxman retries disconnected draws with
     sub-seed increments up to a bounded count."""
@@ -144,8 +126,9 @@ def _waxman(spec: TopologySpec) -> QuantumNetwork:
                 p = spec.alpha * math.exp(-dist[i, j] / (spec.beta_w * scale))
                 if rng.random() < p:
                     pairs.append((i, j))
-        if _connected(ids, pairs):
-            return _build(spec, ids, pairs, rng)
+        net = _build(spec, ids, pairs, rng)
+        if len(net.reachable(0)) == spec.n:
+            return net
     raise RuntimeError(
         f"no connected draw within {_MAX_RETRIES} sub-seeds of {spec.seed}"
     )

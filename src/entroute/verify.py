@@ -1,8 +1,8 @@
 """Fixed-seed invariant suites behind one entry point.
 
 Reports contain no wall-clock content, so repeated runs with the same seed
-render byte-identically.  Exit codes: 0 all pass, 1 any violation, 2 any
-resource-bound skip (and no violation).
+render byte-identically.  Exit codes: 0 all pass, 1 any violation, 3 any
+resource-bound skip (and no violation); 2 stays the CLI's input-error code.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .topology import TopologySpec, generate, sample_flows
 SUITES = ("lemma1", "theorem2-small", "theorem3-small", "theorem4-mc")
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
-_EXIT = {PASS: 0, FAIL: 1, SKIP: 2}
+_EXIT = {PASS: 0, FAIL: 1, SKIP: 3}
 
 
 @dataclass
@@ -54,11 +54,11 @@ def render(reports: list) -> tuple[str, int]:
     text = "".join(r.text() for r in reports)
     # a violation outranks a resource-bound skip
     if any(r.status == FAIL for r in reports):
-        code = 1
+        code = _EXIT[FAIL]
     elif any(r.status == SKIP for r in reports):
-        code = 2
+        code = _EXIT[SKIP]
     else:
-        code = 0
+        code = _EXIT[PASS]
     return text, code
 
 
@@ -186,7 +186,7 @@ def screened_route_instances(count: int, base_seed: int, eps: float, max_attempt
         attempts += 1
         seed += 1
         net, s, t, f0, q0 = _small_instance(seed)
-        if t not in _reachable(net, s):
+        if t not in net.reachable(s):
             continue
         aux = build_aux_graph(net, s, t)
         phi0 = pseudo_fidelity(f0)
@@ -205,20 +205,6 @@ def screened_route_instances(count: int, base_seed: int, eps: float, max_attempt
                 continue
         out.append((net, s, t, f0, q0, aux, phi0, psi0, dphi, dpsi, strict))
     return out, attempts
-
-
-def _reachable(net: QuantumNetwork, s) -> set:
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in net.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
 
 
 def route_oracle_stats(count: int, base_seed: int, eps: float = 0.05, max_attempts: int = 4000) -> dict:

@@ -123,20 +123,6 @@ def test_route_compare_small_run():
             assert plan["phi_hat"] >= pseudo_fidelity(theta) - slack - 1e-9
 
 
-def test_route_compare_worker_pool_matches_sequential():
-    base = dict(
-        scenario="route-compare",
-        trials=2,
-        seed=4,
-        thresholds=(0.85,),
-    )
-    seq = run_experiment(ExperimentConfig(options={"dphi": (0.02,)}, **base))
-    par = run_experiment(
-        ExperimentConfig(options={"dphi": (0.02,), "workers": 3}, **base)
-    )
-    assert strip_runtime(seq.csv_body()) == strip_runtime(par.csv_body())
-
-
 def test_csv_body_deterministic_modulo_runtime():
     cfg = dict(scenario="strategy-compare", trials=1, seed=8, options={"lengths": (5,)})
     a = run_experiment(ExperimentConfig(**cfg))

@@ -19,6 +19,16 @@ def make_line(qubits=(2, 3, 3, 2), caps=(2, 2, 2), fids=(0.85, 0.97, 0.85)):
     return QuantumNetwork(nodes, edges)
 
 
+def test_reachable():
+    net = make_line()
+    assert net.reachable("u") == {"s", "v", "u", "t"}
+    lone = QuantumNetwork(
+        [NodeSpec(n, 2) for n in "abc"], [EdgeSpec("a", "b", 1, 0.9)]
+    )
+    assert lone.reachable("a") == {"a", "b"}
+    assert lone.reachable("c") == {"c"}
+
+
 def test_node_edge_validation():
     with pytest.raises(ValueError):
         NodeSpec("a", 0)

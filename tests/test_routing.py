@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entroute import routing
 from entroute.auxgraph import build_aux_graph
@@ -14,8 +14,10 @@ from entroute.pair_algebra import (
     purified_fidelity,
 )
 from entroute.purification import (
+    _GRID_TOL,
     LEAF,
     _pareto_sets,
+    best_entry,
     brute_force_optimal,
     candidate_frontier,
     pumping_frontier,
@@ -63,27 +65,43 @@ def rand_net(seed):
 # --- throughput tables ---
 
 
+def entry_at(steps, k):
+    """Entry of the last step with k' <= k: the table's pick at split
+    index k, or None when no schedule meets that threshold."""
+    found = None
+    for k2, e in steps:
+        if k2 > k:
+            break
+        found = e
+    return found
+
+
+def psi_at(steps, pair_budget, k):
+    e = entry_at(steps, k)
+    return None if e is None else math.log(e.ratio() * pair_budget)
+
+
 def test_table_budget_one():
-    table = edge_throughput_table(1, 0.9, 0.01)
+    steps = edge_throughput_table(1, 0.9, 0.01)
     k = math.ceil(-pseudo_fidelity(0.9) / 0.01)
-    assert table.psi(k) == pytest.approx(0.0, abs=1e-12)
+    assert psi_at(steps, 1, k) == pytest.approx(0.0, abs=1e-12)
     # stricter than the raw pair with no room to purify: infeasible
-    assert table.entry(1) is None and table.psi(1) is None
+    assert entry_at(steps, 1) is None and psi_at(steps, 1, 1) is None
 
 
 def test_table_single_merge_value():
-    table = edge_throughput_table(2, 0.75, 0.001)
+    steps = edge_throughput_table(2, 0.75, 0.001)
     k = math.ceil(-pseudo_fidelity(0.78) / 0.001)
-    e = table.entry(k)
+    e = entry_at(steps, k)
     assert e.b == 2 and e.tree == (LEAF, LEAF)
     expect = math.log(purification_success_prob(0.75, 0.75) / 2 * 2)
-    assert table.psi(k) == pytest.approx(expect, abs=2e-3)
+    assert psi_at(steps, 2, k) == pytest.approx(expect, abs=2e-3)
 
 
 def test_table_matches_exhaustive_search():
-    table = edge_throughput_table(4, 0.7, 0.001, 1e-6, 1e-6)
+    steps = edge_throughput_table(4, 0.7, 0.001, 1e-6, 1e-6)
     k = math.ceil(-pseudo_fidelity(0.76) / 0.001)
-    got = table.entry(k)
+    got = entry_at(steps, k)
     best = brute_force_optimal(4, 0.7, inverse_pseudo_fidelity(-k * 0.001))
     from entroute.purification import evaluate_tree, leaf_count
 
@@ -104,14 +122,120 @@ def test_frontier_covers_exact_pareto():
 
 
 def test_table_breakpoints_monotone():
-    table = edge_throughput_table(3, 0.8, 0.002)
-    ks = table.breakpoints(400)
+    steps = edge_throughput_table(3, 0.8, 0.002)
+    ks = [k for k, _ in steps if k <= 400]
     assert ks == sorted(ks)
-    ratios = [table.entry(k).ratio() for k in ks]
+    ratios = [entry_at(steps, k).ratio() for k in ks]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     # between breakpoints the ratio is flat, so those k are dominated
     for k0, k1 in zip(ks, ks[1:]):
-        assert table.entry(k1 - 1).ratio() == pytest.approx(table.entry(k0).ratio())
+        assert entry_at(steps, k1 - 1).ratio() == pytest.approx(entry_at(steps, k0).ratio())
+
+
+class LazyThroughputTable:
+    """The former per-k table, kept as an oracle: entry(k) picks at the
+    threshold of split index k (the raw pair once it qualifies), and
+    breakpoints(K) scans k = 1..K for strict ratio improvements, stopping
+    at the raw pair."""
+
+    def __init__(self, pair_budget, f_e, delta_phi, delta_f=1e-4, delta_xi=1e-4, mode="optimal"):
+        self.f_e = f_e
+        self.delta_phi = delta_phi
+        self.frontier = routing._frontier(pair_budget, f_e, delta_f, delta_xi, mode)
+        self._leaf = next(e for e in self.frontier if e.b == 1)
+        self._entries = {}
+        self._breaks = []
+        self._scanned_to = 0
+        self._saturated = False
+
+    def entry(self, k):
+        if k not in self._entries:
+            f_theta = inverse_pseudo_fidelity(-k * self.delta_phi)
+            if f_theta <= self.f_e + _GRID_TOL:
+                self._entries[k] = self._leaf
+            else:
+                self._entries[k] = best_entry(self.frontier, f_theta)
+        return self._entries[k]
+
+    def breakpoints(self, kmax):
+        while self._scanned_to < kmax and not self._saturated:
+            k = self._scanned_to + 1
+            self._scanned_to = k
+            e = self.entry(k)
+            if e is None:
+                continue
+            if not self._breaks or e.ratio() > self._entries[self._breaks[-1]].ratio() + _GRID_TOL:
+                self._breaks.append(k)
+            if e.b == 1:
+                self._saturated = True
+        return [k for k in self._breaks if k <= kmax]
+
+
+def test_raw_pair_shortcut_agrees_with_best_entry_test():
+    """The per-k scan took the raw pair once f_theta <= f_e + tol; the
+    staircase has no such shortcut and relies on best_entry's test
+    f_e >= f_theta - tol agreeing with it.  Within one binade both round
+    tol alike, so they agree on every threshold next to the boundary."""
+    rng = random.Random(5)
+    for f_e in [0.5, 1.0] + [rng.uniform(0.5, 1.0) for _ in range(500)]:
+        f_theta = f_e + _GRID_TOL
+        for _ in range(8):
+            f_theta = math.nextafter(f_theta, 0.0)
+        for _ in range(16):
+            assert (f_theta <= f_e + _GRID_TOL) == (not f_e < f_theta - _GRID_TOL)
+            f_theta = math.nextafter(f_theta, 2.0)
+
+
+def _entry_key(e):
+    return None if e is None else (e.b, e.f_hat, e.xi_hat, e.tree)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.floats(0.55, 1.0),
+    st.floats(1e-3, 0.05),
+    st.sampled_from([(1e-4, 1e-4), (1e-3, 1e-3), (1e-2, 1e-3), (1e-3, 1e-2)]),
+    st.sampled_from(["optimal", "pumping"]),
+    st.integers(1, 1000),
+)
+# entries whose ratios tie on the grid: the later one must not become a step
+@example(36, 0.9, 0.001, (1e-3, 1e-3), "optimal", 1000)
+@example(40, 0.764, 0.0015535145696211096, (1e-4, 1e-4), "optimal", 1000)
+def test_table_steps_match_per_k_scan(m, f_e, delta_phi, grid, mode, kmax):
+    """Steps with k <= K are the per-k scan's breakpoints(K) with its
+    entries; entries are compared by value, as the frontier cell may have
+    been rebuilt since the table was cached."""
+    steps = edge_throughput_table(m, f_e, delta_phi, *grid, mode)
+    oracle = LazyThroughputTable(m, f_e, delta_phi, *grid, mode)
+    assert [k for k, _ in steps if k <= kmax] == oracle.breakpoints(kmax)
+    for k, e in steps:
+        if k <= kmax:
+            assert _entry_key(e) == _entry_key(oracle.entry(k))
+    for k in range(1, kmax + 1):
+        # between steps the scan's pick improves on the last step by no more
+        # than the tolerance, so labels there are dominated
+        got, want = entry_at(steps, k), oracle.entry(k)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert want.ratio() <= got.ratio() + _GRID_TOL
+    if steps and steps[-1][0] <= kmax:
+        assert steps[-1][1].b == 1
+
+
+def test_table_tiny_step_completes():
+    # delta_phi at discretization_steps' floor: a per-k scan would need
+    # ~1e12 steps to reach the raw pair, the staircase a few per entry
+    steps = edge_throughput_table(39, 0.55, 1e-12)
+    assert steps[-1][1].b == 1
+    assert steps[-1][0] == pytest.approx(-pseudo_fidelity(0.55) / 1e-12, rel=1e-9)
+    # each step is where the per-k pick first improves, to the exact k
+    oracle = LazyThroughputTable(39, 0.55, 1e-12)
+    prev = None
+    for k, e in steps:
+        assert _entry_key(oracle.entry(k)) == _entry_key(e)
+        assert _entry_key(oracle.entry(k - 1)) == _entry_key(prev)
+        prev = e
 
 
 # --- single-path search ---

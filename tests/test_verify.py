@@ -18,7 +18,7 @@ def test_report_text_shape():
     assert r.text() == "suite demo: PASS\n  a=1\n  b=2\n"
     assert Report("demo", "pass").exit_code == 0
     assert Report("demo", "fail").exit_code == 1
-    assert Report("demo", "skip").exit_code == 2
+    assert Report("demo", "skip").exit_code == 3
 
 
 def test_render_worst_code_wins():
@@ -27,6 +27,7 @@ def test_render_worst_code_wins():
     assert code == 1
     assert text.splitlines() == ["suite a: PASS", "suite b: SKIP", "suite c: FAIL"]
     assert render([])[1] == 0
+    assert render([Report("a", "pass"), Report("b", "skip")])[1] == 3
 
 
 def test_unknown_suite():
@@ -76,7 +77,7 @@ def test_route_oracle_small_batch():
 def test_route_suite_skip_path():
     rep = _suite_route_oracle(0, count=10, max_attempts=1)
     assert rep.status == "skip"
-    assert rep.exit_code == 2
+    assert rep.exit_code == 3
     assert rep.lines[-1] == "screen exhausted the attempt budget"
 
 
