@@ -49,6 +49,14 @@ _KNOWN_ALGORITHMS = {
     "multiflow": ("ours",),
 }
 
+# the options each scenario's runner reads through cfg.opt
+_OPTIONS = {
+    "purify-compare": ("fidelities", "pairs_min", "pairs_max"),
+    "strategy-compare": ("lengths", "pairs_per_hop", "fidelity_band", "swap_success"),
+    "route-compare": ("dphi", "dpsi", "demand", "deltaq"),
+    "multiflow": ("flows", "flow_fidelity", "epsilon", "delta", "r_k", "weight_band"),
+}
+
 _DEFAULT_ALGORITHMS = {
     "purify-compare": ("ours", "symmetric", "pumping"),
     "strategy-compare": ("pas", "sap", "sps{2}", "sps{3}", "sps{l}"),
@@ -113,11 +121,19 @@ class ExperimentConfig:
                         "external baselines are out of scope"
                     )
         self.thresholds = tuple(self.thresholds)
+        known = _OPTIONS[self.scenario]
+        for key in self.options:
+            if key not in known:
+                raise ValueError(
+                    f"unknown {self.scenario} option {key!r}; known options: {', '.join(known)}"
+                )
 
     def algorithm_list(self) -> tuple:
         return self.algorithms or _DEFAULT_ALGORITHMS[self.scenario]
 
     def opt(self, key, default):
+        if key not in _OPTIONS[self.scenario]:
+            raise KeyError(f"{key!r} is not in the option table of {self.scenario}")
         return self.options.get(key, default)
 
 

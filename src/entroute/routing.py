@@ -12,6 +12,16 @@ intermediate copy index is fixed by the allocation into it (j = Q_v - m),
 and the top source copy reaches every arc a lower one does, so each
 physical plan has exactly one auxiliary path and one label sequence.
 
+Each search walks the arcs out of a vertex once, at its first expansion,
+and computes the successors of an (edge, pair count) once, at the first arc
+over it that passes the path and budget checks: the edge cost and, per
+table step, the log-throughput, the budget charge and the arc record.  A
+candidate is tested against its node's pool on its raw (cost, phi credit,
+psi_hat, copy index) before any label, path tuple or heap key is built.
+They are exactly the values the label would carry, and the test reads
+nothing else, so testing before the build admits and kills the same labels
+as testing after it would; a rejected candidate just allocates nothing.
+
 Budget accounting: an edge expanded at split index k demands per-edge
 pseudo-fidelity -k*delta_phi but is charged only (k-1)*delta_phi against
 the label's budget.  The round-down credit keeps the label of an exactly
@@ -33,7 +43,6 @@ from .network import QuantumNetwork
 from .pair_algebra import inverse_pseudo_fidelity, pseudo_fidelity, swap_fidelity
 from .purification import (
     _GRID_TOL,
-    _ceil_to_grid,
     _pareto_sets,
     best_entry,
     candidate_frontier,
@@ -167,62 +176,71 @@ class RoutePlan:
 
 class _Label:
     __slots__ = (
-        "cost", "phi_credit", "psi_b", "psi_hat", "path", "vertex", "parent", "arc", "alive", "copy"
+        "cost", "phi_credit", "psi_b", "psi_hat", "path", "pkey", "vertex", "copy", "parent", "arc",
+        "alive",
     )
 
-    def __init__(self, cost, phi_credit, psi_b, psi_hat, path, vertex, parent, arc):
+    def __init__(self, cost, phi_credit, psi_b, psi_hat, path, pkey, vertex, copy, parent, arc):
         self.cost = cost
         self.phi_credit = phi_credit
         self.psi_b = psi_b
         self.psi_hat = psi_hat
         self.path = path
+        self.pkey = pkey  # heap tie-break: tuple(map(str, path))
         self.vertex = vertex
+        self.copy = copy  # remaining-qubit copy index; the sink counts as copy 0
         self.parent = parent
         self.arc = arc  # (m, k, edge, schedule entry) of the arc into vertex
         self.alive = True
-        # remaining-qubit copy index; the sink counts as copy 0
-        self.copy = vertex[1] if vertex[0] != "__virtual__" else 0
 
 
-def _dominates(a: _Label, b: _Label) -> bool:
-    return (
-        a.cost <= b.cost + _TOL
-        and a.phi_credit >= b.phi_credit - _TOL
-        and a.psi_hat >= b.psi_hat - _TOL
-    )
-
-
-def _dominated_by(pool: list, lab: _Label, R: int) -> bool:
-    """Whether >= R other alive labels of the pool at the same or a higher
-    remaining-qubit copy dominate lab (a higher copy reaches every arc a
-    lower one does, at identical terms)."""
+def _dominated(
+    pool: list, cost: float, phi_credit: float, psi_hat: float, copy: int, R: int, skip=None
+) -> bool:
+    """Whether >= R alive labels of the pool, skip excepted, at copy index
+    copy or higher dominate the values (cost, phi_credit, psi_hat); a higher
+    copy reaches every arc a lower one does, at identical terms."""
+    cost += _TOL
+    phi_credit -= _TOL
+    psi_hat -= _TOL
     count = 0
     for e in pool:
-        if e is not lab and e.alive and e.copy >= lab.copy and _dominates(e, lab):
+        if (
+            e.alive
+            and e.copy >= copy
+            and e.cost <= cost
+            and e.phi_credit >= phi_credit
+            and e.psi_hat >= psi_hat
+            and e is not skip
+        ):
             count += 1
             if count >= R:
                 return True
     return False
 
 
-def _try_insert(pool: list, lab: _Label, R: int) -> bool:
-    """Relaxed-dominance insert into the pool of one original node.
+def _admit(pool: list, lab: _Label, R: int) -> None:
+    """Add a label that passed the _dominated test to the pool of its node.
 
-    A label is admitted unless it is _dominated_by R labels of the pool.
-    After an insert every alive label has fewer than R alive dominators,
+    Before the insert every alive label has fewer than R alive dominators,
     so the newcomer can push over that line only the labels it dominates
     itself, at a copy index <= its own: only those are recounted, in pool
     order, which kills exactly the labels a recount of the whole pool
     would.  With R = 1 the newcomer alone is enough to kill them.
     """
-    if _dominated_by(pool, lab, R):
-        return False
     pool[:] = [e for e in pool if e.alive]
     pool.append(lab)
+    cost, phi_credit, psi_hat, copy = lab.cost, lab.phi_credit, lab.psi_hat, lab.copy
     for e in pool[:-1]:
-        if e.copy <= lab.copy and _dominates(lab, e) and (R == 1 or _dominated_by(pool, e, R)):
+        # _dominated's test with the roles swapped: does lab dominate e
+        if (
+            e.copy <= copy
+            and cost <= e.cost + _TOL
+            and phi_credit >= e.phi_credit - _TOL
+            and psi_hat >= e.psi_hat - _TOL
+            and (R == 1 or _dominated(pool, e.cost, e.phi_credit, e.psi_hat, e.copy, R, e))
+        ):
             e.alive = False
-    return True
 
 
 def _search(
@@ -250,82 +268,120 @@ def _search(
     pushed = 0
     expanded = 0
     touched: set = set()
+    # per-search memos: vertex -> the arcs out of it, as (head, pool key,
+    # copy, (str(v),), successor key, edge, m, psi_v); successor key
+    # (id(edge), m) -> (edge cost, ((k, entry, psi_e, (k-1)*delta_phi, arc), ...))
+    arc_memo: dict = {}
+    succ_memo: dict = {}
+    psi_floor = psi0 - _TOL
+    phi_floor = phi0 - 1e-9
 
-    def push(lab: _Label):
-        nonlocal pushed
-        key = lab.vertex[0] if lab.vertex[0] != "__virtual__" else lab.vertex
-        if _try_insert(pools.setdefault(key, []), lab, R):
-            heapq.heappush(
-                heap,
-                (lab.cost, len(lab.path) - 1, tuple(map(str, lab.path)), next(counter), lab),
-            )
-            pushed += 1
+    def arcs_of(vertex):
+        arcs = []
+        for head, m, edge in aux.out_arcs(vertex):
+            if edge is None:
+                arcs.append((head, head, 0, None, None, None, 0, None))
+            else:
+                v, j = head
+                psi_v = 0.0 if v == aux.t else math.log(net.node(v).swap_prob)
+                arcs.append((head, v, j, (str(v),), (id(edge), m), edge, m, psi_v))
+        return arcs
+
+    def successors(edge, m):
+        if edge not in touched:
+            # build this fidelity's frontier once, at the edge's largest budget
+            touched.add(edge)
+            _frontier(_max_allocation(aux, edge), edge.fidelity, delta_f, delta_xi, mode)
+        steps = edge_throughput_table(m, edge.fidelity, delta_phi, delta_f, delta_xi, mode)
+        return edge.cost_of(m), tuple(
+            (k, entry, math.log(entry.ratio() * m), (k - 1) * delta_phi, (m, k, edge, entry))
+            for k, entry in steps
+        )
 
     source_copies = aux.copy_indices(aux.s)
     if source_copies:
-        root = _Label(0.0, 0.0, _INF, _INF, (aux.s,), (aux.s, max(source_copies)), None, None)
+        top = max(source_copies)
+        root = _Label(0.0, 0.0, _INF, _INF, (aux.s,), (str(aux.s),), (aux.s, top), top, None, None)
         pools[aux.s] = [root]
-        heapq.heappush(heap, (0.0, 0, (str(aux.s),), next(counter), root))
+        heapq.heappush(heap, (0.0, 0, root.pkey, next(counter), root))
 
     results: list[_Label] = []
     while heap:
-        _, _, _, _, lab = heapq.heappop(heap)
+        lab = heapq.heappop(heap)[-1]
         if not lab.alive:
             continue
-        if lab.vertex == VIRTUAL_SINK:
+        vertex = lab.vertex
+        if vertex == VIRTUAL_SINK:
             results.append(lab)
             if len(results) >= R:
                 break
             continue
         expanded += 1
-        for head, m, edge in aux.out_arcs(lab.vertex):
+        arcs = arc_memo.get(vertex)
+        if arcs is None:
+            arcs = arc_memo[vertex] = arcs_of(vertex)
+        cost, phi_credit, psi_hat, psi_b = lab.cost, lab.phi_credit, lab.psi_hat, lab.psi_b
+        path = lab.path
+        depth = len(path)
+        kmax = int(math.floor((phi_credit - phi0) / delta_phi + 1e-9)) + 1
+        for head, key, j, pkey_v, succ_key, edge, m, psi_v in arcs:
             if edge is None:
                 # zero-cost virtual hop into the sink
-                push(
-                    _Label(lab.cost, lab.phi_credit, lab.psi_b, lab.psi_hat, lab.path, head, lab, None)
-                )
+                pool = pools.get(key)
+                if pool is None:
+                    pool = pools[key] = []
+                elif _dominated(pool, cost, phi_credit, psi_hat, 0, R):
+                    continue
+                new = _Label(cost, phi_credit, psi_b, psi_hat, path, lab.pkey, head, 0, lab, None)
+                _admit(pool, new, R)
+                heapq.heappush(heap, (cost, depth - 1, new.pkey, next(counter), new))
+                pushed += 1
                 continue
-            v, _ = head
-            if v in lab.path:
+            if kmax < 1 or key in path:
                 continue
-            kmax = int(math.floor((lab.phi_credit - phi0) / delta_phi + 1e-9)) + 1
-            if kmax < 1:
-                continue
-            if edge not in touched:
-                # build this fidelity's frontier once, at the edge's largest budget
-                touched.add(edge)
-                _frontier(_max_allocation(aux, edge), edge.fidelity, delta_f, delta_xi, mode)
-            steps = edge_throughput_table(m, edge.fidelity, delta_phi, delta_f, delta_xi, mode)
-            psi_v = 0.0 if v == aux.t else math.log(net.node(v).swap_prob)
-            for k, entry in steps:
+            succ = succ_memo.get(succ_key)
+            if succ is None:
+                succ = succ_memo[succ_key] = successors(edge, m)
+            edge_cost, steps = succ
+            cost2 = cost + edge_cost
+            psi_base = psi_v + psi_hat
+            pool = pools.get(key)
+            for k, entry, psi_e, phi_charge, arc in steps:
                 if k > kmax:
                     break
-                psi_e = math.log(entry.ratio() * m)
-                if lab.psi_b == _INF:
-                    psi_hat2 = _ceil_to_grid(psi_v + psi_e, delta_psi)
-                elif psi_e <= lab.psi_b:
-                    psi_hat2 = _ceil_to_grid(
-                        psi_v + lab.psi_hat + psi_e - lab.psi_b, delta_psi
-                    )
+                # _ceil_to_grid of the path log-throughput, inlined; psi_base is the
+                # first partial sum of psi_v + psi_hat + psi_e - psi_b, so each value
+                # is the float that summing left to right gives
+                if psi_b == _INF:
+                    psi_hat2 = math.ceil((psi_v + psi_e) / delta_psi - 1e-9) * delta_psi
+                elif psi_e <= psi_b:
+                    psi_hat2 = math.ceil((psi_base + psi_e - psi_b) / delta_psi - 1e-9) * delta_psi
                 else:
-                    psi_hat2 = _ceil_to_grid(psi_v + lab.psi_hat, delta_psi)
-                if psi_hat2 < psi0 - _TOL:
+                    psi_hat2 = math.ceil(psi_base / delta_psi - 1e-9) * delta_psi
+                if psi_hat2 < psi_floor:
                     continue
-                phi_credit2 = lab.phi_credit - (k - 1) * delta_phi
-                if phi_credit2 < phi0 - 1e-9:
+                phi_credit2 = phi_credit - phi_charge
+                if phi_credit2 < phi_floor:
                     continue
-                push(
-                    _Label(
-                        lab.cost + edge.cost_of(m),
-                        phi_credit2,
-                        min(psi_e, lab.psi_b),
-                        psi_hat2,
-                        lab.path + (v,),
-                        head,
-                        lab,
-                        (m, k, edge, entry),
-                    )
+                if pool is None:
+                    pool = pools[key] = []
+                elif _dominated(pool, cost2, phi_credit2, psi_hat2, j, R):
+                    continue
+                new = _Label(
+                    cost2,
+                    phi_credit2,
+                    psi_b if psi_b < psi_e else psi_e,
+                    psi_hat2,
+                    path + (key,),
+                    lab.pkey + pkey_v,
+                    head,
+                    j,
+                    lab,
+                    arc,
                 )
+                _admit(pool, new, R)
+                heapq.heappush(heap, (cost2, depth, new.pkey, next(counter), new))
+                pushed += 1
 
     if stats is not None:
         per_vertex: dict = {}

@@ -3,7 +3,8 @@
 A renamed or rebound function would leave its layer silently at zero in
 traced runs, so this test installs the tracer, runs one small route-compare
 experiment and one multi-flow candidate search, and checks that the search,
-table and frontier layers all counted something.  It runs in a subprocess
+table and frontier layers all counted something, the label counts the
+search reports through its stats= dict included.  It runs in a subprocess
 so that the wrappers cannot leak into other tests.
 """
 
@@ -41,7 +42,15 @@ def test_tracer_sees_search_table_and_frontier_layers():
     )
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.splitlines()[-1])
-    for name in ("routing.search_calls", "routing.table_builds", "purification.frontier_builds"):
+    for name in (
+        "routing.search_calls",
+        "routing.table_builds",
+        "purification.frontier_builds",
+        # read from the search's stats= dict
+        "routing.labels_pushed",
+        "routing.labels_expanded",
+        "routing.labels_alive",
+    ):
         assert metrics[name] > 0, (name, metrics)
     # one route-compare query and one k-paths call
     assert metrics["routing.search_calls"] == 2

@@ -257,7 +257,6 @@ def test_experiment_run_writes_outputs(capsys, tmp_path):
                 "scenario": "purify-compare",
                 "trials": 1,
                 "seed": 0,
-                "budgets": [2, 3],
                 "fidelities": [0.75],
             }
         ),
@@ -343,3 +342,13 @@ def test_pseudo_fidelity_threshold_used_by_route(capsys, grid_net):
     rec = json.loads(out)
     slack = len(rec["nodes"]) * 0.005
     assert rec["phi_hat"] >= pseudo_fidelity(0.75) - slack - 1e-9
+
+
+def test_experiment_unknown_option_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "route-compare", "workers": 3}), encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert "'workers'" in err and "dphi" in err

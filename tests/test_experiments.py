@@ -170,3 +170,29 @@ def test_write_outputs(tmp_path):
     assert summary["scenario"] == "purify-compare"
     assert summary["row_count"] == len(res.rows)
     assert len(summary["artifacts"]) == len(res.artifacts)
+
+
+@pytest.mark.parametrize(
+    "scenario, options",
+    [
+        ("purify-compare", {"fidelities": [0.75], "pairs_min": 2, "pairs_max": 3}),
+        ("strategy-compare", {"lengths": [3], "pairs_per_hop": 1, "fidelity_band": [0.9, 0.95],
+                              "swap_success": 0.9}),
+        ("route-compare", {"dphi": [0.02], "dpsi": 0.01, "demand": 1.0, "deltaq": 5}),
+        ("multiflow", {"flows": 2, "flow_fidelity": 0.8, "epsilon": 0.2, "delta": 0.05, "r_k": 2,
+                       "weight_band": [1, 3]}),
+    ],
+)
+def test_config_rejects_unknown_options(scenario, options):
+    """Every option a scenario reads parses; any other key is refused by name,
+    with the known ones listed, and cfg.opt refuses keys outside the table."""
+    cfg = config_from_json({"scenario": scenario, "trials": 1, "seed": 0, **options})
+    for key, value in options.items():
+        assert cfg.opt(key, None) == value
+    for bad in ("workers", "dphis"):
+        with pytest.raises(ValueError, match=f"'{bad}'.*known options: {next(iter(options))}"):
+            config_from_json({"scenario": scenario, bad: 3, **options})
+        with pytest.raises(ValueError, match=bad):
+            config_from_json({"scenario": scenario, "options": {bad: 3}})
+    with pytest.raises(KeyError):
+        cfg.opt("dphis", None)

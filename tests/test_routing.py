@@ -1,11 +1,14 @@
+import heapq
+import itertools
 import math
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entroute import routing
-from entroute.auxgraph import build_aux_graph
+from entroute import routing, topology
+from entroute.auxgraph import VIRTUAL_SINK, AuxiliaryGraph, build_aux_graph
 from entroute.network import EdgeSpec, NodeSpec, QuantumNetwork
 from entroute.pair_algebra import (
     inverse_pseudo_fidelity,
@@ -16,6 +19,7 @@ from entroute.pair_algebra import (
 from entroute.purification import (
     _GRID_TOL,
     LEAF,
+    _ceil_to_grid,
     _pareto_sets,
     best_entry,
     brute_force_optimal,
@@ -491,6 +495,250 @@ def test_label_invariants():
     assert stats["expanded"] <= stats["pushed"] + 1
 
 
+# --- the former label engine, kept as an oracle for _search ---
+#
+# It builds every candidate label before testing it against the pool, and
+# walks the arcs and throughput tables again for every label it expands.
+# _search tests the raw values first and memoizes arcs and successors per
+# search; the admissions, kills, heap pops and plans of the two must agree.
+
+_TOL = routing._TOL
+_INF = routing._INF
+
+
+class _OracleLabel:
+    __slots__ = (
+        "cost", "phi_credit", "psi_b", "psi_hat", "path", "vertex", "parent", "arc", "alive", "copy"
+    )
+
+    def __init__(self, cost, phi_credit, psi_b, psi_hat, path, vertex, parent, arc):
+        self.cost = cost
+        self.phi_credit = phi_credit
+        self.psi_b = psi_b
+        self.psi_hat = psi_hat
+        self.path = path
+        self.vertex = vertex
+        self.parent = parent
+        self.arc = arc  # (m, k, edge, schedule entry) of the arc into vertex
+        self.alive = True
+        # remaining-qubit copy index; the sink counts as copy 0
+        self.copy = vertex[1] if vertex[0] != "__virtual__" else 0
+
+
+def _dominates(a: _OracleLabel, b: _OracleLabel) -> bool:
+    return (
+        a.cost <= b.cost + _TOL
+        and a.phi_credit >= b.phi_credit - _TOL
+        and a.psi_hat >= b.psi_hat - _TOL
+    )
+
+
+def _dominated_by(pool: list, lab: _OracleLabel, R: int) -> bool:
+    """Whether >= R other alive labels of the pool at the same or a higher
+    remaining-qubit copy dominate lab (a higher copy reaches every arc a
+    lower one does, at identical terms)."""
+    count = 0
+    for e in pool:
+        if e is not lab and e.alive and e.copy >= lab.copy and _dominates(e, lab):
+            count += 1
+            if count >= R:
+                return True
+    return False
+
+
+def _try_insert(pool: list, lab: _OracleLabel, R: int) -> bool:
+    """Relaxed-dominance insert into the pool of one original node.
+
+    A label is admitted unless it is _dominated_by R labels of the pool.
+    After an insert every alive label has fewer than R alive dominators,
+    so the newcomer can push over that line only the labels it dominates
+    itself, at a copy index <= its own: only those are recounted, in pool
+    order, which kills exactly the labels a recount of the whole pool
+    would.  With R = 1 the newcomer alone is enough to kill them.
+    """
+    if _dominated_by(pool, lab, R):
+        return False
+    pool[:] = [e for e in pool if e.alive]
+    pool.append(lab)
+    for e in pool[:-1]:
+        if e.copy <= lab.copy and _dominates(lab, e) and (R == 1 or _dominated_by(pool, e, R)):
+            e.alive = False
+    return True
+
+
+def _oracle_search(
+    aux: AuxiliaryGraph,
+    phi0: float,
+    psi0: float,
+    delta_phi: float,
+    delta_psi: float,
+    R: int,
+    delta_f: float,
+    delta_xi: float,
+    stats: Optional[dict],
+    mode: str = "optimal",
+) -> list[_OracleLabel]:
+    if phi0 > _TOL:
+        raise ValueError("phi0 must be <= 0")
+    if delta_phi <= 0 or delta_psi <= 0:
+        raise ValueError("step sizes must be positive")
+    if R < 1:
+        raise ValueError("R must be >= 1")
+    net = aux.net
+    pools: dict = {}
+    counter = itertools.count()
+    heap: list = []
+    pushed = 0
+    expanded = 0
+    touched: set = set()
+
+    def push(lab: _OracleLabel):
+        nonlocal pushed
+        key = lab.vertex[0] if lab.vertex[0] != "__virtual__" else lab.vertex
+        if _try_insert(pools.setdefault(key, []), lab, R):
+            heapq.heappush(
+                heap,
+                (lab.cost, len(lab.path) - 1, tuple(map(str, lab.path)), next(counter), lab),
+            )
+            pushed += 1
+
+    source_copies = aux.copy_indices(aux.s)
+    if source_copies:
+        root = _OracleLabel(0.0, 0.0, _INF, _INF, (aux.s,), (aux.s, max(source_copies)), None, None)
+        pools[aux.s] = [root]
+        heapq.heappush(heap, (0.0, 0, (str(aux.s),), next(counter), root))
+
+    results: list[_OracleLabel] = []
+    while heap:
+        _, _, _, _, lab = heapq.heappop(heap)
+        if not lab.alive:
+            continue
+        if lab.vertex == VIRTUAL_SINK:
+            results.append(lab)
+            if len(results) >= R:
+                break
+            continue
+        expanded += 1
+        for head, m, edge in aux.out_arcs(lab.vertex):
+            if edge is None:
+                # zero-cost virtual hop into the sink
+                push(
+                    _OracleLabel(lab.cost, lab.phi_credit, lab.psi_b, lab.psi_hat, lab.path, head, lab, None)
+                )
+                continue
+            v, _ = head
+            if v in lab.path:
+                continue
+            kmax = int(math.floor((lab.phi_credit - phi0) / delta_phi + 1e-9)) + 1
+            if kmax < 1:
+                continue
+            if edge not in touched:
+                # build this fidelity's frontier once, at the edge's largest budget
+                touched.add(edge)
+                routing._frontier(routing._max_allocation(aux, edge), edge.fidelity, delta_f, delta_xi, mode)
+            steps = routing.edge_throughput_table(m, edge.fidelity, delta_phi, delta_f, delta_xi, mode)
+            psi_v = 0.0 if v == aux.t else math.log(net.node(v).swap_prob)
+            for k, entry in steps:
+                if k > kmax:
+                    break
+                psi_e = math.log(entry.ratio() * m)
+                if lab.psi_b == _INF:
+                    psi_hat2 = _ceil_to_grid(psi_v + psi_e, delta_psi)
+                elif psi_e <= lab.psi_b:
+                    psi_hat2 = _ceil_to_grid(
+                        psi_v + lab.psi_hat + psi_e - lab.psi_b, delta_psi
+                    )
+                else:
+                    psi_hat2 = _ceil_to_grid(psi_v + lab.psi_hat, delta_psi)
+                if psi_hat2 < psi0 - _TOL:
+                    continue
+                phi_credit2 = lab.phi_credit - (k - 1) * delta_phi
+                if phi_credit2 < phi0 - 1e-9:
+                    continue
+                push(
+                    _OracleLabel(
+                        lab.cost + edge.cost_of(m),
+                        phi_credit2,
+                        min(psi_e, lab.psi_b),
+                        psi_hat2,
+                        lab.path + (v,),
+                        head,
+                        lab,
+                        (m, k, edge, entry),
+                    )
+                )
+
+    if stats is not None:
+        per_vertex: dict = {}
+        for key, pool in pools.items():
+            for e in pool:
+                if e.alive:
+                    per_vertex.setdefault(e.vertex, []).append(e)
+        stats["pushed"] = pushed
+        stats["expanded"] = expanded
+        stats["alive_per_vertex"] = {v: len(ls) for v, ls in per_vertex.items()}
+        stats["labels"] = {
+            v: [(e.cost, e.phi_credit, e.psi_b, e.psi_hat, e.path) for e in ls]
+            for v, ls in per_vertex.items()
+        }
+    return results
+
+
+def _rand_case(seed):
+    net, s, t, f0 = rand_net(seed)
+    return build_aux_graph(net, s, t), f0
+
+
+def _grid_case(side, deltaq_capacity, seed, f0):
+    deltaq, capacity = deltaq_capacity
+    spec = topology.TopologySpec(kind="grid", rows=side, cols=side, capacity=capacity, seed=seed)
+    net = topology.generate(spec)
+    s, t = random.Random(seed).sample(sorted(net.nodes), 2)
+    return build_aux_graph(net, s, t, deltaq), f0
+
+
+# A search's size grows with the copies per node, Q_v / deltaq; at most three
+# copies per neighbour keep one example well under a second (a 4x4 grid at
+# capacity 15 and deltaq 1 takes about a minute).
+_search_cases = st.one_of(
+    st.builds(_rand_case, st.integers(0, 10**6)),
+    st.builds(
+        _grid_case,
+        st.sampled_from([3, 4]),
+        st.integers(1, 5).flatmap(
+            lambda dq: st.tuples(st.just(dq), st.integers(1, min(15, 3 * dq)))
+        ),
+        st.integers(0, 10**6),
+        st.sampled_from([0.8, 0.85, 0.9]),
+    ),
+)
+_steps = st.sampled_from([0.005, 0.01, 0.02])
+
+
+def _plan_key(plan):
+    return (plan.nodes, plan.pair_counts, plan.trees, plan.cost, plan.phi_hat, plan.psi_hat)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_search_cases, st.integers(1, 3), st.sampled_from(["optimal", "pumping"]), _steps, _steps)
+@example(_grid_case(4, (5, 15), 3, 0.85), 3, "optimal", 0.005, 0.005)  # ~1,400 labels pushed
+def test_search_matches_former_search(case, R, mode, delta_phi, delta_psi):
+    """Testing dominance on raw values before a label is built, and the
+    per-search arc and successor memos, change no admission, kill, heap pop
+    or plan: the stats and plans equal the former search's, in pool order."""
+    aux, f0 = case
+    args = (aux, pseudo_fidelity(f0), math.log(0.2), delta_phi, delta_psi, R, 1e-4, 1e-4)
+    got_stats, want_stats = {}, {}
+    got = routing._search(*args, got_stats, mode)
+    want = _oracle_search(*args, want_stats, mode)
+    assert [_plan_key(routing._plan_from_label(aux, lab, delta_phi)) for lab in got] == [
+        _plan_key(routing._plan_from_label(aux, lab, delta_phi)) for lab in want
+    ]
+    for key in ("pushed", "expanded", "alive_per_vertex", "labels"):
+        assert got_stats[key] == want_stats[key], key
+    assert list(got_stats["labels"]) == list(want_stats["labels"])
+
+
 # --- label engine: frontier nesting, incremental recount, bounded caches ---
 
 
@@ -533,7 +781,7 @@ def _full_recount_insert(pool, lab, R):
     j = lab.copy
     dominators = 0
     for e in pool:
-        if e.alive and e.copy >= j and routing._dominates(e, lab):
+        if e.alive and e.copy >= j and _dominates(e, lab):
             dominators += 1
             if dominators >= R:
                 return False
@@ -541,7 +789,7 @@ def _full_recount_insert(pool, lab, R):
     pool.append(lab)
     if R == 1:
         for e in pool[:-1]:
-            if e.copy <= j and routing._dominates(lab, e):
+            if e.copy <= j and _dominates(lab, e):
                 e.alive = False
     else:
         for e in pool[:-1]:
@@ -549,7 +797,7 @@ def _full_recount_insert(pool, lab, R):
             je = e.copy
             for other in pool:
                 if other is not e and other.alive and other.copy >= je:
-                    if routing._dominates(other, e):
+                    if _dominates(other, e):
                         cnt += 1
                         if cnt >= R:
                             e.alive = False
@@ -572,18 +820,36 @@ _coarse_labels = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(_coarse_labels, st.integers(1, 3))
 def test_incremental_recount_matches_full_recount(stream, R):
-    def make(i, cost, phi, psi, j):
-        return routing._Label(float(cost), 0.01 * phi, 0.0, 0.1 * psi, (i,), ("v", j), None, None)
-
     oracle_pool, pool = [], []
     oracle_labels, labels = [], []
-    for i, fields in enumerate(stream):
-        a, b = make(i, *fields), make(i, *fields)
-        oracle_labels.append(a)
-        labels.append(b)
-        assert routing._try_insert(pool, b, R) == _full_recount_insert(oracle_pool, a, R), i
+    for i, (cost, phi, psi, j) in enumerate(stream):
+        cost, phi, psi = float(cost), 0.01 * phi, 0.1 * psi
+        a = _OracleLabel(cost, phi, 0.0, psi, (i,), ("v", j), None, None)
+        admitted = not routing._dominated(pool, cost, phi, psi, j, R)
+        assert admitted == _full_recount_insert(oracle_pool, a, R), i
+        if admitted:
+            # only admitted labels are built; compare them with their twins
+            b = routing._Label(cost, phi, 0.0, psi, (i,), (str(i),), ("v", j), j, None, None)
+            routing._admit(pool, b, R)
+            labels.append(b)
+            oracle_labels.append(a)
         assert [x.alive for x in labels] == [x.alive for x in oracle_labels], i
         assert [x.path for x in pool] == [x.path for x in oracle_pool], i
+
+
+def test_dominance_is_inclusive_at_the_tolerance():
+    """Values worse by exactly _TOL are still dominated, as by the former
+    _dominates: in the admission test and in the kill of _admit alike."""
+    cost, phi, psi = 2.0, -0.25, -0.5
+    worse = (cost + _TOL, phi - _TOL, psi - _TOL)
+    base = routing._Label(cost, phi, 0.0, psi, (0,), ("0",), ("v", 1), 1, None, None)
+    edge = routing._Label(worse[0], worse[1], 0.0, worse[2], (1,), ("1",), ("v", 2), 2, None, None)
+    assert _dominates(base, edge) and _dominates(edge, base)
+    assert routing._dominated([edge], cost, phi, psi, 1, 1)
+    assert routing._dominated([base], *worse, 2, 1) is False  # lower copy
+    pool = [base]
+    routing._admit(pool, edge, 1)
+    assert not base.alive and edge.alive
 
 
 def test_k_paths_plans_are_distinct():
