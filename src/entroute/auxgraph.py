@@ -41,22 +41,10 @@ class AuxiliaryGraph:
         """Remaining-qubit indices instantiated for node v (coarsened by deltaq)."""
         return self._indices[v]
 
-    def vertices(self):
-        yield VIRTUAL_SOURCE
-        for v, idx in self._indices.items():
-            for i in idx:
-                yield (v, i)
-        yield VIRTUAL_SINK
-
     def out_arcs(self, vertex):
-        """Yield (head_vertex, pair_count, edge_spec); virtual hops carry
-        pair_count 0 and no edge."""
-        if vertex == VIRTUAL_SOURCE:
-            for i in self._indices[self.s]:
-                yield (self.s, i), 0, None
-            return
-        if vertex == VIRTUAL_SINK:
-            return
+        """Yield (head_vertex, pair_count, edge_spec) out of a node copy;
+        the hop from a sink copy to the virtual sink carries pair_count 0
+        and no edge."""
         u, i = vertex
         if u == self.t:
             yield VIRTUAL_SINK, 0, None

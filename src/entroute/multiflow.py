@@ -207,15 +207,11 @@ def flow_candidates(
     eps: float,
     *,
     deltaq: int = 1,
-    delta_f: float = 1e-4,
-    delta_xi: float = 1e-4,
 ) -> list:
     aux = build_aux_graph(net, flow.source, flow.destination, deltaq)
     phi0 = pseudo_fidelity(flow.f0)
     deltas = discretization_steps(aux, phi0, _PSI_FLOOR, eps)
-    return k_paths(
-        aux, phi0, _PSI_FLOOR, deltas, flow.r_k, delta_f=delta_f, delta_xi=delta_xi
-    )
+    return k_paths(aux, phi0, _PSI_FLOOR, deltas, flow.r_k)
 
 
 @dataclass

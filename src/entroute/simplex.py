@@ -23,7 +23,7 @@ class UnboundedProgram(ValueError):
     pass
 
 
-def simplex_solve(c, A, b, *, pivot_tol: float = _PIVOT_TOL, feas_tol: float = _FEAS_TOL):
+def simplex_solve(c, A, b):
     """Solve max c@x s.t. A@x <= b, x >= 0; returns (x, objective).
 
     Rows with negative right-hand sides go through phase 1 with artificial
@@ -50,14 +50,14 @@ def simplex_solve(c, A, b, *, pivot_tol: float = _PIVOT_TOL, feas_tol: float = _
         T = np.hstack([T[:, :-1], art, T[:, -1:]])
         cost1 = np.zeros(T.shape[1] - 1)
         cost1[n + m:] = -1.0
-        _iterate(T, basis, cost1, pivot_tol)
-        if cost1[basis] @ T[:, -1] < -feas_tol:
+        _iterate(T, basis, cost1)
+        if cost1[basis] @ T[:, -1] < -_FEAS_TOL:
             raise InfeasibleProgram("artificial variables remain positive")
-        T, basis = _drop_artificials(T, basis, n + m, pivot_tol)
+        T, basis = _drop_artificials(T, basis, n + m)
 
     cost2 = np.zeros(T.shape[1] - 1)
     cost2[:n] = c
-    _iterate(T, basis, cost2, pivot_tol)
+    _iterate(T, basis, cost2)
     x = np.zeros(n)
     for r, col in enumerate(basis):
         if col < n:
@@ -65,14 +65,14 @@ def simplex_solve(c, A, b, *, pivot_tol: float = _PIVOT_TOL, feas_tol: float = _
     return x, float(c @ x)
 
 
-def _iterate(T, basis, cost, pivot_tol):
+def _iterate(T, basis, cost):
     m = T.shape[0]
     while True:
         red = cost - cost[basis] @ T[:, :-1]
         red[basis] = 0.0
         enter = -1
         for j in range(red.size):  # Bland: lowest eligible index
-            if red[j] > pivot_tol:
+            if red[j] > _PIVOT_TOL:
                 enter = j
                 break
         if enter < 0:
@@ -81,7 +81,7 @@ def _iterate(T, basis, cost, pivot_tol):
         leave = -1
         best = None
         for r in range(m):
-            if col[r] > pivot_tol:
+            if col[r] > _PIVOT_TOL:
                 ratio = T[r, -1] / col[r]
                 if leave < 0 or ratio < best - _RATIO_TIE:
                     best, leave = ratio, r
@@ -100,14 +100,14 @@ def _pivot(T, basis, r, j):
     basis[r] = j
 
 
-def _drop_artificials(T, basis, first_art, pivot_tol):
+def _drop_artificials(T, basis, first_art):
     """Pivot zero-level artificials out of the basis, drop redundant rows,
     then cut the artificial columns."""
     keep = []
     for r in range(T.shape[0]):
         if basis[r] >= first_art:
             j = next(
-                (jj for jj in range(first_art) if abs(T[r, jj]) > pivot_tol), None
+                (jj for jj in range(first_art) if abs(T[r, jj]) > _PIVOT_TOL), None
             )
             if j is None:
                 continue  # all-zero row: constraint was redundant

@@ -16,6 +16,8 @@ of per-merge success and per-swap p_s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 from typing import Iterable, Optional
 
 import numpy as np
@@ -179,15 +181,32 @@ def success_margin(a: float, b: float, c: float, d: float, p_s: float = 0.818) -
     ) - p_s * purification_success_prob(swap_fidelity([a, c]), swap_fidelity([b, d]))
 
 
+# (a, b) range and (c, d) range of each scanned region
+_REGIONS = {
+    "lemma1": ((0.5, 1.0), (0.7, 1.0)),
+    "low": ((0.5, 0.7), (0.5, 0.7)),
+    "success": ((0.7, 1.0), (0.7, 1.0)),
+}
+
+
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    n = int(round((hi - lo) / step))
+    # floor, so a step that does not divide the range stops short of hi
+    n = int((hi - lo) / step + 1e-9)
     return lo + step * np.arange(n + 1)
 
 
-def _delta_block(a, b, c, d):
-    # a,b,c,d broadcast to a common 4-d block
-    pas = _swap2_raw(_purified_fidelity_raw(a, b), _purified_fidelity_raw(c, d))
-    sap = _purified_fidelity_raw(_swap2_raw(a, c), _swap2_raw(b, d))
+def _swap_block(f1, f2):
+    """swap_fidelity's operation order on arrays, so that a delta built on
+    it equals lemma1_delta bit for bit."""
+    w = 1.0 * ((4.0 * f1 - 1.0) / 3.0) * ((4.0 * f2 - 1.0) / 3.0)
+    return 0.25 * (1.0 + 3.0 * w)
+
+
+def _delta_block(a, b, c, d, swap):
+    # verify's lemma1 report uses _swap2_raw, whose order its pinned min_delta
+    # depends on; the scan CSV uses _swap_block to match lemma1_delta
+    pas = swap(_purified_fidelity_raw(a, b), _purified_fidelity_raw(c, d))
+    sap = _purified_fidelity_raw(swap(a, c), swap(b, d))
     return pas - sap
 
 
@@ -197,49 +216,53 @@ def _margin_block(a, b, c, d, p_s):
     ) - p_s * _purification_success_raw(_swap2_raw(a, c), _swap2_raw(b, d))
 
 
-def _scan_region(a_grid, b_grid, c_grid, d_grid, block_fn):
+def _blocks(region: str, step: float, block_fn, limit: int = _CHUNK_LIMIT):
+    """Walk a region's 4-d grid in whole a-slices of at most `limit` points
+    (at least one slice); yields (a, b, c, d, values) with a, b, c, d
+    shaped to broadcast against values."""
+    if region not in _REGIONS:
+        raise ValueError(f"unknown region {region!r}")
+    if not 0.0 < step <= 0.1:
+        raise ValueError("step must lie in (0, 0.1]")
+    ab, cd = (_grid(lo, hi, step) for lo, hi in _REGIONS[region])
+    b = ab[None, :, None, None]
+    c = cd[None, None, :, None]
+    d = cd[None, None, None, :]
+    per_a = len(ab) * len(cd) ** 2
+    n_a = max(1, limit // per_a)
+    for start in range(0, len(ab), n_a):
+        a = ab[start : start + n_a][:, None, None, None]
+        yield a, b, c, d, block_fn(a, b, c, d)
+
+
+def _scan_region(region: str, step: float, block_fn):
     """Chunked 4-d scan; returns (points, nonpositive, violations, min)."""
-    total = len(a_grid) * len(b_grid) * len(c_grid) * len(d_grid)
-    per_a = total // len(a_grid) if len(a_grid) else 0
-    if per_a == 0:
-        return 0, 0, 0, float("inf")
-    step = max(1, _CHUNK_LIMIT // per_a)
-    b = b_grid[:, None, None]
-    c = c_grid[None, :, None]
-    d = d_grid[None, None, :]
     points = nonpos = viol = 0
     lo = float("inf")
-    for start in range(0, len(a_grid), step):
-        a = a_grid[start : start + step][:, None, None, None]
-        vals = block_fn(a, b[None], c[None], d[None])
+    for *_, vals in _blocks(region, step, block_fn):
         points += vals.size
         nonpos += int(np.count_nonzero(vals <= 0.0))
         viol += int(np.count_nonzero(vals < -_VIOLATION_TOL))
-        m = float(vals.min())
-        if m < lo:
-            lo = m
+        lo = min(lo, float(vals.min()))
     return points, nonpos, viol, lo
 
 
 def lemma1_scan(step: float, regions: Iterable[str] = ("lemma1", "low", "success"), p_s: float = 0.818) -> dict:
-    """Grid scans of the purify-first advantage.
+    """Grid scans of the purify-first advantage over the regions of
+    _REGIONS; step must lie in (0, 0.1].
 
-    - 'lemma1': a,b in [0.5,1], c,d in [0.7,1]; counts fidelity violations
-      (delta below -1e-12; exact-zero boundary ties are not violations).
-    - 'low': all four in [0.5,0.7]; counts strict purify-and-swap wins.
-    - 'success': all four in [0.7,1]; success-probability margin at p_s.
+    - 'lemma1': counts fidelity violations (delta below -1e-12; exact-zero
+      boundary ties are not violations).
+    - 'low': counts strict purify-and-swap wins.
+    - 'success': success-probability margin at p_s.
     """
-    if not 0.0 < step <= 0.1:
-        raise ValueError("step must lie in (0, 0.1]")
+    delta = partial(_delta_block, swap=_swap2_raw)
     report: dict = {"step": step}
     if "lemma1" in regions:
-        g1 = _grid(0.5, 1.0, step)
-        g2 = _grid(0.7, 1.0, step)
-        points, _, viol, lo = _scan_region(g1, g1, g2, g2, _delta_block)
+        points, _, viol, lo = _scan_region("lemma1", step, delta)
         report["lemma1"] = {"points": points, "violations": viol, "min_delta": lo}
     if "low" in regions:
-        g = _grid(0.5, 0.7, step)
-        points, nonpos, _, lo = _scan_region(g, g, g, g, _delta_block)
+        points, nonpos, _, lo = _scan_region("low", step, delta)
         report["low"] = {
             "points": points,
             "wins": points - nonpos,
@@ -247,10 +270,7 @@ def lemma1_scan(step: float, regions: Iterable[str] = ("lemma1", "low", "success
             "min_delta": lo,
         }
     if "success" in regions:
-        g = _grid(0.7, 1.0, step)
-        points, nonpos, _, lo = _scan_region(
-            g, g, g, g, lambda a, b, c, d: _margin_block(a, b, c, d, p_s)
-        )
+        points, nonpos, _, lo = _scan_region("success", step, partial(_margin_block, p_s=p_s))
         report["success"] = {
             "points": points,
             "nonpositive": nonpos,
@@ -261,22 +281,17 @@ def lemma1_scan(step: float, regions: Iterable[str] = ("lemma1", "low", "success
 
 
 def scan_points(region: str, step: float):
-    """Per-point rows (a, b, c, d, delta, winner) for CSV export."""
-    if region == "lemma1":
-        ab = _grid(0.5, 1.0, step)
-        cd = _grid(0.7, 1.0, step)
-    elif region == "low":
-        ab = _grid(0.5, 0.7, step)
-        cd = ab
-    else:
-        raise ValueError(f"unknown region {region!r}")
-    for a in ab:
-        for b in ab:
-            for c in cd:
-                for d in cd:
-                    delta = lemma1_delta(float(a), float(b), float(c), float(d))
-                    winner = "pas" if delta > 0 else ("sap" if delta < 0 else "tie")
-                    yield float(a), float(b), float(c), float(d), delta, winner
+    """Per-point rows (a, b, c, d, delta, winner) for CSV export, one
+    a-slice of the region at a time; delta equals lemma1_delta."""
+    for *axes, deltas in _blocks(region, step, partial(_delta_block, swap=_swap_block), limit=1):
+        a_vals, b_vals, c_vals, d_vals = (x.ravel().tolist() for x in axes)
+        # one d-row of Python floats at a time: converting whole slices, or
+        # broadcast coordinate columns, raised the scan's peak RSS by 1-4 MB
+        rows = deltas.reshape(-1, len(d_vals))
+        for (a, b, c), row in zip(product(a_vals, b_vals, c_vals), rows):
+            for d, delta in zip(d_vals, row.tolist()):
+                winner = "pas" if delta > 0 else ("sap" if delta < 0 else "tie")
+                yield a, b, c, d, delta, winner
 
 
 # ---------------------------------------------------------------------------

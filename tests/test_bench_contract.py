@@ -2,10 +2,11 @@
 
 A renamed or rebound function would leave its layer silently at zero in
 traced runs, so this test installs the tracer, runs one small route-compare
-experiment and one multi-flow candidate search, and checks that the search,
-table and frontier layers all counted something, the label counts the
-search reports through its stats= dict included.  It runs in a subprocess
-so that the wrappers cannot leak into other tests.
+experiment, one multi-flow candidate search and one ``strategy scan``, and
+checks that the search, table, frontier and scan layers all counted
+something, the label counts the search reports through its stats= dict
+included.  It runs in a subprocess so that the wrappers cannot leak into
+other tests.
 """
 
 import json
@@ -16,12 +17,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 _SCRIPT = """
-import json, sys
+import json, os, sys, tempfile
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from tracing import Tracer, install, layer_metrics
 tracer = Tracer()
 install(tracer)
-from entroute import experiments, multiflow, topology
+from entroute import cli, experiments, multiflow, topology
 cfg = experiments.config_from_json(
     {"scenario": "route-compare", "trials": 1, "seed": 0, "thresholds": [0.8], "dphi": [0.02],
      "algorithms": ["ours"]}
@@ -29,6 +30,8 @@ cfg = experiments.config_from_json(
 experiments.run_experiment(cfg)
 net = topology.generate(topology.TopologySpec(kind="grid", rows=2, cols=2, capacity=4, seed=0))
 multiflow.flow_candidates(net, multiflow.FlowRequest("f", 0, 3, 0.8, 1.0, 2), 0.2)
+with tempfile.TemporaryDirectory() as tmp:
+    assert cli.main(["strategy", "scan", "--step", "0.1", "--out", os.path.join(tmp, "scan.csv")]) == 0
 print(json.dumps(layer_metrics(tracer, 0.0)))
 """
 
@@ -50,6 +53,8 @@ def test_tracer_sees_search_table_and_frontier_layers():
         "routing.labels_pushed",
         "routing.labels_expanded",
         "routing.labels_alive",
+        # the scan CSV rows, counted through the generator cli binds
+        "strategies.scan_points",
     ):
         assert metrics[name] > 0, (name, metrics)
     # one route-compare query and one k-paths call

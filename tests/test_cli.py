@@ -1,9 +1,10 @@
+import itertools
 import json
 import math
 
 import pytest
 
-from entroute.cli import main
+from entroute.cli import main, scan_points
 from entroute.network import QuantumNetwork
 from entroute.pair_algebra import (
     purification_success_prob,
@@ -103,20 +104,35 @@ def test_strategy_eval(capsys):
 
 
 def test_strategy_scan_csv(capsys, tmp_path):
+    step = 0.05
+    for region, ab, cd in (("lemma1", (0.5, 11), (0.7, 7)), ("low", (0.5, 5), (0.5, 5))):
+        out_path = tmp_path / f"{region}.csv"
+        code, stdout, _ = run_cli(
+            capsys, "strategy", "scan", "--step", str(step), "--region", region, "--out", str(out_path)
+        )
+        assert code == 0 and stdout == ""
+        lines = out_path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "a,b,c,d,delta,winner"
+        grid_ab = [ab[0] + step * i for i in range(ab[1])]
+        grid_cd = [cd[0] + step * i for i in range(cd[1])]
+        points = list(itertools.product(grid_ab, grid_ab, grid_cd, grid_cd))
+        rows = list(scan_points(region, step))
+        assert len(lines) - 1 == len(rows) == len(points)
+        for line, point, (a, b, c, d, delta, winner) in zip(lines[1:], points, rows):
+            assert (a, b, c, d) == point
+            # the vectorized scan reproduces the scalar closed form bit for bit
+            assert delta == lemma1_delta(a, b, c, d)
+            assert winner == ("pas" if delta > 0 else "sap" if delta < 0 else "tie")
+            assert line == f"{a:.6g},{b:.6g},{c:.6g},{d:.6g},{delta:.12g},{winner}"
+
+
+def test_strategy_scan_rejects_bad_step(capsys, tmp_path):
     out_path = tmp_path / "scan.csv"
-    code, stdout, _ = run_cli(
-        capsys, "strategy", "scan", "--step", "0.1", "--region", "lemma1", "--out", str(out_path)
-    )
-    assert code == 0 and stdout == ""
-    lines = out_path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "a,b,c,d,delta,winner"
-    # 6 grid values for a,b; 4 for c,d
-    assert len(lines) - 1 == 6 * 6 * 4 * 4
-    a, b, c, d, delta, winner = lines[1].split(",")
-    assert float(delta) == pytest.approx(
-        lemma1_delta(float(a), float(b), float(c), float(d)), rel=1e-9
-    )
-    assert winner in {"pas", "sap", "tie"}
+    for step in ("0", "-0.01"):
+        code, stdout, err = run_cli(capsys, "strategy", "scan", "--step", step, "--out", str(out_path))
+        assert code == 2 and stdout == ""
+        assert "step must lie in (0, 0.1]" in err
+        assert not out_path.exists()
 
 
 def test_route_plan_and_sidecar(capsys, grid_net, tmp_path):

@@ -173,6 +173,17 @@ def test_scan_points_rows():
         next(scan_points("bogus", 0.1))
 
 
+def test_scan_grid_stays_inside_its_region():
+    # a step that does not divide the range stops short of the upper end
+    bounds = {"lemma1": ((0.5, 1.0), (0.7, 1.0)), "low": ((0.5, 0.7), (0.5, 0.7))}
+    for step in (0.03, 0.07, 0.08):
+        for region, (ab, cd) in bounds.items():
+            for row in scan_points(region, step):
+                for x, (lo, hi) in zip(row[:4], (ab, ab, cd, cd)):
+                    assert lo - 1e-12 <= x <= hi + 1e-12, (region, step, row)
+    assert lemma1_scan(0.08)["lemma1"]["violations"] == 0
+
+
 def test_policy_oracle_simple_chain():
     # one hop, two pairs: the only useful policy is the single merge
     chain = RepeaterChain([[0.8, 0.8]])
