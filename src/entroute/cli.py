@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 from .auxgraph import build_aux_graph
 from .experiments import config_from_json, run_experiment
@@ -57,13 +58,14 @@ def _env_seed():
         raise ValueError(f"ENTROUTE_SEED={raw!r} is not an integer") from None
 
 
+def _opened(out):
+    """The --out file opened for writing, or stdout when there is none."""
+    return open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout)
+
+
 def _emit_json(obj, out=None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _opened(out) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _load_json(path):
@@ -120,16 +122,15 @@ def _parse_chain(text: str) -> RepeaterChain:
 
 def _cmd_strategy(args) -> int:
     if args.mode == "scan":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(("a", "b", "c", "d", "delta", "winner"))
-        for a, b, c, d, delta, winner in scan_points(args.region, args.step):
-            w.writerow((f"{a:.6g}", f"{b:.6g}", f"{c:.6g}", f"{d:.6g}", f"{delta:.12g}", winner))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(buf.getvalue())
-        else:
-            sys.stdout.write(buf.getvalue())
+        points = scan_points(args.region, args.step)
+        first = next(points)  # checks the step before --out is created
+        with _opened(args.out) as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(("a", "b", "c", "d", "delta", "winner"))
+            for a, b, c, d, delta, winner in itertools.chain((first,), points):
+                w.writerow(
+                    (f"{a:.6g}", f"{b:.6g}", f"{c:.6g}", f"{d:.6g}", f"{delta:.12g}", winner)
+                )
         return 0
     if args.chain is None or args.policy is None:
         raise ValueError("--chain and --policy are required")

@@ -19,7 +19,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,29 +40,8 @@ from .topology import TopologySpec, generate, perturbed, sample_flows, spec_from
 
 CSV_COLUMNS = ("scenario", "algorithm", "parameter", "metric", "value", "seed", "runtime_ms")
 
-_SPS = re.compile(r"^sps\{(\d+|l)\}$")
-
-_KNOWN_ALGORITHMS = {
-    "purify-compare": ("ours", "symmetric", "pumping"),
-    "strategy-compare": ("pas", "sap", "sps"),
-    "route-compare": ("ours", "q-step"),
-    "multiflow": ("ours",),
-}
-
-# the options each scenario's runner reads through cfg.opt
-_OPTIONS = {
-    "purify-compare": ("fidelities", "pairs_min", "pairs_max"),
-    "strategy-compare": ("lengths", "pairs_per_hop", "fidelity_band", "swap_success"),
-    "route-compare": ("dphi", "dpsi", "demand", "deltaq"),
-    "multiflow": ("flows", "flow_fidelity", "epsilon", "delta", "r_k", "weight_band"),
-}
-
-_DEFAULT_ALGORITHMS = {
-    "purify-compare": ("ours", "symmetric", "pumping"),
-    "strategy-compare": ("pas", "sap", "sps{2}", "sps{3}", "sps{l}"),
-    "route-compare": ("ours", "q-step"),
-    "multiflow": ("ours",),
-}
+# sps{h}: swap-purify-swap over h >= 1 portions, or l (one portion per hop)
+_SPS = re.compile(r"^sps\{([1-9]\d*|l)\}$")
 
 
 def _fmt(x: float) -> str:
@@ -108,7 +87,7 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.scenario not in _KNOWN_ALGORITHMS:
+        if self.scenario not in _SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -121,7 +100,7 @@ class ExperimentConfig:
                         "external baselines are out of scope"
                     )
         self.thresholds = tuple(self.thresholds)
-        known = _OPTIONS[self.scenario]
+        known = _SCENARIOS[self.scenario].options
         for key in self.options:
             if key not in known:
                 raise ValueError(
@@ -129,16 +108,16 @@ class ExperimentConfig:
                 )
 
     def algorithm_list(self) -> tuple:
-        return self.algorithms or _DEFAULT_ALGORITHMS[self.scenario]
+        return self.algorithms or _SCENARIOS[self.scenario].algorithms
 
     def opt(self, key, default):
-        if key not in _OPTIONS[self.scenario]:
+        if key not in _SCENARIOS[self.scenario].options:
             raise KeyError(f"{key!r} is not in the option table of {self.scenario}")
         return self.options.get(key, default)
 
 
 def _algorithm_known(scenario: str, name: str) -> bool:
-    if name in _KNOWN_ALGORITHMS[scenario]:
+    if name in _SCENARIOS[scenario].algorithms:
         return True
     return scenario == "strategy-compare" and bool(_SPS.match(name))
 
@@ -194,16 +173,29 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    runner = {
-        "purify-compare": _purify_compare,
-        "strategy-compare": _strategy_compare,
-        "route-compare": _route_compare,
-        "multiflow": _multiflow,
-    }[cfg.scenario]
-    rows, artifacts = runner(cfg)
+    rows, artifacts = _SCENARIOS[cfg.scenario].runner(cfg)
     rows.sort(key=ResultRow.sort_key)
     artifacts.sort(key=lambda a: (a["parameter"], a["seed"], a["algorithm"]))
     return ExperimentResult(cfg, rows, artifacts)
+
+
+def _record(rows, artifacts, cfg, alg, param, seed, ms, metrics, **artifact) -> None:
+    """One row per (metric, value) and one artifact keyed by the row's
+    (algorithm, parameter, seed)."""
+    for metric, value in metrics:
+        rows.append(ResultRow(cfg.scenario, alg, param, metric, value, seed, ms))
+    artifacts.append({"algorithm": alg, "parameter": param, "seed": seed, **artifact})
+
+
+# the row and artifact of a trial that raised: _record(..., 0.0, _ERROR, error=str(exc))
+_ERROR = (("error", math.nan),)
+
+
+def _topology(cfg: ExperimentConfig, default: TopologySpec) -> TopologySpec:
+    """The config's topology, seeded with cfg.seed unless it names a seed."""
+    if cfg.topology is None:
+        return default
+    return spec_from_json({"seed": cfg.seed, **cfg.topology})
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +225,10 @@ def _purify_compare(cfg: ExperimentConfig):
                 f, _ = evaluate_tree(tree, f_e)
                 succ = tree_success_prob(tree, f_e)
                 ms = (time.perf_counter() - t0) * 1000.0
-                for metric, value in (("fidelity", f), ("success_prob", succ)):
-                    rows.append(
-                        ResultRow(cfg.scenario, alg, param, metric, value, cfg.seed, ms)
-                    )
-                artifacts.append(
-                    {
-                        "algorithm": alg,
-                        "parameter": param,
-                        "seed": cfg.seed,
-                        "f_e": f_e,
-                        "n": n,
-                        "tree": tree_to_json(tree),
-                        "fidelity": f,
-                        "success_prob": succ,
-                    }
+                _record(
+                    rows, artifacts, cfg, alg, param, cfg.seed, ms,
+                    (("fidelity", f), ("success_prob", succ)),
+                    f_e=f_e, n=n, tree=tree_to_json(tree), fidelity=f, success_prob=succ,
                 )
     return rows, artifacts
 
@@ -284,24 +265,11 @@ def _strategy_compare(cfg: ExperimentConfig):
                 t0 = time.perf_counter()
                 out = _strategy_outcome(alg, chain)
                 ms = (time.perf_counter() - t0) * 1000.0
-                for metric, value in (
-                    ("fidelity", out.fidelity),
-                    ("success_prob", out.success_prob),
-                ):
-                    rows.append(
-                        ResultRow(cfg.scenario, alg, param, metric, value, cfg.seed + trial, ms)
-                    )
-                artifacts.append(
-                    {
-                        "algorithm": alg,
-                        "parameter": param,
-                        "seed": cfg.seed + trial,
-                        "hop_fidelities": fids,
-                        "pairs_per_hop": per_hop,
-                        "swap_success": p_s,
-                        "fidelity": out.fidelity,
-                        "success_prob": out.success_prob,
-                    }
+                _record(
+                    rows, artifacts, cfg, alg, param, cfg.seed + trial, ms,
+                    (("fidelity", out.fidelity), ("success_prob", out.success_prob)),
+                    hop_fidelities=fids, pairs_per_hop=per_hop, swap_success=p_s,
+                    fidelity=out.fidelity, success_prob=out.success_prob,
                 )
     return rows, artifacts
 
@@ -313,18 +281,9 @@ def _strategy_compare(cfg: ExperimentConfig):
 _ROUTE_MODES = {"ours": "optimal", "q-step": "pumping"}
 
 
-def _route_spec(cfg: ExperimentConfig) -> TopologySpec:
-    if cfg.topology is not None:
-        d = dict(cfg.topology)
-        d.setdefault("seed", cfg.seed)
-        return spec_from_json(d)
-    return TopologySpec(kind="grid", rows=5, cols=5, capacity=15, seed=cfg.seed)
-
-
-def _route_trial(cfg, spec, theta, dphi, trial):
+def _route_trial(cfg, spec, theta, dphi, trial, rows, artifacts) -> None:
     """One seeded instance at one (threshold, step) point; failures become
     error rows rather than exceptions."""
-    rows, artifacts = [], []
     dpsi = cfg.opt("dpsi", 0.01)
     demand = cfg.opt("demand", 1.0)
     deltaq = cfg.opt("deltaq", 5)
@@ -338,61 +297,35 @@ def _route_trial(cfg, spec, theta, dphi, trial):
         psi0 = math.log(demand)
     except Exception as exc:  # noqa: BLE001 - recorded, not raised
         for alg in cfg.algorithm_list():
-            rows.append(ResultRow(cfg.scenario, alg, param, "error", math.nan, inst.seed, 0.0))
-            artifacts.append(
-                {"algorithm": alg, "parameter": param, "seed": inst.seed, "error": str(exc)}
-            )
-        return rows, artifacts
+            _record(rows, artifacts, cfg, alg, param, inst.seed, 0.0, _ERROR, error=str(exc))
+        return
     for alg in cfg.algorithm_list():
         t0 = time.perf_counter()
         try:
             plan = min_cost_path(aux, phi0, psi0, dphi, dpsi, mode=_ROUTE_MODES[alg])
         except Exception as exc:  # noqa: BLE001
-            rows.append(ResultRow(cfg.scenario, alg, param, "error", math.nan, inst.seed, 0.0))
-            artifacts.append(
-                {"algorithm": alg, "parameter": param, "seed": inst.seed, "error": str(exc)}
-            )
+            _record(rows, artifacts, cfg, alg, param, inst.seed, 0.0, _ERROR, error=str(exc))
             continue
         ms = (time.perf_counter() - t0) * 1000.0
-        rows.append(
-            ResultRow(
-                cfg.scenario, alg, param, "success", 1.0 if plan else 0.0, inst.seed, ms
-            )
-        )
+        metrics = (("success", 1.0 if plan else 0.0),)
         if plan is not None:
-            rows.append(ResultRow(cfg.scenario, alg, param, "cost", plan.cost, inst.seed, ms))
-            rows.append(
-                ResultRow(cfg.scenario, alg, param, "fidelity", plan.fidelity, inst.seed, ms)
-            )
-        artifacts.append(
-            {
-                "algorithm": alg,
-                "parameter": param,
-                "seed": inst.seed,
-                "source": str(flow.source),
-                "destination": str(flow.destination),
-                "threshold": theta,
-                "dphi": dphi,
-                "dpsi": dpsi,
-                "demand": demand,
-                "deltaq": deltaq,
-                "topology_seed": inst.seed,
-                "plan": None if plan is None else plan.to_json(),
-            }
+            metrics += (("cost", plan.cost), ("fidelity", plan.fidelity))
+        _record(
+            rows, artifacts, cfg, alg, param, inst.seed, ms, metrics,
+            source=str(flow.source), destination=str(flow.destination),
+            threshold=theta, dphi=dphi, dpsi=dpsi, demand=demand, deltaq=deltaq,
+            topology_seed=inst.seed, plan=None if plan is None else plan.to_json(),
         )
-    return rows, artifacts
 
 
 def _route_compare(cfg: ExperimentConfig):
-    spec = _route_spec(cfg)
+    spec = _topology(cfg, TopologySpec(kind="grid", rows=5, cols=5, capacity=15, seed=cfg.seed))
     dphis = cfg.opt("dphi", (0.01, 0.02))
     rows, artifacts = [], []
     for theta in cfg.thresholds:
         for dphi in dphis:
             for trial in range(cfg.trials):
-                r, a = _route_trial(cfg, spec, theta, dphi, trial)
-                rows.extend(r)
-                artifacts.extend(a)
+                _route_trial(cfg, spec, theta, dphi, trial, rows, artifacts)
     # aggregate rows; deterministic values only (runtimes stay per-trial)
     for theta in cfg.thresholds:
         for dphi in dphis:
@@ -404,18 +337,12 @@ def _route_compare(cfg: ExperimentConfig):
                 if not succ:
                     continue
                 agg = f"threshold={theta:g},dphi={dphi:g}"
-                rows.append(
-                    ResultRow(
-                        cfg.scenario, alg, agg, "success_rate",
-                        sum(succ) / len(succ), cfg.seed, 0.0,
-                    )
-                )
-                rows.append(
-                    ResultRow(
-                        cfg.scenario, alg, agg, "mean_cost",
-                        sum(costs) / len(costs) if costs else math.nan, cfg.seed, 0.0,
-                    )
-                )
+                mean_cost = sum(costs) / len(costs) if costs else math.nan
+                for metric, value in (
+                    ("success_rate", sum(succ) / len(succ)),
+                    ("mean_cost", mean_cost),
+                ):
+                    rows.append(ResultRow(cfg.scenario, alg, agg, metric, value, cfg.seed, 0.0))
     return rows, artifacts
 
 
@@ -424,14 +351,9 @@ def _route_compare(cfg: ExperimentConfig):
 
 
 def _multiflow(cfg: ExperimentConfig):
-    if cfg.topology is not None:
-        d = dict(cfg.topology)
-        d.setdefault("seed", cfg.seed)
-        spec = spec_from_json(d)
-    else:
-        spec = TopologySpec(
-            kind="grid", rows=3, cols=3, capacity=3, qubit_allowance=2, seed=cfg.seed
-        )
+    spec = _topology(
+        cfg, TopologySpec(kind="grid", rows=3, cols=3, capacity=3, qubit_allowance=2, seed=cfg.seed)
+    )
     n_flows = cfg.opt("flows", 3)
     f0 = cfg.opt("flow_fidelity", 0.8)
     eps = cfg.opt("epsilon", 0.2)
@@ -456,42 +378,62 @@ def _multiflow(cfg: ExperimentConfig):
             ]
             result = multiflow_solve(flows, net, eps, delta, seed=inst.seed)
         except Exception as exc:  # noqa: BLE001
-            rows.append(
-                ResultRow(cfg.scenario, "ours", param, "error", math.nan, inst.seed, 0.0)
-            )
-            artifacts.append(
-                {"algorithm": "ours", "parameter": param, "seed": inst.seed, "error": str(exc)}
-            )
+            _record(rows, artifacts, cfg, "ours", param, inst.seed, 0.0, _ERROR, error=str(exc))
             continue
         ms = (time.perf_counter() - t0) * 1000.0
         sel = result.selection
         weight = sel.total_weight if sel is not None else math.nan
-        for metric, value in (
-            ("lp_objective", result.lp_objective),
-            ("selected_weight", weight),
-            ("feasible_fraction", result.feasible_trials / result.trials),
-        ):
-            rows.append(ResultRow(cfg.scenario, "ours", param, metric, value, inst.seed, ms))
-        artifacts.append(
-            {
-                "algorithm": "ours",
-                "parameter": param,
-                "seed": inst.seed,
-                "topology_seed": inst.seed,
-                "flows": [
-                    {
-                        "id": fl.id,
-                        "source": str(fl.source),
-                        "destination": str(fl.destination),
-                        "f0": fl.f0,
-                        "weight": fl.weight,
-                        "r_k": fl.r_k,
-                    }
-                    for fl in flows
-                ],
-                "epsilon": eps,
-                "delta": delta,
-                "result": result.to_json(),
-            }
+        _record(
+            rows, artifacts, cfg, "ours", param, inst.seed, ms,
+            (
+                ("lp_objective", result.lp_objective),
+                ("selected_weight", weight),
+                ("feasible_fraction", result.feasible_trials / result.trials),
+            ),
+            topology_seed=inst.seed,
+            flows=[
+                {
+                    "id": fl.id,
+                    "source": str(fl.source),
+                    "destination": str(fl.destination),
+                    "f0": fl.f0,
+                    "weight": fl.weight,
+                    "r_k": fl.r_k,
+                }
+                for fl in flows
+            ],
+            epsilon=eps,
+            delta=delta,
+            result=result.to_json(),
         )
     return rows, artifacts
+
+
+# ---------------------------------------------------------------------------
+# the scenario table: each scenario's runner, default algorithms (also the
+# known ones; strategy-compare accepts any sps{h} besides) and the options
+# its runner reads through cfg.opt
+
+
+class _Scenario(NamedTuple):
+    runner: Callable
+    algorithms: tuple
+    options: tuple
+
+
+_SCENARIOS = {
+    "purify-compare": _Scenario(
+        _purify_compare, ("ours", "symmetric", "pumping"), ("fidelities", "pairs_min", "pairs_max")
+    ),
+    "strategy-compare": _Scenario(
+        _strategy_compare,
+        ("pas", "sap", "sps{2}", "sps{3}", "sps{l}"),
+        ("lengths", "pairs_per_hop", "fidelity_band", "swap_success"),
+    ),
+    "route-compare": _Scenario(
+        _route_compare, ("ours", "q-step"), ("dphi", "dpsi", "demand", "deltaq")
+    ),
+    "multiflow": _Scenario(
+        _multiflow, ("ours",), ("flows", "flow_fidelity", "epsilon", "delta", "r_k", "weight_band")
+    ),
+}

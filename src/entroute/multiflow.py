@@ -8,6 +8,7 @@ keyed by (seed, trial), so any subset of trials reproduces bit-identically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -294,34 +295,21 @@ def guarantee_conditions(net: QuantumNetwork, flows, eps: float) -> dict:
 
 
 def ilp_solve(prog: FlowProgram) -> tuple[list, float]:
-    """Exhaustive 0/1 optimum against the ORIGINAL budgets (desk scale)."""
+    """Exhaustive 0/1 optimum against the ORIGINAL budgets (desk scale).
+    Each flow tries its candidates last to first, then none; the first of
+    equal-weight selections is kept."""
     pools = [len(pool) for pool in prog.candidates]
-    combos = 1
-    for p in pools:
-        combos *= p + 1
-    if combos > 4096:
+    if math.prod(p + 1 for p in pools) > 4096:
         raise ValueError("ILP oracle bounded to 4096 selections")
     best_chosen: list = [None] * len(prog.flows)
     best_weight = 0.0
-    stack: list = [(0, [None] * len(prog.flows))]
-    while stack:
-        k, chosen = stack.pop()
-        if k == len(prog.flows):
-            node_usage, link_usage = prog.column_usage(chosen)
-            if (node_usage <= prog.node_budgets + 1e-9).all() and (
-                link_usage <= prog.link_capacities + 1e-9
-            ).all():
-                w = sum(
-                    prog.flows[i].weight
-                    for i, c in enumerate(chosen)
-                    if c is not None
-                )
-                if w > best_weight + 1e-12:
-                    best_weight = w
-                    best_chosen = list(chosen)
-            continue
-        for pick in [None] + list(range(pools[k])):
-            nxt = list(chosen)
-            nxt[k] = pick
-            stack.append((k + 1, nxt))
+    for chosen in itertools.product(*([*range(p - 1, -1, -1), None] for p in pools)):
+        node_usage, link_usage = prog.column_usage(chosen)
+        if (node_usage <= prog.node_budgets + 1e-9).all() and (
+            link_usage <= prog.link_capacities + 1e-9
+        ).all():
+            w = sum(prog.flows[i].weight for i, c in enumerate(chosen) if c is not None)
+            if w > best_weight + 1e-12:
+                best_weight = w
+                best_chosen = list(chosen)
     return best_chosen, best_weight

@@ -162,7 +162,6 @@ def swap_purify_swap(chain: RepeaterChain, h: int) -> StrategyOutcome:
 # purify-first advantage region scans (vectorized)
 
 _VIOLATION_TOL = 1e-12
-_CHUNK_LIMIT = 30_000_000
 
 
 def lemma1_delta(a: float, b: float, c: float, d: float) -> float:
@@ -216,10 +215,10 @@ def _margin_block(a, b, c, d, p_s):
     ) - p_s * _purification_success_raw(_swap2_raw(a, c), _swap2_raw(b, d))
 
 
-def _blocks(region: str, step: float, block_fn, limit: int = _CHUNK_LIMIT):
-    """Walk a region's 4-d grid in whole a-slices of at most `limit` points
-    (at least one slice); yields (a, b, c, d, values) with a, b, c, d
-    shaped to broadcast against values."""
+def _blocks(region: str, step: float, block_fn):
+    """Walk a region's 4-d grid one a-slice at a time; yields
+    (a, b, c, d, values) with a, b, c, d shaped to broadcast against
+    values."""
     if region not in _REGIONS:
         raise ValueError(f"unknown region {region!r}")
     if not 0.0 < step <= 0.1:
@@ -228,15 +227,12 @@ def _blocks(region: str, step: float, block_fn, limit: int = _CHUNK_LIMIT):
     b = ab[None, :, None, None]
     c = cd[None, None, :, None]
     d = cd[None, None, None, :]
-    per_a = len(ab) * len(cd) ** 2
-    n_a = max(1, limit // per_a)
-    for start in range(0, len(ab), n_a):
-        a = ab[start : start + n_a][:, None, None, None]
+    for a in ab[:, None, None, None, None]:
         yield a, b, c, d, block_fn(a, b, c, d)
 
 
 def _scan_region(region: str, step: float, block_fn):
-    """Chunked 4-d scan; returns (points, nonpositive, violations, min)."""
+    """Sliced 4-d scan; returns (points, nonpositive, violations, min)."""
     points = nonpos = viol = 0
     lo = float("inf")
     for *_, vals in _blocks(region, step, block_fn):
@@ -283,7 +279,7 @@ def lemma1_scan(step: float, regions: Iterable[str] = ("lemma1", "low", "success
 def scan_points(region: str, step: float):
     """Per-point rows (a, b, c, d, delta, winner) for CSV export, one
     a-slice of the region at a time; delta equals lemma1_delta."""
-    for *axes, deltas in _blocks(region, step, partial(_delta_block, swap=_swap_block), limit=1):
+    for *axes, deltas in _blocks(region, step, partial(_delta_block, swap=_swap_block)):
         a_vals, b_vals, c_vals, d_vals = (x.ravel().tolist() for x in axes)
         # one d-row of Python floats at a time: converting whole slices, or
         # broadcast coordinate columns, raised the scan's peak RSS by 1-4 MB

@@ -368,3 +368,20 @@ def test_experiment_unknown_option_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert "'workers'" in err and "dphi" in err
+
+
+@pytest.mark.parametrize("alg", ["sps", "sps{0}"])
+def test_experiment_rejects_bad_sps_exits_2(capsys, tmp_path, alg):
+    # a bare sps and a zero span are config errors, caught before any run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"scenario": "strategy-compare", "trials": 1, "algorithms": ["pas", alg]}),
+        encoding="utf-8",
+    )
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(outdir)
+    )
+    assert code == 2 and out == ""
+    assert repr(alg) in err and "out of scope" in err
+    assert not outdir.exists()

@@ -7,6 +7,7 @@ from entroute.pair_algebra import (
 )
 from entroute.strategies import (
     RepeaterChain,
+    _blocks,
     lemma1_delta,
     lemma1_scan,
     optimal_policy_fidelity,
@@ -171,6 +172,15 @@ def test_scan_points_rows():
     assert all(r[5] == "pas" for r in rows)
     with pytest.raises(ValueError):
         next(scan_points("bogus", 0.1))
+
+
+def test_scan_blocks_hold_one_a_slice():
+    # a scan's memory is one a-slice of its grid, whatever the step
+    slices = 0
+    for a, b, c, d, values in _blocks("lemma1", 0.01, lambda a, b, c, d: a + b + c + d):
+        assert values.shape[0] == 1 and values.shape == (1, 51, 31, 31)
+        slices += 1
+    assert slices == 51
 
 
 def test_scan_grid_stays_inside_its_region():
