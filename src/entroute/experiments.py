@@ -106,6 +106,9 @@ class ExperimentConfig:
                 raise ValueError(
                     f"unknown {self.scenario} option {key!r}; known options: {', '.join(known)}"
                 )
+        check = _SCENARIOS[self.scenario].check
+        if check is not None:
+            check(self.options)
 
     def algorithm_list(self) -> tuple:
         return self.algorithms or _SCENARIOS[self.scenario].algorithms
@@ -318,6 +321,29 @@ def _route_trial(cfg, spec, theta, dphi, trial, rows, artifacts) -> None:
         )
 
 
+def _positive(key: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+        raise ValueError(f"route-compare option {key!r} must be positive, got {value!r}")
+
+
+def _check_route_options(options: dict) -> None:
+    """Reject option values no route-compare trial can run with, so that
+    `experiment run` exits 2 before any trial; failures that depend on the
+    drawn topology stay per-trial error rows."""
+    for key in ("demand", "dpsi"):
+        if key in options:
+            _positive(key, options[key])
+    if "dphi" in options:
+        if not isinstance(options["dphi"], (list, tuple)):
+            raise ValueError(f"route-compare option 'dphi' must be a list, got {options['dphi']!r}")
+        for dphi in options["dphi"]:
+            _positive("dphi", dphi)
+    if "deltaq" in options:
+        q = options["deltaq"]
+        if isinstance(q, bool) or not isinstance(q, int) or q < 1:
+            raise ValueError(f"route-compare option 'deltaq' must be an integer >= 1, got {q!r}")
+
+
 def _route_compare(cfg: ExperimentConfig):
     spec = _topology(cfg, TopologySpec(kind="grid", rows=5, cols=5, capacity=15, seed=cfg.seed))
     dphis = cfg.opt("dphi", (0.01, 0.02))
@@ -411,14 +437,15 @@ def _multiflow(cfg: ExperimentConfig):
 
 # ---------------------------------------------------------------------------
 # the scenario table: each scenario's runner, default algorithms (also the
-# known ones; strategy-compare accepts any sps{h} besides) and the options
-# its runner reads through cfg.opt
+# known ones; strategy-compare accepts any sps{h} besides), the options
+# its runner reads through cfg.opt and an optional check of their values
 
 
 class _Scenario(NamedTuple):
     runner: Callable
     algorithms: tuple
     options: tuple
+    check: Optional[Callable] = None  # raises ValueError on unusable option values
 
 
 _SCENARIOS = {
@@ -431,7 +458,10 @@ _SCENARIOS = {
         ("lengths", "pairs_per_hop", "fidelity_band", "swap_success"),
     ),
     "route-compare": _Scenario(
-        _route_compare, ("ours", "q-step"), ("dphi", "dpsi", "demand", "deltaq")
+        _route_compare,
+        ("ours", "q-step"),
+        ("dphi", "dpsi", "demand", "deltaq"),
+        _check_route_options,
     ),
     "multiflow": _Scenario(
         _multiflow, ("ours",), ("flows", "flow_fidelity", "epsilon", "delta", "r_k", "weight_band")

@@ -13,7 +13,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .pair_algebra import purification_success_prob, purified_fidelity
+from .pair_algebra import (
+    _purification_success_raw,
+    _purified_fidelity_raw,
+    purification_success_prob,
+    purified_fidelity,
+)
 
 # A tree is either the LEAF sentinel or a (left, right) tuple of trees.
 LEAF = "L"
@@ -137,7 +142,7 @@ class SchedulerConfig:
             raise ValueError("delta_f and delta_xi must lie in (0, 1)")
 
 
-@dataclass
+@dataclass(slots=True)
 class ScheduleEntry:
     """Candidate-list quadruple: leaf count, discretized fidelity and yield,
     and the tree that realizes them."""
@@ -200,21 +205,29 @@ def _ceil_to_grid(x: float, delta: float) -> float:
     return math.ceil(x / delta - 1e-9) * delta
 
 
-def _insert(entries: list[ScheduleEntry], cand: ScheduleEntry) -> bool:
-    """Dominance-filtered insert; returns True if the candidate was kept.
-    An entry dominates another with no more leaves and at least its fidelity
-    and yield."""
+def _dominated(entries: list[ScheduleEntry], b: int, f: float, xi: float) -> bool:
+    """Whether an entry with no more leaves and at least the fidelity and
+    yield (within _GRID_TOL) of the candidate (b, f, xi) is in entries."""
+    f -= _GRID_TOL
+    xi -= _GRID_TOL
+    # newest first: the outcome does not depend on the order, and late
+    # entries dominate most candidates, so the scan stops sooner
+    for e in reversed(entries):
+        if e.b <= b and e.f_hat >= f and e.xi_hat >= xi:
+            return True
+    return False
+
+
+def _admit(entries: list[ScheduleEntry], cand: ScheduleEntry) -> None:
+    """Append a candidate that passed _dominated, dropping the entries it
+    dominates."""
     b, f, xi = cand.b, cand.f_hat, cand.xi_hat
-    for e in entries:
-        if e.b <= b and e.f_hat >= f - _GRID_TOL and e.xi_hat >= xi - _GRID_TOL:
-            return False
     entries[:] = [
         e
         for e in entries
         if not (b <= e.b and f >= e.f_hat - _GRID_TOL and xi >= e.xi_hat - _GRID_TOL)
     ]
     entries.append(cand)
-    return True
 
 
 def _merge_frontier(
@@ -233,6 +246,14 @@ def _merge_frontier(
     so a dominator of that candidate is always present, the candidate
     would be rejected again, and a rejected insert changes nothing.
 
+    A candidate is computed from the raw maps and tested for dominance
+    before any entry is built.  The checked maps only add a domain check
+    to the same expressions, and every f_hat lies in [f_e, 1] up to the
+    grid rounding (the merge map is increasing in both arguments and
+    fixes 0.5 and 1), inside the checked domain [0.25, 1]; so the floats
+    are the same and the checks could never fire.  The test reads only
+    (b, f_hat, xi_hat), so a rejected candidate just allocates nothing.
+
     When trace is a list, every merged pair's candidate is appended to it
     as (entry, kept), then ("final", entries).
     """
@@ -247,22 +268,37 @@ def _merge_frontier(
         if old == len(snapshot):
             break
         for i1, l1 in enumerate(snapshot):
+            b1, f1, xi1 = l1.b, l1.f_hat, l1.xi_hat
             for l2 in snapshot[max(i1, old) :]:
-                b3 = l1.b + l2.b
+                b3 = b1 + l2.b
                 if b3 > bound:
                     continue
-                f3 = _ceil_to_grid(purified_fidelity(l1.f_hat, l2.f_hat), delta_f)
-                xi3 = _ceil_to_grid(
-                    purification_success_prob(l1.f_hat, l2.f_hat) * min(l1.xi_hat, l2.xi_hat),
-                    delta_xi,
-                )
-                cand = ScheduleEntry(b3, min(f3, 1.0), min(xi3, 1.0), (l1.tree, l2.tree))
-                kept = _insert(entries, cand)
-                if trace is not None:
-                    trace.append((cand, kept))
+                f2 = l2.f_hat
+                # _ceil_to_grid of the checked maps, inlined
+                f3 = min(math.ceil(_purified_fidelity_raw(f1, f2) / delta_f - 1e-9) * delta_f, 1.0)
+                xi3 = _purification_success_raw(f1, f2) * min(xi1, l2.xi_hat)
+                xi3 = min(math.ceil(xi3 / delta_xi - 1e-9) * delta_xi, 1.0)
+                kept = not _dominated(entries, b3, f3, xi3)
+                if kept or trace is not None:
+                    cand = ScheduleEntry(b3, f3, xi3, (l1.tree, l2.tree))
+                    if kept:
+                        _admit(entries, cand)
+                    if trace is not None:
+                        trace.append((cand, kept))
     if trace is not None:
         trace.append(("final", list(entries)))
     return entries
+
+
+def _prefer(e: ScheduleEntry, best: Optional[ScheduleEntry]) -> bool:
+    """best_entry's pick rule: whether e displaces the pick so far.  A
+    higher ratio xi_hat/b wins; ties (within _GRID_TOL) prefer fewer
+    leaves, then higher f_hat."""
+    if best is None or e.ratio() > best.ratio() + _GRID_TOL:
+        return True
+    return abs(e.ratio() - best.ratio()) <= _GRID_TOL and (
+        e.b < best.b or (e.b == best.b and e.f_hat > best.f_hat + _GRID_TOL)
+    )
 
 
 def best_entry(entries, f_theta: float) -> Optional[ScheduleEntry]:
@@ -271,13 +307,8 @@ def best_entry(entries, f_theta: float) -> Optional[ScheduleEntry]:
     otherwise the first in scan order.  None when no entry qualifies."""
     best: Optional[ScheduleEntry] = None
     for e in entries:
-        if e.f_hat < f_theta - _GRID_TOL:
-            continue
-        if best is None or e.ratio() > best.ratio() + _GRID_TOL:
+        if not e.f_hat < f_theta - _GRID_TOL and _prefer(e, best):
             best = e
-        elif abs(e.ratio() - best.ratio()) <= _GRID_TOL:
-            if e.b < best.b or (e.b == best.b and e.f_hat > best.f_hat + _GRID_TOL):
-                best = e
     return best
 
 
@@ -336,7 +367,8 @@ def pumping_frontier(
             purification_success_prob(cur.f_hat, f_e) * min(cur.xi_hat, 1.0), delta_xi
         )
         cur = ScheduleEntry(b, min(f3, 1.0), min(xi3, 1.0), (cur.tree, LEAF))
-        _insert(entries, cur)
+        if not _dominated(entries, cur.b, cur.f_hat, cur.xi_hat):
+            _admit(entries, cur)
     entries.sort(key=lambda e: (e.f_hat, -e.xi_hat, e.b))
     return entries
 

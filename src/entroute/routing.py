@@ -36,6 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional
 
 from .auxgraph import VIRTUAL_SINK, AuxiliaryGraph, build_aux_graph
@@ -44,7 +45,7 @@ from .pair_algebra import inverse_pseudo_fidelity, pseudo_fidelity, swap_fidelit
 from .purification import (
     _GRID_TOL,
     _pareto_sets,
-    best_entry,
+    _prefer,
     candidate_frontier,
     evaluate_tree,
     pumping_frontier,
@@ -59,13 +60,32 @@ _INF = math.inf
 FRONTIER_CACHE_SIZE = 1024
 TABLE_CACHE_SIZE = 8192
 FRONTS_CACHE_SIZE = 256
+# delta_phi values whose first-k order one frontier cell keeps
+FIRST_K_MEMO_SIZE = 4
 
 
 @lru_cache(maxsize=FRONTIER_CACHE_SIZE)
 def _frontier_cell(f_e: float, delta_f: float, delta_xi: float, mode: str) -> list:
     """One cell per (elementary fidelity, grid, mode) holding the
-    (budget, entries) of the largest frontier built for it so far."""
-    return [(0, ())]
+    (budget, entries, first-k memo) of the largest frontier built for it so
+    far.  The memo maps delta_phi to the entries in first-k order (see
+    edge_throughput_table), for at most FIRST_K_MEMO_SIZE steps; a rebuild
+    replaces the whole triple, so it drops the memo too."""
+    return [(0, (), {})]
+
+
+def _frontier_state(
+    pair_budget: int, f_e: float, delta_f: float, delta_xi: float, mode: str = "optimal"
+) -> tuple:
+    """The cell's (budget, entries, memo), rebuilt first when its budget is
+    below pair_budget."""
+    if mode not in ("optimal", "pumping"):
+        raise ValueError(f"unknown schedule mode {mode!r}")
+    cell = _frontier_cell(f_e, delta_f, delta_xi, mode)
+    if cell[0][0] < pair_budget:
+        build = pumping_frontier if mode == "pumping" else candidate_frontier
+        cell[0] = (pair_budget, tuple(build(pair_budget, f_e, delta_f, delta_xi)), {})
+    return cell[0]
 
 
 def _frontier(pair_budget: int, f_e: float, delta_f: float, delta_xi: float, mode: str = "optimal"):
@@ -76,14 +96,7 @@ def _frontier(pair_budget: int, f_e: float, delta_f: float, delta_xi: float, mod
     built only from entries with at most b leaves, and only such entries
     can dominate it.  So one build per fidelity serves every budget.
     """
-    if mode not in ("optimal", "pumping"):
-        raise ValueError(f"unknown schedule mode {mode!r}")
-    cell = _frontier_cell(f_e, delta_f, delta_xi, mode)
-    budget, entries = cell[0]
-    if budget < pair_budget:
-        build = pumping_frontier if mode == "pumping" else candidate_frontier
-        budget, entries = pair_budget, tuple(build(pair_budget, f_e, delta_f, delta_xi))
-        cell[0] = (budget, entries)
+    budget, entries, _ = _frontier_state(pair_budget, f_e, delta_f, delta_xi, mode)
     if budget == pair_budget:
         return entries
     return tuple(e for e in entries if e.b <= pair_budget)
@@ -120,23 +133,45 @@ def edge_throughput_table(
     takes best_entry's pick at that threshold.  A step is kept when its
     ratio xi_hat/b beats the previous step's; a label at any other k is
     dominated by the step before it (same cost and throughput, less budget
-    left).  The pick can change only at some entry's first k, the least k
-    whose threshold it meets, as the qualifying set is fixed between two
-    of them; so it is made at those k only, and the cost depends on the
-    frontier size, not on delta_phi.  The staircase ends at the raw pair
-    (ratio 1, which no purified entry reaches).
+    left).  The staircase ends at the raw pair (ratio 1, which no purified
+    entry reaches).
+
+    An entry meets the threshold of k exactly when k is at least its
+    first k (the test is monotone in k), so the pick can change only at
+    some entry's first k.  The cell's entries are sorted by first k once
+    per delta_phi (the cell's memo), and one sweep over those with
+    b <= pair_budget keeps a running pick by best_entry's rule, closing a
+    step candidate at the end of each first-k group.  That is best_entry's
+    pick over the whole qualifying set, because the rule's pick does not
+    depend on the order it meets the entries in: yields are multiples of
+    delta_xi, so ratios within _GRID_TOL of each other are equal (distinct
+    ones differ by about delta_xi/b^2 or more), and a frontier holds no two
+    entries with equal b and ratio (one would dominate the other).
+    The cost depends on the frontier size, not on delta_phi.
     """
     if pair_budget < 1:
         raise ValueError("pair_budget must be >= 1")
     if delta_phi <= 0:
         raise ValueError("delta_phi must be positive")
-    frontier = _frontier(pair_budget, f_e, delta_f, delta_xi, mode)
+    _, entries, memo = _frontier_state(pair_budget, f_e, delta_f, delta_xi, mode)
+    order = memo.get(delta_phi)
+    if order is None:
+        if len(memo) >= FIRST_K_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        order = memo[delta_phi] = sorted(
+            ((_first_k(e.f_hat, delta_phi), e) for e in entries), key=itemgetter(0)
+        )
     steps: list = []
-    for k in sorted({_first_k(e.f_hat, delta_phi) for e in frontier}):
-        e = best_entry(frontier, inverse_pseudo_fidelity(-k * delta_phi))
-        if not steps or e.ratio() > steps[-1][1].ratio() + _GRID_TOL:
-            steps.append((k, e))
-        if e.b == 1:
+    best = None
+    for k, group in itertools.groupby(order, key=itemgetter(0)):
+        for _, e in group:
+            if e.b <= pair_budget and _prefer(e, best):
+                best = e
+        if best is None:
+            continue
+        if not steps or best.ratio() > steps[-1][1].ratio() + _GRID_TOL:
+            steps.append((k, best))
+        if best.b == 1:
             break
     return tuple(steps)
 
@@ -346,6 +381,7 @@ def _search(
             cost2 = cost + edge_cost
             psi_base = psi_v + psi_hat
             pool = pools.get(key)
+            last_psi = -_INF
             for k, entry, psi_e, phi_charge, arc in steps:
                 if k > kmax:
                     break
@@ -358,6 +394,13 @@ def _search(
                     psi_hat2 = math.ceil((psi_base + psi_e - psi_b) / delta_psi - 1e-9) * delta_psi
                 else:
                     psi_hat2 = math.ceil(psi_base / delta_psi - 1e-9) * delta_psi
+                if psi_hat2 <= last_psi:
+                    # same cost and copy as the step before on this arc, less
+                    # phi credit and no more psi_hat: that step's candidate or
+                    # its dominator rejects this one
+                    continue
+                if R == 1:
+                    last_psi = psi_hat2
                 if psi_hat2 < psi_floor:
                     continue
                 phi_credit2 = phi_credit - phi_charge

@@ -1,6 +1,10 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -385,3 +389,45 @@ def test_experiment_rejects_bad_sps_exits_2(capsys, tmp_path, alg):
     assert code == 2 and out == ""
     assert repr(alg) in err and "out of scope" in err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("demand", 0),
+        ("demand", -1.0),
+        ("deltaq", 0),
+        ("deltaq", 2.5),
+        ("dphi", [0.01, 0.0]),
+        ("dphi", 0.01),
+        ("dpsi", 0),
+        ("dpsi", -0.01),
+    ],
+)
+def test_experiment_rejects_bad_route_option_exits_2(capsys, tmp_path, option, value):
+    # option values no trial can run with are config errors, not error rows
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"scenario": "route-compare", "trials": 1, option: value}), encoding="utf-8"
+    )
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(outdir)
+    )
+    assert code == 2 and out == ""
+    assert f"'{option}'" in err
+    assert not outdir.exists()
+
+
+def test_python_m_entroute_runs_from_a_checkout(tmp_path):
+    # run from a directory outside the checkout, with only src on the path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "report.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "entroute", "verify", "--suite", "lemma1", "--out", str(out)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("suite lemma1: PASS\n")
+    assert out.read_text(encoding="utf-8") == proc.stdout

@@ -397,6 +397,78 @@ def test_schedule_merges_each_pair_once(n, f_e, f_theta, delta):
     assert len(set(trees)) == len(trees)
 
 
+def _former_insert(entries, cand):
+    b, f, xi = cand.b, cand.f_hat, cand.xi_hat
+    for e in entries:
+        if e.b <= b and e.f_hat >= f - 1e-12 and e.xi_hat >= xi - 1e-12:
+            return False
+    entries[:] = [
+        e for e in entries if not (b <= e.b and f >= e.f_hat - 1e-12 and xi >= e.xi_hat - 1e-12)
+    ]
+    entries.append(cand)
+    return True
+
+
+def _former_merge_frontier(bound, f_e, delta_f, delta_xi, trace):
+    """The semi-naive merge loop before the raw-value form: checked maps,
+    _ceil_to_grid, and an entry built for every candidate before its
+    dominance test."""
+    entries = [ScheduleEntry(1, f_e, 1.0, LEAF)]
+    snapshot = []
+    for _ in range(bound):
+        prev = {id(e) for e in snapshot}
+        snapshot = list(entries)
+        old = sum(id(e) in prev for e in snapshot)
+        if old == len(snapshot):
+            break
+        for i1, l1 in enumerate(snapshot):
+            for l2 in snapshot[max(i1, old) :]:
+                b3 = l1.b + l2.b
+                if b3 > bound:
+                    continue
+                f3 = _ceil_to_grid(purified_fidelity(l1.f_hat, l2.f_hat), delta_f)
+                xi3 = _ceil_to_grid(
+                    purification_success_prob(l1.f_hat, l2.f_hat) * min(l1.xi_hat, l2.xi_hat),
+                    delta_xi,
+                )
+                cand = ScheduleEntry(b3, min(f3, 1.0), min(xi3, 1.0), (l1.tree, l2.tree))
+                kept = _former_insert(entries, cand)
+                trace.append((cand, kept))
+    trace.append(("final", list(entries)))
+    return entries
+
+
+def _trace_keys(trace):
+    *merged, (tag, final) = trace
+    assert tag == "final"
+    return [(e.b, e.f_hat, e.xi_hat, e.tree, kept) for e, kept in merged], _keys(final)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.5, 1.0),
+    st.integers(1, 40),
+    st.sampled_from(_GRIDS),
+    st.floats(0.0, 1.1),
+)
+def test_schedule_trace_matches_former_merge_loop(f_e, n, grid, reach):
+    """schedule(..., trace=) records the same (entry, kept) sequence, bit
+    for bit, as the former loop: the raw maps equal the checked ones on
+    every f_hat, and testing dominance before building the entry changes
+    nothing but the allocation."""
+    f_theta = min(f_e + reach * (gamma_table(n, f_e)[n] - f_e), 1.0)
+    trace = []
+    schedule(SchedulerConfig(n, f_e, f_theta, *grid), trace=trace)
+    nprime = min_leaves(n, f_e, f_theta)
+    if nprime is None:
+        assert trace == []
+        return
+    bound = min(n, 2 * (nprime - 1)) if nprime > 1 else 1
+    oracle = []
+    _former_merge_frontier(bound, f_e, *grid, oracle)
+    assert _trace_keys(trace) == _trace_keys(oracle)
+
+
 def _quadratic_success_prob(tree, f_e):
     """Former form: re-evaluates every subtree at every node."""
     if tree == LEAF:

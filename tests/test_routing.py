@@ -227,6 +227,63 @@ def test_table_steps_match_per_k_scan(m, f_e, delta_phi, grid, mode, kmax):
         assert steps[-1][1].b == 1
 
 
+def _per_k_staircase(pair_budget, f_e, delta_phi, delta_f=1e-4, delta_xi=1e-4, mode="optimal"):
+    """The former table body, kept as an oracle: best_entry over the whole
+    frontier at every distinct first k, in ascending order."""
+    frontier = routing._frontier(pair_budget, f_e, delta_f, delta_xi, mode)
+    steps: list = []
+    for k in sorted({routing._first_k(e.f_hat, delta_phi) for e in frontier}):
+        e = best_entry(frontier, inverse_pseudo_fidelity(-k * delta_phi))
+        if not steps or e.ratio() > steps[-1][1].ratio() + _GRID_TOL:
+            steps.append((k, e))
+        if e.b == 1:
+            break
+    return tuple(steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.5, 1.0),
+    st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    st.lists(
+        st.one_of(st.floats(1e-12, 1e-6), st.floats(1e-6, 0.05)), min_size=1, max_size=3
+    ),
+    st.sampled_from([(1e-4, 1e-4), (1e-3, 1e-3), (1e-2, 1e-3), (1e-3, 1e-2)]),
+    st.sampled_from(["optimal", "pumping"]),
+)
+def test_sweep_staircase_matches_per_k_best_entry(f_e, budgets, delta_phis, grid, mode):
+    """The one-sweep staircase equals the per-k best_entry staircase step
+    for step, for budgets requested in any order from one cell (so the
+    first-k order of a larger build serves smaller budgets)."""
+    edge_throughput_table.cache_clear()
+    for m in budgets:
+        for delta_phi in delta_phis:
+            got = edge_throughput_table(m, f_e, delta_phi, *grid, mode)
+            want = _per_k_staircase(m, f_e, delta_phi, *grid, mode)
+            assert [(k, _entry_key(e)) for k, e in got] == [(k, _entry_key(e)) for k, e in want]
+
+
+def test_first_k_memo_dropped_on_rebuild():
+    f_e, grid = 0.8321, (1e-3, 1e-3)
+    routing._frontier_cell.cache_clear()
+    edge_throughput_table.cache_clear()
+    edge_throughput_table(10, f_e, 0.01, *grid)
+    cell = routing._frontier_cell(f_e, *grid, "optimal")
+    budget, entries, memo = cell[0]
+    assert budget == 10 and list(memo) == [0.01]
+    assert [e for _, e in memo[0.01]] == sorted(
+        entries, key=lambda e: routing._first_k(e.f_hat, 0.01)
+    )
+    # a smaller budget reuses the memo; a larger one rebuilds the cell
+    edge_throughput_table(4, f_e, 0.01, *grid)
+    assert cell[0][2] is memo and list(memo) == [0.01]
+    steps = edge_throughput_table(12, f_e, 0.01, *grid)
+    budget, entries, memo2 = cell[0]
+    assert budget == 12 and memo2 is not memo and list(memo2) == [0.01]
+    assert {id(e) for _, e in memo2[0.01]} == {id(e) for e in entries}
+    assert all(any(e is x for x in entries) for _, e in steps)
+
+
 def test_table_tiny_step_completes():
     # delta_phi at discretization_steps' floor: a per-k scan would need
     # ~1e12 steps to reach the raw pair, the staircase a few per entry
@@ -876,6 +933,12 @@ def test_routing_caches_stay_bounded():
         f_e = 0.6 + 0.3 * i / n
         routing.edge_throughput_table(1, f_e, 0.01)
         routing._fronts(1, f_e)
+    # the first-k memo lives in the frontier cells, so their bound covers it;
+    # each cell keeps at most FIRST_K_MEMO_SIZE step sizes
+    for i in range(routing.FIRST_K_MEMO_SIZE + 5):
+        routing.edge_throughput_table(2, 0.75, 0.01 + 0.001 * i)
+    memo = routing._frontier_cell(0.75, 1e-4, 1e-4, "optimal")[0][2]
+    assert list(memo) == [0.01 + 0.001 * i for i in range(5, routing.FIRST_K_MEMO_SIZE + 5)]
     for cache, bound in (
         (routing.edge_throughput_table, routing.TABLE_CACHE_SIZE),
         (routing._frontier_cell, routing.FRONTIER_CACHE_SIZE),
