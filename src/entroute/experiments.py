@@ -100,15 +100,16 @@ class ExperimentConfig:
                         "external baselines are out of scope"
                     )
         self.thresholds = tuple(self.thresholds)
-        known = _SCENARIOS[self.scenario].options
-        for key in self.options:
-            if key not in known:
+        rules = _SCENARIOS[self.scenario].options
+        for key, value in self.options.items():
+            if key not in rules:
                 raise ValueError(
-                    f"unknown {self.scenario} option {key!r}; known options: {', '.join(known)}"
+                    f"unknown {self.scenario} option {key!r}; known options: {', '.join(rules)}"
                 )
-        check = _SCENARIOS[self.scenario].check
-        if check is not None:
-            check(self.options)
+            if rules[key] is not None and not rules[key][0](value):
+                raise ValueError(
+                    f"{self.scenario} option {key!r} must be {rules[key][1]}, got {value!r}"
+                )
 
     def algorithm_list(self) -> tuple:
         return self.algorithms or _SCENARIOS[self.scenario].algorithms
@@ -321,29 +322,6 @@ def _route_trial(cfg, spec, theta, dphi, trial, rows, artifacts) -> None:
         )
 
 
-def _positive(key: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-        raise ValueError(f"route-compare option {key!r} must be positive, got {value!r}")
-
-
-def _check_route_options(options: dict) -> None:
-    """Reject option values no route-compare trial can run with, so that
-    `experiment run` exits 2 before any trial; failures that depend on the
-    drawn topology stay per-trial error rows."""
-    for key in ("demand", "dpsi"):
-        if key in options:
-            _positive(key, options[key])
-    if "dphi" in options:
-        if not isinstance(options["dphi"], (list, tuple)):
-            raise ValueError(f"route-compare option 'dphi' must be a list, got {options['dphi']!r}")
-        for dphi in options["dphi"]:
-            _positive("dphi", dphi)
-    if "deltaq" in options:
-        q = options["deltaq"]
-        if isinstance(q, bool) or not isinstance(q, int) or q < 1:
-            raise ValueError(f"route-compare option 'deltaq' must be an integer >= 1, got {q!r}")
-
-
 def _route_compare(cfg: ExperimentConfig):
     spec = _topology(cfg, TopologySpec(kind="grid", rows=5, cols=5, capacity=15, seed=cfg.seed))
     dphis = cfg.opt("dphi", (0.01, 0.02))
@@ -437,33 +415,69 @@ def _multiflow(cfg: ExperimentConfig):
 
 # ---------------------------------------------------------------------------
 # the scenario table: each scenario's runner, default algorithms (also the
-# known ones; strategy-compare accepts any sps{h} besides), the options
-# its runner reads through cfg.opt and an optional check of their values
+# known ones; strategy-compare accepts any sps{h} besides) and the options
+# its runner reads through cfg.opt, each with the rule its value must meet
+# (a test and what it asks for), or None.  A value no trial could run with
+# exits 2 at config time; failures that depend on the drawn topology stay
+# per-trial error rows.
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    return isinstance(value, float) or _integer(value)
+
+
+_POSITIVE = (lambda v: _number(v) and v > 0, "positive")
+_COUNT = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
 
 
 class _Scenario(NamedTuple):
     runner: Callable
     algorithms: tuple
-    options: tuple
-    check: Optional[Callable] = None  # raises ValueError on unusable option values
+    options: dict
 
 
 _SCENARIOS = {
     "purify-compare": _Scenario(
-        _purify_compare, ("ours", "symmetric", "pumping"), ("fidelities", "pairs_min", "pairs_max")
+        _purify_compare,
+        ("ours", "symmetric", "pumping"),
+        {"fidelities": None, "pairs_min": None, "pairs_max": None},
     ),
     "strategy-compare": _Scenario(
         _strategy_compare,
         ("pas", "sap", "sps{2}", "sps{3}", "sps{l}"),
-        ("lengths", "pairs_per_hop", "fidelity_band", "swap_success"),
+        {"lengths": None, "pairs_per_hop": None, "fidelity_band": None, "swap_success": None},
     ),
     "route-compare": _Scenario(
         _route_compare,
         ("ours", "q-step"),
-        ("dphi", "dpsi", "demand", "deltaq"),
-        _check_route_options,
+        {
+            "dphi": (
+                lambda v: isinstance(v, (list, tuple)) and all(map(_POSITIVE[0], v)),
+                "a list of positive numbers",
+            ),
+            "dpsi": _POSITIVE,
+            "demand": _POSITIVE,
+            "deltaq": _COUNT,
+        },
     ),
     "multiflow": _Scenario(
-        _multiflow, ("ours",), ("flows", "flow_fidelity", "epsilon", "delta", "r_k", "weight_band")
+        _multiflow,
+        ("ours",),
+        {
+            "flows": _COUNT,
+            "flow_fidelity": (lambda v: _number(v) and 0.25 < v <= 1, "in (0.25, 1]"),
+            "epsilon": (lambda v: _number(v) and 0 < v < 0.5, "in (0, 0.5)"),
+            "delta": (lambda v: _number(v) and 0 < v < 1, "in (0, 1)"),
+            "r_k": _COUNT,
+            "weight_band": (
+                lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                and all(map(_integer, v)) and 0 <= v[0] <= v[1],
+                "two integers [lo, hi] with 0 <= lo <= hi",
+            ),
+        },
     ),
 }

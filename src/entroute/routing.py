@@ -60,32 +60,31 @@ _INF = math.inf
 FRONTIER_CACHE_SIZE = 1024
 TABLE_CACHE_SIZE = 8192
 FRONTS_CACHE_SIZE = 256
-# delta_phi values whose first-k order one frontier cell keeps
-FIRST_K_MEMO_SIZE = 4
 
 
 @lru_cache(maxsize=FRONTIER_CACHE_SIZE)
 def _frontier_cell(f_e: float, delta_f: float, delta_xi: float, mode: str) -> list:
     """One cell per (elementary fidelity, grid, mode) holding the
-    (budget, entries, first-k memo) of the largest frontier built for it so
-    far.  The memo maps delta_phi to the entries in first-k order (see
-    edge_throughput_table), for at most FIRST_K_MEMO_SIZE steps; a rebuild
-    replaces the whole triple, so it drops the memo too."""
-    return [(0, (), {})]
+    (budget, entries, first-k order) of the largest frontier built for it
+    so far.  The first-k order is a (delta_phi, entries in first-k order)
+    pair for the last delta_phi a table was built at (see
+    edge_throughput_table), or None; a rebuild replaces the whole triple,
+    so it drops the order too."""
+    return [(0, (), None)]
 
 
 def _frontier_state(
     pair_budget: int, f_e: float, delta_f: float, delta_xi: float, mode: str = "optimal"
-) -> tuple:
-    """The cell's (budget, entries, memo), rebuilt first when its budget is
-    below pair_budget."""
+) -> list:
+    """The cell, its frontier rebuilt first when its budget is below
+    pair_budget."""
     if mode not in ("optimal", "pumping"):
         raise ValueError(f"unknown schedule mode {mode!r}")
     cell = _frontier_cell(f_e, delta_f, delta_xi, mode)
     if cell[0][0] < pair_budget:
         build = pumping_frontier if mode == "pumping" else candidate_frontier
-        cell[0] = (pair_budget, tuple(build(pair_budget, f_e, delta_f, delta_xi)), {})
-    return cell[0]
+        cell[0] = (pair_budget, tuple(build(pair_budget, f_e, delta_f, delta_xi)), None)
+    return cell
 
 
 def _frontier(pair_budget: int, f_e: float, delta_f: float, delta_xi: float, mode: str = "optimal"):
@@ -96,7 +95,7 @@ def _frontier(pair_budget: int, f_e: float, delta_f: float, delta_xi: float, mod
     built only from entries with at most b leaves, and only such entries
     can dominate it.  So one build per fidelity serves every budget.
     """
-    budget, entries, _ = _frontier_state(pair_budget, f_e, delta_f, delta_xi, mode)
+    budget, entries, _ = _frontier_state(pair_budget, f_e, delta_f, delta_xi, mode)[0]
     if budget == pair_budget:
         return entries
     return tuple(e for e in entries if e.b <= pair_budget)
@@ -138,10 +137,12 @@ def edge_throughput_table(
 
     An entry meets the threshold of k exactly when k is at least its
     first k (the test is monotone in k), so the pick can change only at
-    some entry's first k.  The cell's entries are sorted by first k once
-    per delta_phi (the cell's memo), and one sweep over those with
-    b <= pair_budget keeps a running pick by best_entry's rule, closing a
-    step candidate at the end of each first-k group.  That is best_entry's
+    some entry's first k.  The cell keeps its entries sorted by first k
+    for the last delta_phi it served (a search uses one delta_phi for
+    every table, so the order is rebuilt only when the step size or the
+    frontier changes), and one sweep over those with b <= pair_budget
+    keeps a running pick by best_entry's rule, closing a step candidate at
+    the end of each first-k group.  That is best_entry's
     pick over the whole qualifying set, because the rule's pick does not
     depend on the order it meets the entries in: yields are multiples of
     delta_xi, so ratios within _GRID_TOL of each other are equal (distinct
@@ -153,14 +154,15 @@ def edge_throughput_table(
         raise ValueError("pair_budget must be >= 1")
     if delta_phi <= 0:
         raise ValueError("delta_phi must be positive")
-    _, entries, memo = _frontier_state(pair_budget, f_e, delta_f, delta_xi, mode)
-    order = memo.get(delta_phi)
-    if order is None:
-        if len(memo) >= FIRST_K_MEMO_SIZE:
-            del memo[next(iter(memo))]
-        order = memo[delta_phi] = sorted(
-            ((_first_k(e.f_hat, delta_phi), e) for e in entries), key=itemgetter(0)
+    cell = _frontier_state(pair_budget, f_e, delta_f, delta_xi, mode)
+    budget, entries, first_k = cell[0]
+    if first_k is None or first_k[0] != delta_phi:
+        first_k = (
+            delta_phi,
+            sorted(((_first_k(e.f_hat, delta_phi), e) for e in entries), key=itemgetter(0)),
         )
+        cell[0] = (budget, entries, first_k)
+    order = first_k[1]
     steps: list = []
     best = None
     for k, group in itertools.groupby(order, key=itemgetter(0)):

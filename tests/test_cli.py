@@ -392,23 +392,31 @@ def test_experiment_rejects_bad_sps_exits_2(capsys, tmp_path, alg):
 
 
 @pytest.mark.parametrize(
-    "option, value",
+    "scenario, option, value",
     [
-        ("demand", 0),
-        ("demand", -1.0),
-        ("deltaq", 0),
-        ("deltaq", 2.5),
-        ("dphi", [0.01, 0.0]),
-        ("dphi", 0.01),
-        ("dpsi", 0),
-        ("dpsi", -0.01),
+        ("route-compare", "demand", 0),
+        ("route-compare", "demand", -1.0),
+        ("route-compare", "deltaq", 0),
+        ("route-compare", "deltaq", 2.5),
+        ("route-compare", "dphi", [0.01, 0.0]),
+        ("route-compare", "dphi", 0.01),
+        ("route-compare", "dpsi", 0),
+        ("route-compare", "dpsi", -0.01),
+        ("multiflow", "flows", 0),
+        ("multiflow", "flow_fidelity", 0.2),
+        ("multiflow", "epsilon", 0),
+        ("multiflow", "epsilon", 0.5),
+        ("multiflow", "delta", 0),
+        ("multiflow", "r_k", 0),
+        ("multiflow", "weight_band", [3, 1]),
+        ("multiflow", "weight_band", [-1, 2]),
     ],
 )
-def test_experiment_rejects_bad_route_option_exits_2(capsys, tmp_path, option, value):
+def test_experiment_rejects_bad_option_value_exits_2(capsys, tmp_path, scenario, option, value):
     # option values no trial can run with are config errors, not error rows
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
-        json.dumps({"scenario": "route-compare", "trials": 1, option: value}), encoding="utf-8"
+        json.dumps({"scenario": scenario, "trials": 1, option: value}), encoding="utf-8"
     )
     outdir = tmp_path / "out"
     code, out, err = run_cli(

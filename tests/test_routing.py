@@ -263,24 +263,24 @@ def test_sweep_staircase_matches_per_k_best_entry(f_e, budgets, delta_phis, grid
             assert [(k, _entry_key(e)) for k, e in got] == [(k, _entry_key(e)) for k, e in want]
 
 
-def test_first_k_memo_dropped_on_rebuild():
+def test_first_k_order_dropped_on_rebuild():
     f_e, grid = 0.8321, (1e-3, 1e-3)
     routing._frontier_cell.cache_clear()
     edge_throughput_table.cache_clear()
     edge_throughput_table(10, f_e, 0.01, *grid)
     cell = routing._frontier_cell(f_e, *grid, "optimal")
-    budget, entries, memo = cell[0]
-    assert budget == 10 and list(memo) == [0.01]
-    assert [e for _, e in memo[0.01]] == sorted(
+    budget, entries, first_k = cell[0]
+    assert budget == 10 and first_k[0] == 0.01
+    assert [e for _, e in first_k[1]] == sorted(
         entries, key=lambda e: routing._first_k(e.f_hat, 0.01)
     )
-    # a smaller budget reuses the memo; a larger one rebuilds the cell
+    # a smaller budget reuses the order; a larger one rebuilds the cell
     edge_throughput_table(4, f_e, 0.01, *grid)
-    assert cell[0][2] is memo and list(memo) == [0.01]
+    assert cell[0][2] is first_k
     steps = edge_throughput_table(12, f_e, 0.01, *grid)
-    budget, entries, memo2 = cell[0]
-    assert budget == 12 and memo2 is not memo and list(memo2) == [0.01]
-    assert {id(e) for _, e in memo2[0.01]} == {id(e) for e in entries}
+    budget, entries, first_k2 = cell[0]
+    assert budget == 12 and first_k2 is not first_k and first_k2[0] == 0.01
+    assert {id(e) for _, e in first_k2[1]} == {id(e) for e in entries}
     assert all(any(e is x for x in entries) for _, e in steps)
 
 
@@ -933,12 +933,12 @@ def test_routing_caches_stay_bounded():
         f_e = 0.6 + 0.3 * i / n
         routing.edge_throughput_table(1, f_e, 0.01)
         routing._fronts(1, f_e)
-    # the first-k memo lives in the frontier cells, so their bound covers it;
-    # each cell keeps at most FIRST_K_MEMO_SIZE step sizes
-    for i in range(routing.FIRST_K_MEMO_SIZE + 5):
+    # the first-k order lives in the frontier cells, so their bound covers
+    # it; each cell keeps the order of one step size, the last one served
+    for i in range(5):
         routing.edge_throughput_table(2, 0.75, 0.01 + 0.001 * i)
-    memo = routing._frontier_cell(0.75, 1e-4, 1e-4, "optimal")[0][2]
-    assert list(memo) == [0.01 + 0.001 * i for i in range(5, routing.FIRST_K_MEMO_SIZE + 5)]
+    _, entries, first_k = routing._frontier_cell(0.75, 1e-4, 1e-4, "optimal")[0]
+    assert first_k[0] == 0.01 + 0.001 * 4 and len(first_k[1]) == len(entries)
     for cache, bound in (
         (routing.edge_throughput_table, routing.TABLE_CACHE_SIZE),
         (routing._frontier_cell, routing.FRONTIER_CACHE_SIZE),
