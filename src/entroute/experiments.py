@@ -100,6 +100,9 @@ class ExperimentConfig:
                         "external baselines are out of scope"
                     )
         self.thresholds = tuple(self.thresholds)
+        for theta in self.thresholds:
+            if not _FIDELITY[0](theta):
+                raise ValueError(f"'thresholds' must be {_FIDELITY[1]}, got {theta!r}")
         rules = _SCENARIOS[self.scenario].options
         for key, value in self.options.items():
             if key not in rules:
@@ -432,6 +435,7 @@ def _number(value) -> bool:
 
 _POSITIVE = (lambda v: _number(v) and v > 0, "positive")
 _COUNT = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
+_FIDELITY = (lambda v: _number(v) and 0.25 < v <= 1, "in (0.25, 1]")
 
 
 class _Scenario(NamedTuple):
@@ -469,7 +473,7 @@ _SCENARIOS = {
         ("ours",),
         {
             "flows": _COUNT,
-            "flow_fidelity": (lambda v: _number(v) and 0.25 < v <= 1, "in (0.25, 1]"),
+            "flow_fidelity": _FIDELITY,
             "epsilon": (lambda v: _number(v) and 0 < v < 0.5, "in (0, 0.5)"),
             "delta": (lambda v: _number(v) and 0 < v < 1, "in (0, 1)"),
             "r_k": _COUNT,

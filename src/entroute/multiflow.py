@@ -84,6 +84,14 @@ class FlowProgram:
                 x[j] = 1.0
         return self.a @ x, self.b @ x
 
+    def within_budgets(self, node_usage: np.ndarray, link_usage: np.ndarray) -> bool:
+        """Whether a usage fits the ORIGINAL undiscounted node budgets and
+        link capacities."""
+        return bool(
+            (node_usage <= self.node_budgets + 1e-9).all()
+            and (link_usage <= self.link_capacities + 1e-9).all()
+        )
+
 
 def build_program(flows, candidates, net: QuantumNetwork, beta: float) -> FlowProgram:
     if not 0.0 < beta <= 1.0:
@@ -153,12 +161,7 @@ class RoundedSelection:
     total_weight: float
     node_usage: np.ndarray
     link_usage: np.ndarray
-    node_ok: np.ndarray
-    link_ok: np.ndarray
-
-    @property
-    def feasible(self) -> bool:
-        return bool(self.node_ok.all() and self.link_ok.all())
+    feasible: bool
 
 
 def _select(xrow, u: float) -> Optional[int]:
@@ -197,8 +200,7 @@ def randomized_round(
         total_weight=total,
         node_usage=node_usage,
         link_usage=link_usage,
-        node_ok=node_usage <= prog.node_budgets + 1e-9,
-        link_ok=link_usage <= prog.link_capacities + 1e-9,
+        feasible=prog.within_budgets(node_usage, link_usage),
     )
 
 
@@ -304,10 +306,7 @@ def ilp_solve(prog: FlowProgram) -> tuple[list, float]:
     best_chosen: list = [None] * len(prog.flows)
     best_weight = 0.0
     for chosen in itertools.product(*([*range(p - 1, -1, -1), None] for p in pools)):
-        node_usage, link_usage = prog.column_usage(chosen)
-        if (node_usage <= prog.node_budgets + 1e-9).all() and (
-            link_usage <= prog.link_capacities + 1e-9
-        ).all():
+        if prog.within_budgets(*prog.column_usage(chosen)):
             w = sum(prog.flows[i].weight for i, c in enumerate(chosen) if c is not None)
             if w > best_weight + 1e-12:
                 best_weight = w

@@ -3,9 +3,13 @@
 Label-setting search over the auxiliary graph.  A label carries the path
 cost, a discretized pseudo-fidelity budget, the bottleneck edge
 log-throughput, and a discretized path log-throughput.  Per-edge
-purification options come from throughput tables: immutable staircases of
-(split index, schedule) steps, computed once per (pair budget, fidelity)
-over one purification frontier per elementary fidelity.
+purification options come from three memoized functions, each a pure
+function of its arguments: the purification frontier of an edge's
+fidelity, built at the edge's budget min(capacity, Q_u, Q_v); its entries
+in first-k order for one delta_phi; and per pair count m a throughput
+table, an immutable staircase of (split index, schedule) steps swept from
+that order.  The budget depends on the edge alone, so every search over a
+network shares its frontiers and tables.
 
 The search starts from a single label at the top source copy.  Every
 intermediate copy index is fixed by the allocation into it (j = Q_v - m),
@@ -56,49 +60,27 @@ _INF = math.inf
 
 # Bounds of the caches below.  They are keyed by float fidelities, so a
 # long-lived process would otherwise grow them without limit; one search
-# needs a frontier per edge fidelity and a table per (budget, fidelity).
+# needs a frontier and a first-k order per edge and a table per (edge, m).
 FRONTIER_CACHE_SIZE = 1024
 TABLE_CACHE_SIZE = 8192
 FRONTS_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=FRONTIER_CACHE_SIZE)
-def _frontier_cell(f_e: float, delta_f: float, delta_xi: float, mode: str) -> list:
-    """One cell per (elementary fidelity, grid, mode) holding the
-    (budget, entries, first-k order) of the largest frontier built for it
-    so far.  The first-k order is a (delta_phi, entries in first-k order)
-    pair for the last delta_phi a table was built at (see
-    edge_throughput_table), or None; a rebuild replaces the whole triple,
-    so it drops the order too."""
-    return [(0, (), None)]
+def _frontier(budget: int, f_e: float, delta_f: float, delta_xi: float, mode: str) -> tuple:
+    """The purification frontier of mode's schedule family, built at
+    exactly budget pairs.
 
-
-def _frontier_state(
-    pair_budget: int, f_e: float, delta_f: float, delta_xi: float, mode: str = "optimal"
-) -> list:
-    """The cell, its frontier rebuilt first when its budget is below
-    pair_budget."""
-    if mode not in ("optimal", "pumping"):
-        raise ValueError(f"unknown schedule mode {mode!r}")
-    cell = _frontier_cell(f_e, delta_f, delta_xi, mode)
-    if cell[0][0] < pair_budget:
-        build = pumping_frontier if mode == "pumping" else candidate_frontier
-        cell[0] = (pair_budget, tuple(build(pair_budget, f_e, delta_f, delta_xi)), None)
-    return cell
-
-
-def _frontier(pair_budget: int, f_e: float, delta_f: float, delta_xi: float, mode: str = "optimal"):
-    """Frontier entries with at most pair_budget leaves.
-
-    Filtering a frontier built at a larger budget equals a fresh build at
-    pair_budget, entry for entry and in order: an entry with b leaves is
-    built only from entries with at most b leaves, and only such entries
-    can dominate it.  So one build per fidelity serves every budget.
+    Its entries with b <= m equal a fresh build at m, entry for entry and
+    in order: an entry with b leaves is built only from entries with at
+    most b leaves, and only such entries can dominate it.  So one build at
+    an edge's largest pair count serves every smaller one.
     """
-    budget, entries, _ = _frontier_state(pair_budget, f_e, delta_f, delta_xi, mode)[0]
-    if budget == pair_budget:
-        return entries
-    return tuple(e for e in entries if e.b <= pair_budget)
+    if mode == "optimal":
+        return tuple(candidate_frontier(budget, f_e, delta_f, delta_xi))
+    if mode == "pumping":
+        return tuple(pumping_frontier(budget, f_e, delta_f, delta_xi))
+    raise ValueError(f"unknown schedule mode {mode!r}")
 
 
 def _first_k(f_hat: float, delta_phi: float) -> int:
@@ -116,17 +98,29 @@ def _first_k(f_hat: float, delta_phi: float) -> int:
     return k
 
 
+@lru_cache(maxsize=FRONTIER_CACHE_SIZE)
+def _first_k_order(
+    budget: int, f_e: float, delta_phi: float, delta_f: float, delta_xi: float, mode: str
+) -> tuple:
+    """The (first k, entry) pairs of _frontier(budget, ...), ascending in
+    first k (ties in frontier order)."""
+    entries = _frontier(budget, f_e, delta_f, delta_xi, mode)
+    return tuple(sorted(((_first_k(e.f_hat, delta_phi), e) for e in entries), key=itemgetter(0)))
+
+
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def edge_throughput_table(
+    budget: int,
     pair_budget: int,
     f_e: float,
     delta_phi: float,
-    delta_f: float = 1e-4,
-    delta_xi: float = 1e-4,
-    mode: str = "optimal",
+    delta_f: float,
+    delta_xi: float,
+    mode: str,
 ) -> tuple:
     """Throughput table of one (pair budget, elementary fidelity): the
-    staircase of (k, entry) steps worth expanding, ascending in k.
+    staircase of (k, entry) steps worth expanding, ascending in k.  It is
+    read off the frontier built at budget, which must be >= pair_budget.
 
     At split index k the edge must reach pseudo-fidelity -k*delta_phi and
     takes best_entry's pick at that threshold.  A step is kept when its
@@ -137,32 +131,26 @@ def edge_throughput_table(
 
     An entry meets the threshold of k exactly when k is at least its
     first k (the test is monotone in k), so the pick can change only at
-    some entry's first k.  The cell keeps its entries sorted by first k
-    for the last delta_phi it served (a search uses one delta_phi for
-    every table, so the order is rebuilt only when the step size or the
-    frontier changes), and one sweep over those with b <= pair_budget
-    keeps a running pick by best_entry's rule, closing a step candidate at
-    the end of each first-k group.  That is best_entry's
-    pick over the whole qualifying set, because the rule's pick does not
-    depend on the order it meets the entries in: yields are multiples of
-    delta_xi, so ratios within _GRID_TOL of each other are equal (distinct
-    ones differ by about delta_xi/b^2 or more), and a frontier holds no two
-    entries with equal b and ratio (one would dominate the other).
-    The cost depends on the frontier size, not on delta_phi.
+    some entry's first k.  One sweep over the first-k order, over the
+    entries with b <= pair_budget, keeps a running pick by best_entry's
+    rule and closes a step candidate at the end of each first-k group.
+    That is best_entry's pick over the whole qualifying set, because the
+    rule's pick does not depend on the order it meets the entries in:
+    yields are multiples of delta_xi, so ratios within _GRID_TOL of each
+    other are equal (distinct ones differ by about delta_xi/b^2 or more),
+    and a frontier holds no two entries with equal b and ratio (one would
+    dominate the other).  The entries with b <= pair_budget are the
+    frontier of pair_budget (see _frontier), so every budget >= pair_budget
+    gives the same staircase.  The cost depends on the frontier size, not
+    on delta_phi.
     """
     if pair_budget < 1:
         raise ValueError("pair_budget must be >= 1")
+    if budget < pair_budget:
+        raise ValueError(f"budget {budget} is below pair_budget {pair_budget}")
     if delta_phi <= 0:
         raise ValueError("delta_phi must be positive")
-    cell = _frontier_state(pair_budget, f_e, delta_f, delta_xi, mode)
-    budget, entries, first_k = cell[0]
-    if first_k is None or first_k[0] != delta_phi:
-        first_k = (
-            delta_phi,
-            sorted(((_first_k(e.f_hat, delta_phi), e) for e in entries), key=itemgetter(0)),
-        )
-        cell[0] = (budget, entries, first_k)
-    order = first_k[1]
+    order = _first_k_order(budget, f_e, delta_phi, delta_f, delta_xi, mode)
     steps: list = []
     best = None
     for k, group in itertools.groupby(order, key=itemgetter(0)):
@@ -304,7 +292,6 @@ def _search(
     heap: list = []
     pushed = 0
     expanded = 0
-    touched: set = set()
     # per-search memos: vertex -> the arcs out of it, as (head, pool key,
     # copy, (str(v),), successor key, edge, m, psi_v); successor key
     # (id(edge), m) -> (edge cost, ((k, entry, psi_e, (k-1)*delta_phi, arc), ...))
@@ -325,11 +312,10 @@ def _search(
         return arcs
 
     def successors(edge, m):
-        if edge not in touched:
-            # build this fidelity's frontier once, at the edge's largest budget
-            touched.add(edge)
-            _frontier(_max_allocation(aux, edge), edge.fidelity, delta_f, delta_xi, mode)
-        steps = edge_throughput_table(m, edge.fidelity, delta_phi, delta_f, delta_xi, mode)
+        # every arc over the edge allocates m <= min(capacity, Q_tail, Q_head);
+        # the budget depends on the edge alone, so all searches share its tables
+        budget = min(edge.capacity, net.node(edge.u).qubits, net.node(edge.v).qubits)
+        steps = edge_throughput_table(budget, m, edge.fidelity, delta_phi, delta_f, delta_xi, mode)
         return edge.cost_of(m), tuple(
             (k, entry, math.log(entry.ratio() * m), (k - 1) * delta_phi, (m, k, edge, entry))
             for k, entry in steps

@@ -410,6 +410,10 @@ def test_experiment_rejects_bad_sps_exits_2(capsys, tmp_path, alg):
         ("multiflow", "r_k", 0),
         ("multiflow", "weight_band", [3, 1]),
         ("multiflow", "weight_band", [-1, 2]),
+        # a config field, read by route-compare: pseudo_fidelity needs F > 0.25
+        ("route-compare", "thresholds", [0.2]),
+        ("route-compare", "thresholds", [1.5]),
+        ("route-compare", "thresholds", [0.8, 0.25]),
     ],
 )
 def test_experiment_rejects_bad_option_value_exits_2(capsys, tmp_path, scenario, option, value):

@@ -1,0 +1,65 @@
+"""Pinned outputs: ROADMAP's "same outputs" as digests.
+
+A change that keeps the results keeps these digests: the `verify --suite
+all` report, and the CSV body (without the runtime_ms column) and
+summary.json of two small `experiment run` configs.  A change meant to
+alter a result updates the digest here and says why.
+"""
+
+import csv
+import hashlib
+import io
+import json
+
+import pytest
+
+from entroute.cli import main
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_verify_all_report_is_pinned(capsys):
+    code = main(["verify", "--suite", "all"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha256(out.encode()) == "b13a3d5dfd5f588945e68a01da19eab5edc68764edc63f72ec96e55b6c6eed63"
+
+
+@pytest.mark.parametrize(
+    "config, rows, body_digest, summary_digest",
+    [
+        (
+            {"scenario": "route-compare", "trials": 3, "seed": 0},
+            127,
+            "9a1c9f1a0c1ce99f0ad1eb3f6ba96076d3634c319e8f3b7416bd0b6a0ab529fa",
+            "7b8faa2d4d1914d583d03c58287cd4243f409054c27479be6c3d0542ef7dc134",
+        ),
+        (
+            # qubit-limited: 2 qubits per neighbour, so a corner node (Q = 4)
+            # holds fewer than an edge's capacity
+            {
+                "scenario": "multiflow", "trials": 3, "seed": 0,
+                "topology": {"kind": "grid", "rows": 3, "cols": 3, "capacity": 5, "qubit_allowance": 2},
+            },
+            10,
+            "73f78eae2dc1362599d84f544b58362a3d4bb101563575226ceac9bde605d7ea",
+            "795bbc61660c18a85df90e50fde201cb5b36ad78c2d64809596ab3d3bc625130",
+        ),
+    ],
+    ids=["route-compare", "multiflow"],
+)
+def test_experiment_outputs_are_pinned(capsys, tmp_path, config, rows, body_digest, summary_digest):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["experiment", "run", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    table = list(csv.reader(io.StringIO((out / "results.csv").read_text(encoding="utf-8"))))
+    assert table[0][-1] == "runtime_ms"
+    body = [row[:-1] for row in table]
+    assert len(body) == rows
+    assert not any(row[3] == "error" for row in body)
+    assert _sha256(json.dumps(body).encode()) == body_digest
+    assert _sha256((out / "summary.json").read_bytes()) == summary_digest

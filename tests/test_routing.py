@@ -80,13 +80,18 @@ def entry_at(steps, k):
     return found
 
 
+def table(m, f_e, delta_phi, delta_f=1e-4, delta_xi=1e-4, mode="optimal"):
+    """The table of pair count m, read off the frontier built at m."""
+    return edge_throughput_table(m, m, f_e, delta_phi, delta_f, delta_xi, mode)
+
+
 def psi_at(steps, pair_budget, k):
     e = entry_at(steps, k)
     return None if e is None else math.log(e.ratio() * pair_budget)
 
 
 def test_table_budget_one():
-    steps = edge_throughput_table(1, 0.9, 0.01)
+    steps = table(1, 0.9, 0.01)
     k = math.ceil(-pseudo_fidelity(0.9) / 0.01)
     assert psi_at(steps, 1, k) == pytest.approx(0.0, abs=1e-12)
     # stricter than the raw pair with no room to purify: infeasible
@@ -94,7 +99,7 @@ def test_table_budget_one():
 
 
 def test_table_single_merge_value():
-    steps = edge_throughput_table(2, 0.75, 0.001)
+    steps = table(2, 0.75, 0.001)
     k = math.ceil(-pseudo_fidelity(0.78) / 0.001)
     e = entry_at(steps, k)
     assert e.b == 2 and e.tree == (LEAF, LEAF)
@@ -103,7 +108,7 @@ def test_table_single_merge_value():
 
 
 def test_table_matches_exhaustive_search():
-    steps = edge_throughput_table(4, 0.7, 0.001, 1e-6, 1e-6)
+    steps = table(4, 0.7, 0.001, 1e-6, 1e-6)
     k = math.ceil(-pseudo_fidelity(0.76) / 0.001)
     got = entry_at(steps, k)
     best = brute_force_optimal(4, 0.7, inverse_pseudo_fidelity(-k * 0.001))
@@ -116,7 +121,7 @@ def test_table_matches_exhaustive_search():
 def test_frontier_covers_exact_pareto():
     from entroute.routing import _frontier
 
-    entries = _frontier(6, 0.75, 1e-4, 1e-4)
+    entries = _frontier(6, 0.75, 1e-4, 1e-4, "optimal")
     for b, front in enumerate(_pareto_sets(6, 0.75)):
         for f, xi, _ in front:
             assert any(
@@ -126,7 +131,7 @@ def test_frontier_covers_exact_pareto():
 
 
 def test_table_breakpoints_monotone():
-    steps = edge_throughput_table(3, 0.8, 0.002)
+    steps = table(3, 0.8, 0.002)
     ks = [k for k, _ in steps if k <= 400]
     assert ks == sorted(ks)
     ratios = [entry_at(steps, k).ratio() for k in ks]
@@ -208,9 +213,8 @@ def _entry_key(e):
 @example(40, 0.764, 0.0015535145696211096, (1e-4, 1e-4), "optimal", 1000)
 def test_table_steps_match_per_k_scan(m, f_e, delta_phi, grid, mode, kmax):
     """Steps with k <= K are the per-k scan's breakpoints(K) with its
-    entries; entries are compared by value, as the frontier cell may have
-    been rebuilt since the table was cached."""
-    steps = edge_throughput_table(m, f_e, delta_phi, *grid, mode)
+    entries, compared by value."""
+    steps = table(m, f_e, delta_phi, *grid, mode)
     oracle = LazyThroughputTable(m, f_e, delta_phi, *grid, mode)
     assert [k for k, _ in steps if k <= kmax] == oracle.breakpoints(kmax)
     for k, e in steps:
@@ -244,7 +248,7 @@ def _per_k_staircase(pair_budget, f_e, delta_phi, delta_f=1e-4, delta_xi=1e-4, m
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(0.5, 1.0),
-    st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), min_size=1, max_size=6),
     st.lists(
         st.one_of(st.floats(1e-12, 1e-6), st.floats(1e-6, 0.05)), min_size=1, max_size=3
     ),
@@ -252,42 +256,32 @@ def _per_k_staircase(pair_budget, f_e, delta_phi, delta_f=1e-4, delta_xi=1e-4, m
     st.sampled_from(["optimal", "pumping"]),
 )
 def test_sweep_staircase_matches_per_k_best_entry(f_e, budgets, delta_phis, grid, mode):
-    """The one-sweep staircase equals the per-k best_entry staircase step
-    for step, for budgets requested in any order from one cell (so the
-    first-k order of a larger build serves smaller budgets)."""
-    edge_throughput_table.cache_clear()
-    for m in budgets:
+    """The one-sweep staircase of pair count m, read off the frontier built
+    at any budget B >= m, equals the per-k best_entry staircase over the
+    frontier built at m, step for step."""
+    for a, b in budgets:
+        m, budget = min(a, b), max(a, b)
         for delta_phi in delta_phis:
-            got = edge_throughput_table(m, f_e, delta_phi, *grid, mode)
+            got = edge_throughput_table(budget, m, f_e, delta_phi, *grid, mode)
             want = _per_k_staircase(m, f_e, delta_phi, *grid, mode)
             assert [(k, _entry_key(e)) for k, e in got] == [(k, _entry_key(e)) for k, e in want]
 
 
-def test_first_k_order_dropped_on_rebuild():
-    f_e, grid = 0.8321, (1e-3, 1e-3)
-    routing._frontier_cell.cache_clear()
-    edge_throughput_table.cache_clear()
-    edge_throughput_table(10, f_e, 0.01, *grid)
-    cell = routing._frontier_cell(f_e, *grid, "optimal")
-    budget, entries, first_k = cell[0]
-    assert budget == 10 and first_k[0] == 0.01
-    assert [e for _, e in first_k[1]] == sorted(
-        entries, key=lambda e: routing._first_k(e.f_hat, 0.01)
-    )
-    # a smaller budget reuses the order; a larger one rebuilds the cell
-    edge_throughput_table(4, f_e, 0.01, *grid)
-    assert cell[0][2] is first_k
-    steps = edge_throughput_table(12, f_e, 0.01, *grid)
-    budget, entries, first_k2 = cell[0]
-    assert budget == 12 and first_k2 is not first_k and first_k2[0] == 0.01
-    assert {id(e) for _, e in first_k2[1]} == {id(e) for e in entries}
-    assert all(any(e is x for x in entries) for _, e in steps)
+def test_table_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="below pair_budget"):
+        edge_throughput_table(4, 5, 0.8, 0.01, 1e-4, 1e-4, "optimal")
+    with pytest.raises(ValueError, match="pair_budget"):
+        edge_throughput_table(4, 0, 0.8, 0.01, 1e-4, 1e-4, "optimal")
+    with pytest.raises(ValueError, match="delta_phi"):
+        edge_throughput_table(4, 4, 0.8, 0.0, 1e-4, 1e-4, "optimal")
+    with pytest.raises(ValueError, match="unknown schedule mode"):
+        edge_throughput_table(4, 4, 0.8, 0.01, 1e-4, 1e-4, "greedy")
 
 
 def test_table_tiny_step_completes():
     # delta_phi at discretization_steps' floor: a per-k scan would need
     # ~1e12 steps to reach the raw pair, the staircase a few per entry
-    steps = edge_throughput_table(39, 0.55, 1e-12)
+    steps = table(39, 0.55, 1e-12)
     assert steps[-1][1].b == 1
     assert steps[-1][0] == pytest.approx(-pseudo_fidelity(0.55) / 1e-12, rel=1e-9)
     # each step is where the per-k pick first improves, to the exact k
@@ -647,7 +641,6 @@ def _oracle_search(
     heap: list = []
     pushed = 0
     expanded = 0
-    touched: set = set()
 
     def push(lab: _OracleLabel):
         nonlocal pushed
@@ -689,11 +682,10 @@ def _oracle_search(
             kmax = int(math.floor((lab.phi_credit - phi0) / delta_phi + 1e-9)) + 1
             if kmax < 1:
                 continue
-            if edge not in touched:
-                # build this fidelity's frontier once, at the edge's largest budget
-                touched.add(edge)
-                routing._frontier(routing._max_allocation(aux, edge), edge.fidelity, delta_f, delta_xi, mode)
-            steps = routing.edge_throughput_table(m, edge.fidelity, delta_phi, delta_f, delta_xi, mode)
+            budget = min(edge.capacity, net.node(edge.u).qubits, net.node(edge.v).qubits)
+            steps = routing.edge_throughput_table(
+                budget, m, edge.fidelity, delta_phi, delta_f, delta_xi, mode
+            )
             psi_v = 0.0 if v == aux.t else math.log(net.node(v).swap_prob)
             for k, entry in steps:
                 if k > kmax:
@@ -809,7 +801,8 @@ def test_search_matches_former_search(case, R, mode, delta_phi, delta_psi):
 )
 def test_frontier_nests_by_budget(build, f_e, a, b, grid):
     """Filtering frontier(N) to b <= m equals a fresh frontier(m), entry for
-    entry and in order; the per-fidelity frontier cache relies on it."""
+    entry and in order; reading every pair count's table off one frontier
+    per edge relies on it."""
     m, n = min(a, b), max(a, b)
     big = [e for e in build(n, f_e, *grid) if e.b <= m]
     fresh = build(m, f_e, *grid)
@@ -818,17 +811,27 @@ def test_frontier_nests_by_budget(build, f_e, a, b, grid):
 
 
 def test_frontier_cache_serves_smaller_budgets():
-    f_e = 0.8123
-    big = routing._frontier(12, f_e, 1e-3, 1e-3)
-    small = routing._frontier(5, f_e, 1e-3, 1e-3)
-    assert small == tuple(candidate_frontier(5, f_e, 1e-3, 1e-3))
+    f_e, grid = 0.8123, (1e-3, 1e-3)
+    big = routing._frontier(12, f_e, *grid, "optimal")
+    small = routing._frontier(5, f_e, *grid, "optimal")
+    assert small == tuple(candidate_frontier(5, f_e, *grid))
     assert small == tuple(e for e in big if e.b <= 5)
-    # the cell keeps the largest build; a larger request rebuilds it
-    assert routing._frontier_cell(f_e, 1e-3, 1e-3, "optimal")[0][0] == 12
-    routing._frontier(20, f_e, 1e-3, 1e-3)
-    assert routing._frontier_cell(f_e, 1e-3, 1e-3, "optimal")[0][0] == 20
+    # each call returns the build of its own budget, whatever came before
+    assert routing._frontier(12, f_e, *grid, "optimal") is big
+    assert routing._frontier(20, f_e, *grid, "optimal") == tuple(candidate_frontier(20, f_e, *grid))
+    assert routing._frontier(5, f_e, *grid, "optimal") is small
+    # one first-k order per (budget, delta_phi), shared by every pair count
+    order = routing._first_k_order(12, f_e, 0.01, *grid, "optimal")
+    assert [e for _, e in order] == sorted(big, key=lambda e: routing._first_k(e.f_hat, 0.01))
+    assert routing._first_k_order(12, f_e, 0.01, *grid, "optimal") is order
+    # another delta_phi sorts the same build
+    other = routing._first_k_order(12, f_e, 0.02, *grid, "optimal")
+    assert {id(e) for _, e in other} == {id(e) for e in big}
+    for m in (1, 5, 12):
+        steps = edge_throughput_table(12, m, f_e, 0.01, *grid, "optimal")
+        assert all(any(e is x for x in big) for _, e in steps)
     with pytest.raises(ValueError):
-        routing._frontier(3, f_e, 1e-3, 1e-3, "greedy")
+        routing._frontier(3, f_e, *grid, "greedy")
 
 
 def _full_recount_insert(pool, lab, R):
@@ -931,20 +934,15 @@ def test_routing_caches_stay_bounded():
     n = max(routing.TABLE_CACHE_SIZE, routing.FRONTIER_CACHE_SIZE, routing.FRONTS_CACHE_SIZE) + 500
     for i in range(n):
         f_e = 0.6 + 0.3 * i / n
-        routing.edge_throughput_table(1, f_e, 0.01)
+        routing.edge_throughput_table(1, 1, f_e, 0.01, 1e-4, 1e-4, "optimal")
         routing._fronts(1, f_e)
-    # the first-k order lives in the frontier cells, so their bound covers
-    # it; each cell keeps the order of one step size, the last one served
-    for i in range(5):
-        routing.edge_throughput_table(2, 0.75, 0.01 + 0.001 * i)
-    _, entries, first_k = routing._frontier_cell(0.75, 1e-4, 1e-4, "optimal")[0]
-    assert first_k[0] == 0.01 + 0.001 * 4 and len(first_k[1]) == len(entries)
+    # every cache saw more keys than it may hold: each is full, not over
     for cache, bound in (
         (routing.edge_throughput_table, routing.TABLE_CACHE_SIZE),
-        (routing._frontier_cell, routing.FRONTIER_CACHE_SIZE),
+        (routing._frontier, routing.FRONTIER_CACHE_SIZE),
+        (routing._first_k_order, routing.FRONTIER_CACHE_SIZE),
         (routing._fronts, routing.FRONTS_CACHE_SIZE),
     ):
         info = cache.cache_info()
         assert info.maxsize == bound
-        assert info.currsize <= bound
-    assert routing.edge_throughput_table.cache_info().currsize == routing.TABLE_CACHE_SIZE
+        assert info.currsize == bound
