@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -247,11 +248,10 @@ def _cmd_topo_gen(args) -> int:
 
 
 def _cmd_experiment_run(args) -> int:
-    raw = _load_json(args.config)
+    cfg = config_from_json(_load_json(args.config))
     seed = _env_seed()
     if seed is not None:
-        raw["seed"] = seed
-    cfg = config_from_json(raw)
+        cfg = dataclasses.replace(cfg, seed=seed)
     outdir = args.out or cfg.output or "."
     result = run_experiment(cfg)
     csv_path, json_path = result.write(outdir)

@@ -87,10 +87,12 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.scenario not in _SCENARIOS:
+        if not isinstance(self.scenario, str) or self.scenario not in _SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name, (test, wanted) in _FIELDS.items():
+            value = getattr(self, name)
+            if not test(value):
+                raise ValueError(f"{name!r} must be {wanted}, got {value!r}")
         if self.algorithms is not None:
             self.algorithms = tuple(self.algorithms)
             for a in self.algorithms:
@@ -100,9 +102,6 @@ class ExperimentConfig:
                         "external baselines are out of scope"
                     )
         self.thresholds = tuple(self.thresholds)
-        for theta in self.thresholds:
-            if not _FIDELITY[0](theta):
-                raise ValueError(f"'thresholds' must be {_FIDELITY[1]}, got {theta!r}")
         rules = _SCENARIOS[self.scenario].options
         for key, value in self.options.items():
             if key not in rules:
@@ -135,11 +134,13 @@ _CONFIG_FIELDS = ("scenario", "trials", "seed", "output", "topology", "threshold
 def config_from_json(d: dict) -> ExperimentConfig:
     """Top-level keys map to config fields; anything else is a scenario
     option."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a config must be a JSON object, got {d!r}")
     kwargs = {k: d[k] for k in _CONFIG_FIELDS if k in d}
-    extra = {k: v for k, v in d.items() if k not in _CONFIG_FIELDS}
-    opts = dict(d.get("options", {}))
-    extra.pop("options", None)
-    opts.update(extra)
+    opts = d.get("options", {})
+    if not isinstance(opts, dict):
+        raise ValueError(f"'options' must be an object, got {opts!r}")
+    opts = {**opts, **{k: v for k, v in d.items() if k not in _CONFIG_FIELDS and k != "options"}}
     return ExperimentConfig(options=opts, **kwargs)
 
 
@@ -436,6 +437,22 @@ def _number(value) -> bool:
 _POSITIVE = (lambda v: _number(v) and v > 0, "positive")
 _COUNT = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
 _FIDELITY = (lambda v: _number(v) and 0.25 < v <= 1, "in (0.25, 1]")
+# the config fields past the scenario, with the rule each value must meet
+_FIELDS = {
+    "trials": _COUNT,
+    "seed": (_integer, "an integer"),
+    "output": (lambda v: v is None or isinstance(v, str), "a path"),
+    "topology": (lambda v: v is None or isinstance(v, dict), "an object"),
+    # read by route-compare: pseudo_fidelity needs F > 0.25
+    "thresholds": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_FIDELITY[0], v)),
+        "a list of numbers in (0.25, 1]",
+    ),
+    "algorithms": (
+        lambda v: v is None or isinstance(v, (list, tuple)) and all(isinstance(a, str) for a in v),
+        "a list of names",
+    ),
+}
 
 
 class _Scenario(NamedTuple):

@@ -26,6 +26,44 @@ They are exactly the values the label would carry, and the test reads
 nothing else, so testing before the build admits and kills the same labels
 as testing after it would; a rejected candidate just allocates nothing.
 
+Label pools.  Each original node, and the sink, has one pool: its alive
+labels in insertion order.  A label d dominates x when d.cost <= x.cost +
+_TOL, d.phi_credit >= x.phi_credit - _TOL and d.psi_hat >= x.psi_hat -
+_TOL, and it counts against x at a copy index at least x's (a higher copy
+reaches every arc a lower one does, at identical terms).  Under relaxed
+dominance R, a candidate is admitted unless R pool labels count against
+it, and a pool label dies once R do.  Each label keeps its number of alive
+dominators, always < R.  A killed label leaves its pool at once; it keeps
+an alive flag only because the heap deletes lazily.
+
+A candidate costs one newest-first pass over its pool (_scan).  The pass
+counts the candidate's dominators and rejects at the R-th, which does not
+depend on the order, and collects the labels the candidate dominates.  An
+admitted scan ran to the end, so its count is exact and becomes the new
+label's.  Then (_admit) each collected label gains a dominator, in pool
+order; one whose count reaches R is killed, and each label it dominated
+loses one.
+
+These are the kills of the former insert, which recounted from scratch, in
+pool order, each label the newcomer dominates, and killed it at R.  Before
+an admission every count is exact and < R.  A label the newcomer does not
+dominate gains no dominator, so neither insert kills it.  A label x the
+newcomer dominates is reached in the same order by both.  The recount then
+finds x's dominators before the admission, plus the newcomer, minus those
+killed earlier in this admission, and that is x's count, since each kill
+took one off every label the killed one dominated.  So both kill x or
+neither does, and afterwards every count is again exact and < R.
+
+Table steps on one arc share the candidate's cost and copy index, and a
+later step has less phi credit.  So a later step whose psi_hat is no higher
+than that of a rejected one is dominated by each of the rejecting step's R
+dominators, directly, with no chain through _TOL: it is skipped without a
+scan.  Only an admission kills, so the rule holds until the arc's next
+admission.  With R = 1 the earlier rule stays: a step is skipped when its
+psi_hat is no higher than that of any earlier step on the arc that got past
+this check (admitted, rejected or below a floor).  stats= reports the scans
+that rejected, the kills, the skipped steps and the dead labels popped.
+
 Budget accounting: an edge expanded at split index k demands per-edge
 pseudo-fidelity -k*delta_phi but is charged only (k-1)*delta_phi against
 the label's budget.  The round-down credit keeps the label of an exactly
@@ -202,7 +240,7 @@ class RoutePlan:
 class _Label:
     __slots__ = (
         "cost", "phi_credit", "psi_b", "psi_hat", "path", "pkey", "vertex", "copy", "parent", "arc",
-        "alive",
+        "alive", "dominators",
     )
 
     def __init__(self, cost, phi_credit, psi_b, psi_hat, path, pkey, vertex, copy, parent, arc):
@@ -217,55 +255,75 @@ class _Label:
         self.parent = parent
         self.arc = arc  # (m, k, edge, schedule entry) of the arc into vertex
         self.alive = True
+        self.dominators = 0  # alive labels of its pool that dominate it; < R
 
 
-def _dominated(
-    pool: list, cost: float, phi_credit: float, psi_hat: float, copy: int, R: int, skip=None
-) -> bool:
-    """Whether >= R alive labels of the pool, skip excepted, at copy index
-    copy or higher dominate the values (cost, phi_credit, psi_hat); a higher
-    copy reaches every arc a lower one does, at identical terms."""
-    cost += _TOL
-    phi_credit -= _TOL
-    psi_hat -= _TOL
+def _scan(pool: list, cost: float, phi_credit: float, psi_hat: float, copy: int, R: int):
+    """One newest-first pass over a pool for a candidate's values.
+
+    Returns None at the R-th label at copy index copy or higher that
+    dominates (cost, phi_credit, psi_hat).  Otherwise returns that count,
+    then exact, and the labels at copy index <= copy that the values
+    dominate, in pool order.  Values equal within _TOL dominate both ways.
+    """
+    tol = _TOL
+    cost_hi = cost + tol
+    phi_lo = phi_credit - tol
+    psi_lo = psi_hat - tol
     count = 0
-    for e in pool:
-        if (
-            e.alive
-            and e.copy >= copy
-            and e.cost <= cost
-            and e.phi_credit >= phi_credit
-            and e.psi_hat >= psi_hat
-            and e is not skip
-        ):
+    beaten = []
+    for e in reversed(pool):
+        e_cost = e.cost
+        if e_cost <= cost_hi and e.phi_credit >= phi_lo and e.psi_hat >= psi_lo and e.copy >= copy:
             count += 1
             if count >= R:
-                return True
-    return False
-
-
-def _admit(pool: list, lab: _Label, R: int) -> None:
-    """Add a label that passed the _dominated test to the pool of its node.
-
-    Before the insert every alive label has fewer than R alive dominators,
-    so the newcomer can push over that line only the labels it dominates
-    itself, at a copy index <= its own: only those are recounted, in pool
-    order, which kills exactly the labels a recount of the whole pool
-    would.  With R = 1 the newcomer alone is enough to kill them.
-    """
-    pool[:] = [e for e in pool if e.alive]
-    pool.append(lab)
-    cost, phi_credit, psi_hat, copy = lab.cost, lab.phi_credit, lab.psi_hat, lab.copy
-    for e in pool[:-1]:
-        # _dominated's test with the roles swapped: does lab dominate e
+                return None
         if (
-            e.copy <= copy
-            and cost <= e.cost + _TOL
-            and phi_credit >= e.phi_credit - _TOL
-            and psi_hat >= e.psi_hat - _TOL
-            and (R == 1 or _dominated(pool, e.cost, e.phi_credit, e.psi_hat, e.copy, R, e))
+            cost <= e_cost + tol
+            and phi_credit >= e.phi_credit - tol
+            and psi_hat >= e.psi_hat - tol
+            and e.copy <= copy
         ):
+            beaten.append(e)
+    beaten.reverse()
+    return count, beaten
+
+
+def _admit(pool: list, lab: _Label, count: int, beaten: list, R: int) -> int:
+    """Append lab, whose _scan found count dominators and the labels
+    beaten, to its pool; kill the labels that now have R alive dominators
+    and return how many there were.
+
+    Each label of beaten gains lab as a dominator, in pool order, and is
+    killed when its count reaches R; a killed label leaves the pool, and
+    each label it dominated loses a dominator.  With R = 1 no alive label
+    dominates another, so lab kills all of beaten and no count changes.
+    """
+    lab.dominators = count
+    pool.append(lab)
+    if R == 1:
+        for e in beaten:
             e.alive = False
+            pool.remove(e)
+        return len(beaten)
+    killed = 0
+    for e in beaten:
+        e.dominators += 1
+        if e.dominators < R:
+            continue
+        e.alive = False
+        pool.remove(e)
+        killed += 1
+        cost, phi_credit, psi_hat, copy = e.cost, e.phi_credit, e.psi_hat, e.copy
+        for x in pool:
+            if (
+                x.copy <= copy
+                and cost <= x.cost + _TOL
+                and phi_credit >= x.phi_credit - _TOL
+                and psi_hat >= x.psi_hat - _TOL
+            ):
+                x.dominators -= 1
+    return killed
 
 
 def _search(
@@ -290,8 +348,7 @@ def _search(
     pools: dict = {}
     counter = itertools.count()
     heap: list = []
-    pushed = 0
-    expanded = 0
+    pushed = expanded = rejected = killed = skipped = dead_pops = 0
     # per-search memos: vertex -> the arcs out of it, as (head, pool key,
     # copy, (str(v),), successor key, edge, m, psi_v); successor key
     # (id(edge), m) -> (edge cost, ((k, entry, psi_e, (k-1)*delta_phi, arc), ...))
@@ -332,6 +389,7 @@ def _search(
     while heap:
         lab = heapq.heappop(heap)[-1]
         if not lab.alive:
+            dead_pops += 1
             continue
         vertex = lab.vertex
         if vertex == VIRTUAL_SINK:
@@ -353,10 +411,12 @@ def _search(
                 pool = pools.get(key)
                 if pool is None:
                     pool = pools[key] = []
-                elif _dominated(pool, cost, phi_credit, psi_hat, 0, R):
+                found = _scan(pool, cost, phi_credit, psi_hat, 0, R)
+                if found is None:
+                    rejected += 1
                     continue
                 new = _Label(cost, phi_credit, psi_b, psi_hat, path, lab.pkey, head, 0, lab, None)
-                _admit(pool, new, R)
+                killed += _admit(pool, new, *found, R)
                 heapq.heappush(heap, (cost, depth - 1, new.pkey, next(counter), new))
                 pushed += 1
                 continue
@@ -383,9 +443,9 @@ def _search(
                 else:
                     psi_hat2 = math.ceil(psi_base / delta_psi - 1e-9) * delta_psi
                 if psi_hat2 <= last_psi:
-                    # same cost and copy as the step before on this arc, less
-                    # phi credit and no more psi_hat: that step's candidate or
-                    # its dominator rejects this one
+                    # same cost and copy as the step that set last_psi, less
+                    # phi credit and no more psi_hat (see the module docstring)
+                    skipped += 1
                     continue
                 if R == 1:
                     last_psi = psi_hat2
@@ -396,7 +456,10 @@ def _search(
                     continue
                 if pool is None:
                     pool = pools[key] = []
-                elif _dominated(pool, cost2, phi_credit2, psi_hat2, j, R):
+                found = _scan(pool, cost2, phi_credit2, psi_hat2, j, R)
+                if found is None:
+                    rejected += 1
+                    last_psi = psi_hat2
                     continue
                 new = _Label(
                     cost2,
@@ -410,16 +473,17 @@ def _search(
                     lab,
                     arc,
                 )
-                _admit(pool, new, R)
+                killed += _admit(pool, new, *found, R)
+                if R > 1:
+                    last_psi = -_INF
                 heapq.heappush(heap, (cost2, depth, new.pkey, next(counter), new))
                 pushed += 1
 
     if stats is not None:
         per_vertex: dict = {}
-        for key, pool in pools.items():
+        for pool in pools.values():
             for e in pool:
-                if e.alive:
-                    per_vertex.setdefault(e.vertex, []).append(e)
+                per_vertex.setdefault(e.vertex, []).append(e)
         stats["pushed"] = pushed
         stats["expanded"] = expanded
         stats["alive_per_vertex"] = {v: len(ls) for v, ls in per_vertex.items()}
@@ -427,6 +491,10 @@ def _search(
             v: [(e.cost, e.phi_credit, e.psi_b, e.psi_hat, e.path) for e in ls]
             for v, ls in per_vertex.items()
         }
+        stats["rejected"] = rejected
+        stats["killed"] = killed
+        stats["skipped"] = skipped
+        stats["dead_pops"] = dead_pops
     return results
 
 

@@ -414,6 +414,14 @@ def test_experiment_rejects_bad_sps_exits_2(capsys, tmp_path, alg):
         ("route-compare", "thresholds", [0.2]),
         ("route-compare", "thresholds", [1.5]),
         ("route-compare", "thresholds", [0.8, 0.25]),
+        # config fields of the wrong JSON type
+        ("route-compare", "thresholds", 0.8),
+        ("route-compare", "trials", "2"),
+        ("route-compare", "trials", 1.5),
+        ("route-compare", "seed", "0"),
+        ("route-compare", "topology", "grid"),
+        ("route-compare", "algorithms", [1]),
+        ("multiflow", "options", [["flows", 2]]),
     ],
 )
 def test_experiment_rejects_bad_option_value_exits_2(capsys, tmp_path, scenario, option, value):
@@ -428,6 +436,25 @@ def test_experiment_rejects_bad_option_value_exits_2(capsys, tmp_path, scenario,
     )
     assert code == 2 and out == ""
     assert f"'{option}'" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "config, name",
+    [
+        ([{"scenario": "multiflow", "trials": 1}], "JSON object"),
+        ({"scenario": ["multiflow"], "trials": 1}, "scenario"),
+    ],
+)
+def test_experiment_rejects_non_object_config_exits_2(capsys, tmp_path, config, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(outdir)
+    )
+    assert code == 2 and out == ""
+    assert name in err
     assert not outdir.exists()
 
 

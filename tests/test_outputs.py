@@ -1,8 +1,9 @@
 """Pinned outputs: ROADMAP's "same outputs" as digests.
 
 A change that keeps the results keeps these digests: the `verify --suite
-all` report, and the CSV body (without the runtime_ms column) and
-summary.json of two small `experiment run` configs.  A change meant to
+all` report, the CSV body (without the runtime_ms column) and
+summary.json of two small `experiment run` configs, and the candidate
+plans of six flows contending for one small grid.  A change meant to
 alter a result updates the digest here and says why.
 """
 
@@ -14,6 +15,9 @@ import json
 import pytest
 
 from entroute.cli import main
+from entroute.multiflow import flow_candidates
+from entroute.topology import sample_flows
+from entroute.verify import rounding_mc_instance
 
 
 def _sha256(data: bytes) -> str:
@@ -63,3 +67,14 @@ def test_experiment_outputs_are_pinned(capsys, tmp_path, config, rows, body_dige
     assert not any(row[3] == "error" for row in body)
     assert _sha256(json.dumps(body).encode()) == body_digest
     assert _sha256((out / "summary.json").read_bytes()) == summary_digest
+
+
+def test_contended_candidates_are_pinned():
+    # six flows at F >= 0.97 on the theorem4-mc grid: R = 3 searches whose
+    # pools grow to hundreds of labels, with many kills
+    net, _ = rounding_mc_instance(0)
+    flows = sample_flows(net, 6, seed=1, f0=0.97, r_k=3)
+    cands = [flow_candidates(net, fl, 0.2) for fl in flows]
+    assert [len(c) for c in cands] == [0, 3, 0, 3, 3, 3]
+    body = json.dumps([[p.to_json() for p in c] for c in cands])
+    assert _sha256(body.encode()) == "43afa92b754a374e78f44dff3682cc6bf8fdcc3066e9ed5fe1b4ea4f201612ac"

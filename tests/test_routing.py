@@ -771,6 +771,7 @@ def _plan_key(plan):
 @settings(max_examples=80, deadline=None)
 @given(_search_cases, st.integers(1, 3), st.sampled_from(["optimal", "pumping"]), _steps, _steps)
 @example(_grid_case(4, (5, 15), 3, 0.85), 3, "optimal", 0.005, 0.005)  # ~1,400 labels pushed
+@example(_grid_case(3, (5, 15), 4, 0.8), 3, "optimal", 0.005, 0.005)  # steps skipped, labels killed
 def test_search_matches_former_search(case, R, mode, delta_phi, delta_psi):
     """Testing dominance on raw values before a label is built, and the
     per-search arc and successor memos, change no admission, kill, heap pop
@@ -885,16 +886,66 @@ def test_incremental_recount_matches_full_recount(stream, R):
     for i, (cost, phi, psi, j) in enumerate(stream):
         cost, phi, psi = float(cost), 0.01 * phi, 0.1 * psi
         a = _OracleLabel(cost, phi, 0.0, psi, (i,), ("v", j), None, None)
-        admitted = not routing._dominated(pool, cost, phi, psi, j, R)
+        found = routing._scan(pool, cost, phi, psi, j, R)
+        admitted = found is not None
         assert admitted == _full_recount_insert(oracle_pool, a, R), i
         if admitted:
             # only admitted labels are built; compare them with their twins
             b = routing._Label(cost, phi, 0.0, psi, (i,), (str(i),), ("v", j), j, None, None)
-            routing._admit(pool, b, R)
+            routing._admit(pool, b, *found, R)
             labels.append(b)
             oracle_labels.append(a)
         assert [x.alive for x in labels] == [x.alive for x in oracle_labels], i
-        assert [x.path for x in pool] == [x.path for x in oracle_pool], i
+        assert [x.path for x in pool] == [x.path for x in oracle_pool if x.alive], i
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coarse_labels, st.integers(2, 3))
+@example([(1, 0, 0, 0)] * 2 + [(0, 0, 0, 0)], 2)
+@example([(1, 0, 0, 1)] * 3 + [(0, 0, 0, 2)], 3)
+def test_dominator_counts_stay_exact(stream, R):
+    """After every admission each pool label holds the number of other pool
+    labels at its copy index or higher that dominate it, and that is < R;
+    the kills are the full recount's.  The examples admit R equal labels,
+    then a better one: the first equal label it reaches dies, and that kill
+    must take a dominator off the others, or they die too."""
+    pool, oracle_pool, pairs = [], [], []
+    for i, (cost, phi, psi, j) in enumerate(stream):
+        cost, phi, psi = float(cost), 0.01 * phi, 0.1 * psi
+        twin = _OracleLabel(cost, phi, 0.0, psi, (i,), ("v", j), None, None)
+        found = routing._scan(pool, cost, phi, psi, j, R)
+        admitted = _full_recount_insert(oracle_pool, twin, R)
+        assert (found is not None) == admitted, i
+        if admitted:
+            b = routing._Label(cost, phi, 0.0, psi, (i,), (str(i),), ("v", j), j, None, None)
+            routing._admit(pool, b, *found, R)
+            pairs.append((b, twin))
+        assert [b.alive for b, _ in pairs] == [twin.alive for _, twin in pairs], i
+        for e in pool:
+            count = sum(x is not e and x.copy >= e.copy and _dominates(x, e) for x in pool)
+            assert e.dominators == count < R, i
+
+
+def test_search_counts_every_kill():
+    """The counters of stats= add up: every pushed label (and the root) is
+    alive in a pool unless it was killed, and only a killed label can be
+    popped dead."""
+    cases = [_grid_case(4, (5, 15), 3, 0.85), _grid_case(3, (5, 15), 4, 0.8)]
+    cases += [_grid_case(3, (1, 3), 0, 0.8), _rand_case(3)]
+    seen = {}
+    for n, (aux, f0) in enumerate(cases):
+        for R in (1, 2, 3):
+            stats = seen[n, R] = {}
+            args = (aux, pseudo_fidelity(f0), math.log(0.2), 0.005, 0.005, R, 1e-4, 1e-4)
+            routing._search(*args, stats)
+            assert sum(stats["alive_per_vertex"].values()) == stats["pushed"] + 1 - stats["killed"]
+            assert stats["dead_pops"] <= stats["killed"]
+    # the R = 3 examples of test_search_matches_former_search skip steps
+    # after a rejection and kill labels by a count reaching R
+    for n in (0, 1):
+        assert seen[n, 3]["skipped"] > 0 and seen[n, 3]["killed"] > 0
+    for key in ("rejected", "dead_pops"):
+        assert any(stats[key] > 0 for stats in seen.values()), key
 
 
 def test_dominance_is_inclusive_at_the_tolerance():
@@ -905,10 +956,10 @@ def test_dominance_is_inclusive_at_the_tolerance():
     base = routing._Label(cost, phi, 0.0, psi, (0,), ("0",), ("v", 1), 1, None, None)
     edge = routing._Label(worse[0], worse[1], 0.0, worse[2], (1,), ("1",), ("v", 2), 2, None, None)
     assert _dominates(base, edge) and _dominates(edge, base)
-    assert routing._dominated([edge], cost, phi, psi, 1, 1)
-    assert routing._dominated([base], *worse, 2, 1) is False  # lower copy
+    assert routing._scan([edge], cost, phi, psi, 1, 1) is None
+    assert routing._scan([base], *worse, 2, 1) is not None  # lower copy
     pool = [base]
-    routing._admit(pool, edge, 1)
+    routing._admit(pool, edge, *routing._scan(pool, *worse, 2, 1), 1)
     assert not base.alive and edge.alive
 
 
