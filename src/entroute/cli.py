@@ -238,11 +238,11 @@ def _cmd_multiflow(args) -> int:
 
 
 def _cmd_topo_gen(args) -> int:
-    raw = _load_json(args.spec)
+    spec = spec_from_json(_load_json(args.spec))
     seed = _env_seed()
     if seed is not None:
-        raw["seed"] = seed
-    net = generate(spec_from_json(raw))
+        spec = dataclasses.replace(spec, seed=seed)
+    net = generate(spec)
     net.dump(args.out)
     return 0
 

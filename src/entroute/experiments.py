@@ -93,6 +93,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not test(value):
                 raise ValueError(f"{name!r} must be {wanted}, got {value!r}")
+        if self.topology is not None:
+            spec_from_json({"seed": self.seed, **self.topology})  # raises on a bad field
         if self.algorithms is not None:
             self.algorithms = tuple(self.algorithms)
             for a in self.algorithms:
@@ -108,7 +110,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"unknown {self.scenario} option {key!r}; known options: {', '.join(rules)}"
                 )
-            if rules[key] is not None and not rules[key][0](value):
+            if not rules[key][0](value):
                 raise ValueError(
                     f"{self.scenario} option {key!r} must be {rules[key][1]}, got {value!r}"
                 )
@@ -421,7 +423,7 @@ def _multiflow(cfg: ExperimentConfig):
 # the scenario table: each scenario's runner, default algorithms (also the
 # known ones; strategy-compare accepts any sps{h} besides) and the options
 # its runner reads through cfg.opt, each with the rule its value must meet
-# (a test and what it asks for), or None.  A value no trial could run with
+# (a test and what it asks for).  A value no trial could run with
 # exits 2 at config time; failures that depend on the drawn topology stay
 # per-trial error rows.
 
@@ -432,6 +434,15 @@ def _integer(value) -> bool:
 
 def _number(value) -> bool:
     return isinstance(value, float) or _integer(value)
+
+
+def _pair_fidelity(v) -> bool:
+    # an elementary pair worth purifying, as schedules and chains take it
+    return _number(v) and 0.5 <= v <= 1
+
+
+def _pair(v, test) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(test, v)) and v[0] <= v[1]
 
 
 _POSITIVE = (lambda v: _number(v) and v > 0, "positive")
@@ -465,12 +476,30 @@ _SCENARIOS = {
     "purify-compare": _Scenario(
         _purify_compare,
         ("ours", "symmetric", "pumping"),
-        {"fidelities": None, "pairs_min": None, "pairs_max": None},
+        {
+            "fidelities": (
+                lambda v: isinstance(v, (list, tuple)) and all(map(_pair_fidelity, v)),
+                "a list of numbers in [0.5, 1]",
+            ),
+            "pairs_min": _COUNT,
+            "pairs_max": _COUNT,
+        },
     ),
     "strategy-compare": _Scenario(
         _strategy_compare,
         ("pas", "sap", "sps{2}", "sps{3}", "sps{l}"),
-        {"lengths": None, "pairs_per_hop": None, "fidelity_band": None, "swap_success": None},
+        {
+            "lengths": (
+                lambda v: isinstance(v, (list, tuple)) and all(map(_COUNT[0], v)),
+                "a list of integers >= 1",
+            ),
+            "pairs_per_hop": _COUNT,
+            "fidelity_band": (
+                lambda v: _pair(v, _pair_fidelity),
+                "two numbers [lo, hi] with 0.5 <= lo <= hi <= 1",
+            ),
+            "swap_success": (lambda v: _number(v) and 0 < v <= 1, "in (0, 1]"),
+        },
     ),
     "route-compare": _Scenario(
         _route_compare,
@@ -495,8 +524,7 @@ _SCENARIOS = {
             "delta": (lambda v: _number(v) and 0 < v < 1, "in (0, 1)"),
             "r_k": _COUNT,
             "weight_band": (
-                lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-                and all(map(_integer, v)) and 0 <= v[0] <= v[1],
+                lambda v: _pair(v, _integer) and v[0] >= 0,
                 "two integers [lo, hi] with 0 <= lo <= hi",
             ),
         },

@@ -64,6 +64,28 @@ psi_hat is no higher than that of any earlier step on the arc that got past
 this check (admitted, rejected or below a floor).  stats= reports the scans
 that rejected, the kills, the skipped steps and the dead labels popped.
 
+The phi lower bound.  Before the search, one Dijkstra from t over the
+physical network (_charge_to_sink) gives LB(v) in units of delta_phi: no
+path the search can extend a label along from v to t charges less than
+LB(v)*delta_phi.  A label with phi credit c takes a step k into v only when
+k - 1 + LB(v) <= floor((c - phi0 + 2e-9)/delta_phi).  Steps ascend in k, so
+this caps each arc's k below kmax at no cost per step; stats= counts the
+arcs whose cap it lowers as pruned.  A dropped step cannot reach the sink:
+its completions would end with credit below phi0 - 2e-9, up to float
+rounding (~1e-14), and the floor is phi0 - 1e-9.  Call a label at v safe
+when its credit is at least LB(v)*delta_phi + phi0 - 1e-9 - 1e-13.  A
+label that can complete is safe, and a safe label is never dropped.  The
+parent of a safe label is safe (LB(u) is at most the edge's charge plus
+LB(v)), and so is every label that dominates a safe one: credits are sums
+of multiples of delta_phi, so a credit at least another's - _TOL lies on
+the same multiple or a higher one (for delta_phi > 2*_TOL), and no chain
+of dominators loses more than float rounding.  The admission, kills and
+R>1 count of a safe label depend only on the labels that dominate it, and
+the R = 1 psi_hat skip rule only on earlier steps of the arc, which no drop
+precedes.  So the safe labels are admitted, killed and popped, in the same
+relative order, as without the bound.  Sink labels are safe, so the sink
+pops and plans are unchanged.
+
 Budget accounting: an edge expanded at split index k demands per-edge
 pseudo-fidelity -k*delta_phi but is charged only (k-1)*delta_phi against
 the label's budget.  The round-down credit keeps the label of an exactly
@@ -83,7 +105,12 @@ from typing import Optional
 
 from .auxgraph import VIRTUAL_SINK, AuxiliaryGraph, build_aux_graph
 from .network import QuantumNetwork
-from .pair_algebra import inverse_pseudo_fidelity, pseudo_fidelity, swap_fidelity
+from .pair_algebra import (
+    _purified_fidelity_raw,
+    inverse_pseudo_fidelity,
+    pseudo_fidelity,
+    swap_fidelity,
+)
 from .purification import (
     _GRID_TOL,
     _pareto_sets,
@@ -144,6 +171,75 @@ def _first_k_order(
     first k (ties in frontier order)."""
     entries = _frontier(budget, f_e, delta_f, delta_xi, mode)
     return tuple(sorted(((_first_k(e.f_hat, delta_phi), e) for e in entries), key=itemgetter(0)))
+
+
+@lru_cache(maxsize=FRONTIER_CACHE_SIZE)
+def _least_charge(budget: int, f_e: float, delta_phi: float, delta_f: float, mode: str) -> int:
+    """A lower bound on k - 1, the phi charge in units of delta_phi, of
+    every table step of an edge at budget, for any delta_xi, built without
+    a frontier: the first k of a ceiling g on the f_hat of every entry of
+    _frontier(budget, ...), less one.
+
+    g[i] bounds the entries with at most i leaves.  Optimal mode runs the
+    gamma recursion on the delta_f grid: g[1] = f_e and g[i] = max(g[i-1],
+    up(max over k <= i/2 of F(g[k], g[i-k]))), F the raw purification map.
+    Pumping mode runs its chain: c = up(F(c, f_e)), g[i] = max(g[i-1], c).
+    up is the merge's rounding, but of F + 1e-12 and with no 1e-9 margin
+    taken off, so float asymmetry of F (a few ulps) cannot lift a merge
+    above it at any delta_f; it is monotone, so rounding the largest merge
+    alone gives the largest rounded one.  Every entry is a leaf (f_e) or
+    the merge of entries with fewer leaves, and F is increasing in both
+    arguments, so by induction g bounds every f_hat.  A larger f_hat has a
+    first k no larger, and a table step's k is at least its entry's first k.
+    """
+
+    def up(f):
+        return min(math.ceil((f + 1e-12) / delta_f) * delta_f, 1.0)
+
+    if mode == "optimal":
+        g = [math.nan, f_e]
+        for i in range(2, budget + 1):
+            merged = max(map(_purified_fidelity_raw, g[1 : i // 2 + 1], g[i - 1 : (i - 1) // 2 : -1]))
+            g.append(max(g[i - 1], up(merged)))
+        top = g[budget]
+    elif mode == "pumping":
+        top = cur = f_e
+        for _ in range(budget - 1):
+            cur = up(_purified_fidelity_raw(cur, f_e))
+            top = max(top, cur)
+    else:
+        raise ValueError(f"unknown schedule mode {mode!r}")
+    return _first_k(top, delta_phi) - 1
+
+
+def _charge_to_sink(
+    net: QuantumNetwork, s, t, limit: int, delta_phi: float, delta_f: float, mode: str
+) -> dict:
+    """LB(v) for every node v != s with LB(v) <= limit: the least sum of
+    _least_charge over the edges of any v-t path in the physical network
+    that avoids s, by one Dijkstra from t.  The search never enters s, and
+    the bound ignores copy indices and simplicity, so no path it can extend
+    a label along from v to t charges less than LB(v)*delta_phi.  Edges out
+    of the nodes left out are never charged."""
+    dist = {t: 0}
+    done = set()
+    counter = itertools.count()
+    heap = [(0, next(counter), t)]
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for w in net.neighbors(u):
+            if w == s or w in done:
+                continue
+            edge = net.edge(u, w)
+            budget = min(edge.capacity, net.node(u).qubits, net.node(w).qubits)
+            d2 = d + _least_charge(budget, edge.fidelity, delta_phi, delta_f, mode)
+            if d2 <= limit and d2 < dist.get(w, _INF):
+                dist[w] = d2
+                heapq.heappush(heap, (d2, next(counter), w))
+    return dist
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -348,24 +444,29 @@ def _search(
     pools: dict = {}
     counter = itertools.count()
     heap: list = []
-    pushed = expanded = rejected = killed = skipped = dead_pops = 0
+    pushed = expanded = rejected = killed = skipped = dead_pops = pruned = 0
     # per-search memos: vertex -> the arcs out of it, as (head, pool key,
-    # copy, (str(v),), successor key, edge, m, psi_v); successor key
+    # copy, (str(v),), successor key, edge, m, psi_v, LB(v)); successor key
     # (id(edge), m) -> (edge cost, ((k, entry, psi_e, (k-1)*delta_phi, arc), ...))
     arc_memo: dict = {}
     succ_memo: dict = {}
     psi_floor = psi0 - _TOL
     phi_floor = phi0 - 1e-9
+    phi_low = phi0 - 2e-9
+    # no label has more credit than the root's 0, so none can use an LB(v)
+    # above the root's room; such nodes are left out, as if unreachable
+    to_sink = _charge_to_sink(net, aux.s, aux.t, int(-phi_low / delta_phi), delta_phi, delta_f, mode)
 
     def arcs_of(vertex):
         arcs = []
         for head, m, edge in aux.out_arcs(vertex):
             if edge is None:
-                arcs.append((head, head, 0, None, None, None, 0, None))
+                arcs.append((head, head, 0, None, None, None, 0, None, None))
             else:
                 v, j = head
                 psi_v = 0.0 if v == aux.t else math.log(net.node(v).swap_prob)
-                arcs.append((head, v, j, (str(v),), (id(edge), m), edge, m, psi_v))
+                lb = to_sink.get(v, _INF)
+                arcs.append((head, v, j, (str(v),), (id(edge), m), edge, m, psi_v, lb))
         return arcs
 
     def successors(edge, m):
@@ -405,7 +506,10 @@ def _search(
         path = lab.path
         depth = len(path)
         kmax = int(math.floor((phi_credit - phi0) / delta_phi + 1e-9)) + 1
-        for head, key, j, pkey_v, succ_key, edge, m, psi_v in arcs:
+        # a step k into v with k - 1 + LB(v) > kroom - 1 cannot reach t (see
+        # the module docstring); phi_credit >= phi_floor, so int() floors
+        kroom = int((phi_credit - phi_low) / delta_phi) + 1
+        for head, key, j, pkey_v, succ_key, edge, m, psi_v, lb in arcs:
             if edge is None:
                 # zero-cost virtual hop into the sink
                 pool = pools.get(key)
@@ -422,6 +526,13 @@ def _search(
                 continue
             if kmax < 1 or key in path:
                 continue
+            kcap = kroom - lb
+            if kcap < kmax:
+                pruned += 1
+                if kcap < 1:
+                    continue
+            else:
+                kcap = kmax
             succ = succ_memo.get(succ_key)
             if succ is None:
                 succ = succ_memo[succ_key] = successors(edge, m)
@@ -431,7 +542,7 @@ def _search(
             pool = pools.get(key)
             last_psi = -_INF
             for k, entry, psi_e, phi_charge, arc in steps:
-                if k > kmax:
+                if k > kcap:
                     break
                 # _ceil_to_grid of the path log-throughput, inlined; psi_base is the
                 # first partial sum of psi_v + psi_hat + psi_e - psi_b, so each value
@@ -495,6 +606,7 @@ def _search(
         stats["killed"] = killed
         stats["skipped"] = skipped
         stats["dead_pops"] = dead_pops
+        stats["pruned"] = pruned
     return results
 
 

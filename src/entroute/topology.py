@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -43,8 +43,8 @@ class TopologySpec:
             raise ValueError(f"unknown topology kind {self.kind!r}")
         if self.kind == "waxman" and self.n < 2:
             raise ValueError("waxman graphs need n >= 2")
-        if self.kind == "grid" and self.rows * self.cols < 2:
-            raise ValueError("grid needs at least 2 nodes")
+        if self.kind == "grid" and (min(self.rows, self.cols) < 1 or self.rows * self.cols < 2):
+            raise ValueError("grid needs rows, cols >= 1 and at least 2 nodes")
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
         if not 0.8 <= self.fidelity_lo < self.fidelity_hi <= 1.0:
@@ -52,7 +52,35 @@ class TopologySpec:
             raise ValueError("fidelity range must sit within [0.8, 1.0]")
 
 
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# the JSON values each TopologySpec annotation accepts
+_JSON_TYPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (_integer, "an integer"),
+    "float": (lambda v: _integer(v) or isinstance(v, float), "a number"),
+    "Optional[int]": (lambda v: v is None or _integer(v), "an integer or null"),
+}
+
+
 def spec_from_json(d: dict) -> TopologySpec:
+    """A TopologySpec from a JSON object.  A missing kind, an unknown
+    field or a value of the wrong JSON type raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a topology must be a JSON object, got {d!r}")
+    if "kind" not in d:
+        raise ValueError("a topology needs a 'kind'")
+    annotations = {f.name: f.type for f in fields(TopologySpec)}
+    for key, value in d.items():
+        if key not in annotations:
+            raise ValueError(
+                f"unknown topology field {key!r}; known fields: {', '.join(annotations)}"
+            )
+        test, wanted = _JSON_TYPES[annotations[key]]
+        if not test(value):
+            raise ValueError(f"topology field {key!r} must be {wanted}, got {value!r}")
     return TopologySpec(**d)
 
 

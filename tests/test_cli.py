@@ -410,6 +410,16 @@ def test_experiment_rejects_bad_sps_exits_2(capsys, tmp_path, alg):
         ("multiflow", "r_k", 0),
         ("multiflow", "weight_band", [3, 1]),
         ("multiflow", "weight_band", [-1, 2]),
+        ("purify-compare", "fidelities", 0.9),
+        ("purify-compare", "fidelities", [0.9, 0.4]),
+        ("purify-compare", "pairs_min", 0),
+        ("purify-compare", "pairs_max", 2.5),
+        ("strategy-compare", "lengths", 3),
+        ("strategy-compare", "lengths", [3, 0]),
+        ("strategy-compare", "pairs_per_hop", 0),
+        ("strategy-compare", "fidelity_band", [0.99, 0.85]),
+        ("strategy-compare", "fidelity_band", [0.3, 0.9]),
+        ("strategy-compare", "swap_success", 0),
         # a config field, read by route-compare: pseudo_fidelity needs F > 0.25
         ("route-compare", "thresholds", [0.2]),
         ("route-compare", "thresholds", [1.5]),
@@ -437,6 +447,41 @@ def test_experiment_rejects_bad_option_value_exits_2(capsys, tmp_path, scenario,
     assert code == 2 and out == ""
     assert f"'{option}'" in err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "topology, name",
+    [
+        ({"kind": "grid", "rowz": 3}, "'rowz'"),
+        ({"kind": "grid", "rows": "3", "cols": 3}, "'rows'"),
+        ({"kind": "grid", "rows": 3, "cols": 3, "capacity": True}, "'capacity'"),
+        ({"rows": 3, "cols": 3}, "'kind'"),
+        ({"kind": "grid", "rows": -1, "cols": -2}, "rows, cols >= 1"),
+    ],
+)
+def test_experiment_rejects_bad_topology_exits_2(capsys, tmp_path, topology, name):
+    # checked at config time, for every scenario, before any trial runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"scenario": "route-compare", "trials": 1, "topology": topology}),
+        encoding="utf-8",
+    )
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(outdir)
+    )
+    assert code == 2 and out == ""
+    assert name in err
+    assert not outdir.exists()
+
+
+def test_topo_gen_rejects_bad_spec_exits_2(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "grid", "rowz": 3}), encoding="utf-8")
+    out = tmp_path / "net.json"
+    code, _, err = run_cli(capsys, "topo", "gen", "--spec", str(spec), "--out", str(out))
+    assert code == 2 and "'rowz'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

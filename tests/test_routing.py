@@ -267,6 +267,22 @@ def test_sweep_staircase_matches_per_k_best_entry(f_e, budgets, delta_phis, grid
             assert [(k, _entry_key(e)) for k, e in got] == [(k, _entry_key(e)) for k, e in want]
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.floats(0.5, 1.0),
+    st.one_of(st.sampled_from([0.001, 0.005, 0.01, 0.02]), st.floats(1e-4, 0.05)),
+    st.sampled_from([(1e-4, 1e-4), (1e-3, 1e-3), (1e-2, 1e-3), (1e-3, 1e-2)]),
+    st.sampled_from(["optimal", "pumping"]),
+)
+def test_least_charge_bounds_every_step(budget, f_e, delta_phi, grid, mode):
+    """The charge built without a frontier is no more than that of the
+    edge's cheapest step: the first k of its full-budget first-k order."""
+    cheap = routing._least_charge(budget, f_e, delta_phi, grid[0], mode)
+    k_min = routing._first_k_order(budget, f_e, delta_phi, *grid, mode)[0][0]
+    assert 0 <= cheap <= k_min - 1
+
+
 def test_table_rejects_bad_arguments():
     with pytest.raises(ValueError, match="below pair_budget"):
         edge_throughput_table(4, 5, 0.8, 0.01, 1e-4, 1e-4, "optimal")
@@ -550,8 +566,10 @@ def test_label_invariants():
 #
 # It builds every candidate label before testing it against the pool, and
 # walks the arcs and throughput tables again for every label it expands.
-# _search tests the raw values first and memoizes arcs and successors per
-# search; the admissions, kills, heap pops and plans of the two must agree.
+# _search tests the raw values first, memoizes arcs and successors per
+# search, and never pushes a label whose phi credit is below the lower
+# bound on the charge to t; the plans of the two must agree, and so must
+# the admissions, kills and heap pops of the labels that pass that bound.
 
 _TOL = routing._TOL
 _INF = routing._INF
@@ -628,7 +646,11 @@ def _oracle_search(
     delta_xi: float,
     stats: Optional[dict],
     mode: str = "optimal",
+    keep=lambda lab: True,
 ) -> list[_OracleLabel]:
+    """The former search, which prunes nothing.  Its stats= count and
+    list only the labels that keep accepts (the root always counts), with
+    the pools in the order of their first such candidate."""
     if phi0 > _TOL:
         raise ValueError("phi0 must be <= 0")
     if delta_phi <= 0 or delta_psi <= 0:
@@ -641,21 +663,26 @@ def _oracle_search(
     heap: list = []
     pushed = 0
     expanded = 0
+    kept_pools: dict = {}  # pool keys in the order of their first kept candidate
 
     def push(lab: _OracleLabel):
         nonlocal pushed
         key = lab.vertex[0] if lab.vertex[0] != "__virtual__" else lab.vertex
+        kept = keep(lab)
+        if kept:
+            kept_pools.setdefault(key)
         if _try_insert(pools.setdefault(key, []), lab, R):
             heapq.heappush(
                 heap,
                 (lab.cost, len(lab.path) - 1, tuple(map(str, lab.path)), next(counter), lab),
             )
-            pushed += 1
+            pushed += kept
 
     source_copies = aux.copy_indices(aux.s)
     if source_copies:
         root = _OracleLabel(0.0, 0.0, _INF, _INF, (aux.s,), (aux.s, max(source_copies)), None, None)
         pools[aux.s] = [root]
+        kept_pools[aux.s] = None
         heapq.heappush(heap, (0.0, 0, (str(aux.s),), next(counter), root))
 
     results: list[_OracleLabel] = []
@@ -668,7 +695,7 @@ def _oracle_search(
             if len(results) >= R:
                 break
             continue
-        expanded += 1
+        expanded += lab.parent is None or keep(lab)
         for head, m, edge in aux.out_arcs(lab.vertex):
             if edge is None:
                 # zero-cost virtual hop into the sink
@@ -719,9 +746,9 @@ def _oracle_search(
 
     if stats is not None:
         per_vertex: dict = {}
-        for key, pool in pools.items():
-            for e in pool:
-                if e.alive:
+        for key in kept_pools:
+            for e in pools[key]:
+                if e.alive and (e.parent is None or keep(e)):
                     per_vertex.setdefault(e.vertex, []).append(e)
         stats["pushed"] = pushed
         stats["expanded"] = expanded
@@ -773,20 +800,80 @@ def _plan_key(plan):
 @example(_grid_case(4, (5, 15), 3, 0.85), 3, "optimal", 0.005, 0.005)  # ~1,400 labels pushed
 @example(_grid_case(3, (5, 15), 4, 0.8), 3, "optimal", 0.005, 0.005)  # steps skipped, labels killed
 def test_search_matches_former_search(case, R, mode, delta_phi, delta_psi):
-    """Testing dominance on raw values before a label is built, and the
-    per-search arc and successor memos, change no admission, kill, heap pop
-    or plan: the stats and plans equal the former search's, in pool order."""
+    """Testing dominance on raw values before a label is built, the
+    per-search arc and successor memos, and the phi lower bound change no
+    plan, and no admission, kill or heap pop of a label the bound lets
+    through: the plans equal the former search's, and the stats equal its
+    stats over the labels the bound lets through, in pool order: those
+    whose step k into v from a parent with credit c has k - 1 + LB(v) <=
+    floor((c - phi0 + 2e-9)/delta_phi)."""
     aux, f0 = case
-    args = (aux, pseudo_fidelity(f0), math.log(0.2), delta_phi, delta_psi, R, 1e-4, 1e-4)
+    phi0 = pseudo_fidelity(f0)
+    args = (aux, phi0, math.log(0.2), delta_phi, delta_psi, R, 1e-4, 1e-4)
+    phi_low = phi0 - 2e-9
+    limit = int(-phi_low / delta_phi)
+    to_sink = routing._charge_to_sink(aux.net, aux.s, aux.t, limit, delta_phi, 1e-4, mode)
+
+    def passes(lab):
+        if lab.vertex == VIRTUAL_SINK:
+            return True
+        room = int((lab.parent.phi_credit - phi_low) / delta_phi)
+        return lab.arc[1] - 1 + to_sink.get(lab.vertex[0], math.inf) <= room
+
     got_stats, want_stats = {}, {}
     got = routing._search(*args, got_stats, mode)
-    want = _oracle_search(*args, want_stats, mode)
+    want = _oracle_search(*args, want_stats, mode, passes)
     assert [_plan_key(routing._plan_from_label(aux, lab, delta_phi)) for lab in got] == [
         _plan_key(routing._plan_from_label(aux, lab, delta_phi)) for lab in want
     ]
     for key in ("pushed", "expanded", "alive_per_vertex", "labels"):
         assert got_stats[key] == want_stats[key], key
     assert list(got_stats["labels"]) == list(want_stats["labels"])
+
+
+def test_charge_to_sink_is_least_path_charge():
+    """LB(v) is the least sum of the per-edge least charges over the
+    simple v-t paths that avoid s, found by enumerating them, and exactly
+    the nodes with such a path and LB(v) <= limit have one."""
+    cut = 0
+    for seed in range(8):
+        net, s, t, _ = rand_net(seed)
+        for mode in ("optimal", "pumping"):
+            want = {}
+            for v in net.nodes:
+                for nodes in routing._simple_paths(net, v, t):
+                    if s in nodes:
+                        continue
+                    total = 0
+                    for a, b in zip(nodes, nodes[1:]):
+                        e = net.edge(a, b)
+                        budget = min(e.capacity, net.node(a).qubits, net.node(b).qubits)
+                        total += routing._least_charge(budget, e.fidelity, 0.005, 1e-4, mode)
+                    want[v] = min(total, want.get(v, total))
+            for limit in (10**9, max(max(want.values()) - 1, 0)):
+                got = routing._charge_to_sink(net, s, t, limit, 0.005, 1e-4, mode)
+                assert got == {v: d for v, d in want.items() if d <= limit}, (seed, mode, limit)
+                cut += len(got) < len(want) and max(got.values()) > 0
+    assert cut > 0  # some limit leaves out nodes and keeps a charged one
+
+
+def test_phi_bound_prunes_and_keeps_the_optimum():
+    """A pinned 2x4 grid query on which the bound caps some arcs, and
+    the search still returns the exhaustive oracle's path and allocation."""
+    spec = topology.TopologySpec(
+        kind="grid", rows=2, cols=4, capacity=3, qubit_allowance=1,
+        fidelity_mu=0.95, fidelity_lo=0.9, seed=3,
+    )
+    net = topology.generate(spec)
+    f0, q0 = 0.8, 0.01
+    oracle = brute_force_route(net, 0, 7, f0, q0)
+    aux = build_aux_graph(net, 0, 7)
+    phi0, psi0 = pseudo_fidelity(f0), math.log(q0)
+    dphi, dpsi = discretization_steps(aux, phi0, psi0, 0.05)
+    stats = {}
+    plan = min_cost_path(aux, phi0, psi0, dphi, dpsi, delta_f=1e-6, delta_xi=1e-6, stats=stats)
+    assert stats["pruned"] > 0
+    assert (plan.nodes, plan.pair_counts, plan.cost) == (oracle.nodes, oracle.pair_counts, oracle.cost)
 
 
 # --- label engine: frontier nesting, incremental recount, bounded caches ---
@@ -986,12 +1073,14 @@ def test_routing_caches_stay_bounded():
     for i in range(n):
         f_e = 0.6 + 0.3 * i / n
         routing.edge_throughput_table(1, 1, f_e, 0.01, 1e-4, 1e-4, "optimal")
+        routing._least_charge(1, f_e, 0.01, 1e-4, "optimal")
         routing._fronts(1, f_e)
     # every cache saw more keys than it may hold: each is full, not over
     for cache, bound in (
         (routing.edge_throughput_table, routing.TABLE_CACHE_SIZE),
         (routing._frontier, routing.FRONTIER_CACHE_SIZE),
         (routing._first_k_order, routing.FRONTIER_CACHE_SIZE),
+        (routing._least_charge, routing.FRONTIER_CACHE_SIZE),
         (routing._fronts, routing.FRONTS_CACHE_SIZE),
     ):
         info = cache.cache_info()
