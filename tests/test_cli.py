@@ -410,16 +410,6 @@ def test_experiment_rejects_bad_sps_exits_2(capsys, tmp_path, alg):
         ("multiflow", "r_k", 0),
         ("multiflow", "weight_band", [3, 1]),
         ("multiflow", "weight_band", [-1, 2]),
-        ("purify-compare", "fidelities", 0.9),
-        ("purify-compare", "fidelities", [0.9, 0.4]),
-        ("purify-compare", "pairs_min", 0),
-        ("purify-compare", "pairs_max", 2.5),
-        ("strategy-compare", "lengths", 3),
-        ("strategy-compare", "lengths", [3, 0]),
-        ("strategy-compare", "pairs_per_hop", 0),
-        ("strategy-compare", "fidelity_band", [0.99, 0.85]),
-        ("strategy-compare", "fidelity_band", [0.3, 0.9]),
-        ("strategy-compare", "swap_success", 0),
         # a config field, read by route-compare: pseudo_fidelity needs F > 0.25
         ("route-compare", "thresholds", [0.2]),
         ("route-compare", "thresholds", [1.5]),
@@ -432,6 +422,17 @@ def test_experiment_rejects_bad_sps_exits_2(capsys, tmp_path, alg):
         ("route-compare", "topology", "grid"),
         ("route-compare", "algorithms", [1]),
         ("multiflow", "options", [["flows", 2]]),
+        # purify-compare and strategy-compare option values
+        ("purify-compare", "fidelities", 0.9),
+        ("purify-compare", "fidelities", [0.9, 0.4]),
+        ("purify-compare", "pairs_min", 0),
+        ("purify-compare", "pairs_max", 2.5),
+        ("strategy-compare", "lengths", 3),
+        ("strategy-compare", "lengths", [3, 0]),
+        ("strategy-compare", "pairs_per_hop", 0),
+        ("strategy-compare", "fidelity_band", [0.99, 0.85]),
+        ("strategy-compare", "fidelity_band", [0.3, 0.9]),
+        ("strategy-compare", "swap_success", 0),
     ],
 )
 def test_experiment_rejects_bad_option_value_exits_2(capsys, tmp_path, scenario, option, value):

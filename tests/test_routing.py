@@ -567,9 +567,9 @@ def test_label_invariants():
 # It builds every candidate label before testing it against the pool, and
 # walks the arcs and throughput tables again for every label it expands.
 # _search tests the raw values first, memoizes arcs and successors per
-# search, and never pushes a label whose phi credit is below the lower
-# bound on the charge to t; the plans of the two must agree, and so must
-# the admissions, kills and heap pops of the labels that pass that bound.
+# search, and drops the steps whose charge plus a lower bound on the charge
+# on to t exceeds the label's phi credit; the plans of the two must agree,
+# and so must the admissions, kills and heap pops of the labels it keeps.
 
 _TOL = routing._TOL
 _INF = routing._INF
@@ -802,10 +802,10 @@ def _plan_key(plan):
 def test_search_matches_former_search(case, R, mode, delta_phi, delta_psi):
     """Testing dominance on raw values before a label is built, the
     per-search arc and successor memos, and the phi lower bound change no
-    plan, and no admission, kill or heap pop of a label the bound lets
-    through: the plans equal the former search's, and the stats equal its
-    stats over the labels the bound lets through, in pool order: those
-    whose step k into v from a parent with credit c has k - 1 + LB(v) <=
+    plan, and no admission, kill or heap pop of a label the bound keeps:
+    the plans equal the former search's, and the stats equal its stats
+    over those labels, in pool order.  The bound keeps a label whose step
+    k into v from a parent with credit c has k - 1 + LB(v) <=
     floor((c - phi0 + 2e-9)/delta_phi)."""
     aux, f0 = case
     phi0 = pseudo_fidelity(f0)
