@@ -121,17 +121,40 @@ def _parse_chain(text: str) -> RepeaterChain:
     return RepeaterChain(obj)
 
 
+# rows joined per write: the scan CSV is written a bounded block at a time,
+# never held whole (the 0.01-step scan is 2.5M rows)
+_SCAN_BLOCK_ROWS = 1024
+
+
+class _CoordText(dict):
+    """Grid coordinate -> its ``.6g`` text, formatted on first lookup.  Scan
+    coordinates are >= 0.5, so no key is -0.0, which would share 0.0's
+    entry."""
+
+    def __missing__(self, x):
+        text = self[x] = f"{x:.6g}"
+        return text
+
+
+def _write_scan(fh, rows) -> None:
+    """The scan CSV from (a, b, c, d, delta, winner) rows.  No field needs
+    quoting (numbers, nan/inf, pas/sap/tie), so joined lines are the bytes
+    csv.writer would write."""
+    text = _CoordText()
+    fh.write("a,b,c,d,delta,winner\n")
+    while lines := [
+        f"{text[a]},{text[b]},{text[c]},{text[d]},{delta:.12g},{winner}\n"
+        for a, b, c, d, delta, winner in itertools.islice(rows, _SCAN_BLOCK_ROWS)
+    ]:
+        fh.write("".join(lines))
+
+
 def _cmd_strategy(args) -> int:
     if args.mode == "scan":
         points = scan_points(args.region, args.step)
         first = next(points)  # checks the step before --out is created
         with _opened(args.out) as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(("a", "b", "c", "d", "delta", "winner"))
-            for a, b, c, d, delta, winner in itertools.chain((first,), points):
-                w.writerow(
-                    (f"{a:.6g}", f"{b:.6g}", f"{c:.6g}", f"{d:.6g}", f"{delta:.12g}", winner)
-                )
+            _write_scan(fh, itertools.chain((first,), points))
         return 0
     if args.chain is None or args.policy is None:
         raise ValueError("--chain and --policy are required")
@@ -353,6 +376,13 @@ def main(argv=None) -> int:
     except (FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`entroute ... | head`): exit as SIGPIPE
+        # would, with stdout on devnull so the flush at exit has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
 
 
 if __name__ == "__main__":

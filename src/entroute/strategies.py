@@ -180,6 +180,10 @@ def success_margin(a: float, b: float, c: float, d: float, p_s: float = 0.818) -
     ) - p_s * purification_success_prob(swap_fidelity([a, c]), swap_fidelity([b, d]))
 
 
+# the finest grid step a scan accepts: a step of 1e-10 would ask for a
+# 5e9-point axis, and 1e-320 overflows the point count
+_MIN_STEP = 0.001
+
 # (a, b) range and (c, d) range of each scanned region
 _REGIONS = {
     "lemma1": ((0.5, 1.0), (0.7, 1.0)),
@@ -218,11 +222,11 @@ def _margin_block(a, b, c, d, p_s):
 def _blocks(region: str, step: float, block_fn):
     """Walk a region's 4-d grid one a-slice at a time; yields
     (a, b, c, d, values) with a, b, c, d shaped to broadcast against
-    values."""
+    values.  step must lie in [0.001, 0.1]."""
     if region not in _REGIONS:
         raise ValueError(f"unknown region {region!r}")
-    if not 0.0 < step <= 0.1:
-        raise ValueError("step must lie in (0, 0.1]")
+    if not _MIN_STEP <= step <= 0.1:
+        raise ValueError(f"step must lie in [{_MIN_STEP:g}, 0.1]")
     ab, cd = (_grid(lo, hi, step) for lo, hi in _REGIONS[region])
     b = ab[None, :, None, None]
     c = cd[None, None, :, None]
@@ -245,7 +249,7 @@ def _scan_region(region: str, step: float, block_fn):
 
 def lemma1_scan(step: float, regions: Iterable[str] = ("lemma1", "low", "success"), p_s: float = 0.818) -> dict:
     """Grid scans of the purify-first advantage over the regions of
-    _REGIONS; step must lie in (0, 0.1].
+    _REGIONS; step must lie in [0.001, 0.1].
 
     - 'lemma1': counts fidelity violations (delta below -1e-12; exact-zero
       boundary ties are not violations).
@@ -278,7 +282,8 @@ def lemma1_scan(step: float, regions: Iterable[str] = ("lemma1", "low", "success
 
 def scan_points(region: str, step: float):
     """Per-point rows (a, b, c, d, delta, winner) for CSV export, one
-    a-slice of the region at a time; delta equals lemma1_delta."""
+    a-slice of the region at a time; delta equals lemma1_delta.  step
+    must lie in [0.001, 0.1]."""
     for *axes, deltas in _blocks(region, step, partial(_delta_block, swap=_swap_block)):
         a_vals, b_vals, c_vals, d_vals = (x.ravel().tolist() for x in axes)
         # one d-row of Python floats at a time: converting whole slices, or

@@ -5,7 +5,7 @@ traced runs, so this test installs the tracer, runs one small route-compare
 experiment, one multi-flow candidate search and one ``strategy scan``, and
 checks that the search, table, frontier and scan layers all counted
 something, the label counts the search reports through its stats= dict
-included.  It runs in a subprocess so that the wrappers cannot leak into
+included, and that the scan counted exactly the CSV's data rows.  It runs in a subprocess so that the wrappers cannot leak into
 other tests.
 """
 
@@ -31,8 +31,11 @@ experiments.run_experiment(cfg)
 net = topology.generate(topology.TopologySpec(kind="grid", rows=2, cols=2, capacity=4, seed=0))
 multiflow.flow_candidates(net, multiflow.FlowRequest("f", 0, 3, 0.8, 1.0, 2), 0.2)
 with tempfile.TemporaryDirectory() as tmp:
-    assert cli.main(["strategy", "scan", "--step", "0.1", "--out", os.path.join(tmp, "scan.csv")]) == 0
-print(json.dumps(layer_metrics(tracer, 0.0)))
+    scan = os.path.join(tmp, "scan.csv")
+    assert cli.main(["strategy", "scan", "--step", "0.1", "--out", scan]) == 0
+    with open(scan, encoding="utf-8") as fh:
+        scan_rows = sum(1 for _ in fh) - 1
+print(json.dumps({"scan_rows": scan_rows, **layer_metrics(tracer, 0.0)}))
 """
 
 
@@ -59,3 +62,5 @@ def test_tracer_sees_search_table_and_frontier_layers():
         assert metrics[name] > 0, (name, metrics)
     # one route-compare query and one k-paths call
     assert metrics["routing.search_calls"] == 2
+    # every CSV data row came through the generator the tracer wraps
+    assert metrics["strategies.scan_points"] == metrics["scan_rows"]

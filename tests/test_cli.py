@@ -132,10 +132,10 @@ def test_strategy_scan_csv(capsys, tmp_path):
 
 def test_strategy_scan_rejects_bad_step(capsys, tmp_path):
     out_path = tmp_path / "scan.csv"
-    for step in ("0", "-0.01"):
+    for step in ("0", "-0.01", "1e-320", "0.0009"):
         code, stdout, err = run_cli(capsys, "strategy", "scan", "--step", step, "--out", str(out_path))
         assert code == 2 and stdout == ""
-        assert "step must lie in (0, 0.1]" in err
+        assert "step must lie in [0.001, 0.1]" in err
         assert not out_path.exists()
 
 
@@ -504,15 +504,36 @@ def test_experiment_rejects_non_object_config_exits_2(capsys, tmp_path, config, 
     assert not outdir.exists()
 
 
-def test_python_m_entroute_runs_from_a_checkout(tmp_path):
-    # run from a directory outside the checkout, with only src on the path
+def _checkout_env():
+    # only the checkout's src on the path, whatever is installed
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_python_m_entroute_runs_from_a_checkout(tmp_path):
+    # run from a directory outside the checkout
     out = tmp_path / "report.txt"
     proc = subprocess.run(
         [sys.executable, "-m", "entroute", "verify", "--suite", "lemma1", "--out", str(out)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        capture_output=True, text=True, env=_checkout_env(), cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("suite lemma1: PASS\n")
     assert out.read_text(encoding="utf-8") == proc.stdout
+
+
+def test_closed_stdout_exits_141_without_traceback(tmp_path):
+    # `entroute strategy scan | head -2`: the reader leaves after a few bytes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "entroute", "strategy", "scan", "--step", "0.02"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_checkout_env(), cwd=tmp_path,
+    )
+    try:
+        assert proc.stdout.read(64).startswith(b"a,b,c,d,delta,winner\n")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 141
+    assert err == b""

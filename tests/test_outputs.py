@@ -2,8 +2,9 @@
 
 A change that keeps the results keeps these digests: the `verify --suite
 all` report, the CSV body (without the runtime_ms column) and
-summary.json of two small `experiment run` configs, and the candidate
-plans of six flows contending for one small grid.  A change meant to
+summary.json of two small `experiment run` configs, the candidate
+plans of six flows contending for one small grid, and the `strategy scan`
+CSV of two regions.  A change meant to
 alter a result updates the digest here and says why.
 """
 
@@ -67,6 +68,28 @@ def test_experiment_outputs_are_pinned(capsys, tmp_path, config, rows, body_dige
     assert not any(row[3] == "error" for row in body)
     assert _sha256(json.dumps(body).encode()) == body_digest
     assert _sha256((out / "summary.json").read_bytes()) == summary_digest
+
+
+@pytest.mark.parametrize(
+    "region, step, rows, digest",
+    [
+        # the benchmark's purify-scan command
+        ("lemma1", "0.02", 173056, "3c23ac592d4dafe891a6d3fcd3d0a5e65b735b78a96c9cc784909b6e557e3ea7"),
+        ("low", "0.05", 625, "b7699bc0d722b7eeded79c1538983cd092714b40716d398c287c7e4b9c7a2075"),
+    ],
+    ids=["lemma1-0.02", "low-0.05"],
+)
+def test_strategy_scan_csv_is_pinned(capsys, tmp_path, region, step, rows, digest):
+    out = tmp_path / "scan.csv"
+    args = ["strategy", "scan", "--region", region, "--step", step]
+    assert main(args + ["--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == rows + 1
+    assert _sha256(data) == digest
+    # stdout carries the same bytes as the file
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode() == data
 
 
 def test_contended_candidates_are_pinned():

@@ -162,8 +162,9 @@ def test_lemma1_scan_coarse():
     assert report["low"]["win_fraction"] == 1.0
     assert report["low"]["min_delta"] > 0
     assert report["success"]["min_margin"] > 0
-    with pytest.raises(ValueError):
-        lemma1_scan(0.5)
+    for step in (0.5, 0.0009, 1e-320):
+        with pytest.raises(ValueError, match=r"step must lie in \[0.001, 0.1\]"):
+            lemma1_scan(step)
 
 
 def test_scan_points_rows():
