@@ -5,8 +5,8 @@ traced runs, so this test installs the tracer, runs one small route-compare
 experiment, one multi-flow candidate search and one ``strategy scan``, and
 checks that the search, table, frontier and scan layers all counted
 something, the label counts the search reports through its stats= dict
-included, and that the scan counted exactly the CSV's data rows.  It runs in a subprocess so that the wrappers cannot leak into
-other tests.
+included, and that the scan counted exactly the CSV's data rows.  It runs
+in a subprocess so that the wrappers cannot leak into other tests.
 """
 
 import json

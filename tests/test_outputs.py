@@ -4,8 +4,8 @@ A change that keeps the results keeps these digests: the `verify --suite
 all` report, the CSV body (without the runtime_ms column) and
 summary.json of two small `experiment run` configs, the candidate
 plans of six flows contending for one small grid, and the `strategy scan`
-CSV of two regions.  A change meant to
-alter a result updates the digest here and says why.
+CSV of two regions.  A change meant to alter a result updates the digest
+here and says why.
 """
 
 import csv
