@@ -23,7 +23,7 @@ import sys
 from contextlib import nullcontext
 
 from .auxgraph import build_aux_graph
-from .experiments import config_from_json, run_experiment
+from .experiments import _COUNT, _FIDELITY, _number, config_from_json, run_experiment
 from .multiflow import FlowRequest, multiflow_solve
 from .network import QuantumNetwork
 from .pair_algebra import pseudo_fidelity
@@ -45,7 +45,7 @@ from .strategies import (
     swap_and_purify,
     swap_purify_swap,
 )
-from .topology import generate, spec_from_json
+from .topology import _integer, generate, spec_from_json
 from .verify import SUITES, render, run_suite
 
 
@@ -79,6 +79,8 @@ def _load_json(path):
 
 
 def _cmd_purify(args) -> int:
+    if not 0.5 <= args.fe <= 1.0:
+        raise ValueError(f"--fe={args.fe!r} outside [0.5, 1]")
     if args.baseline == "symmetric":
         tree = symmetric_schedule(args.n)
     elif args.baseline == "pumping":
@@ -115,10 +117,22 @@ def _cmd_purify(args) -> int:
 
 
 def _parse_chain(text: str) -> RepeaterChain:
+    """--chain: a JSON list of hops, each a non-empty list of pair
+    fidelities, or an object with such "hops" and a "swap_success"."""
     obj = json.loads(text)
-    if isinstance(obj, dict):
-        return RepeaterChain(obj["hops"], obj.get("swap_success", 1.0))
-    return RepeaterChain(obj)
+    fields = obj if isinstance(obj, dict) else {"hops": obj}
+    hops, swap_success = fields.get("hops"), fields.get("swap_success", 1.0)
+    if not (
+        fields.keys() <= {"hops", "swap_success"}
+        and isinstance(hops, list)
+        and all(isinstance(h, list) and h and all(map(_number, h)) for h in hops)
+        and _number(swap_success)
+    ):
+        raise ValueError(
+            "--chain must be a list of non-empty lists of numbers, or an object with "
+            f"such 'hops' and a number 'swap_success'; got {text}"
+        )
+    return RepeaterChain(hops, swap_success)
 
 
 # rows joined per write: the scan CSV is written a bounded block at a time,
@@ -225,27 +239,50 @@ def _cmd_route(args) -> int:
 # multiflow
 
 
+def _flows_from_json(rows, net: QuantumNetwork, rk: int) -> list:
+    """The FlowRequests of a --flows file: a JSON list of objects, each
+    with the keys below ("rk" defaults to --rk) and values that meet their
+    rules.  Anything else raises ValueError."""
+    node = (lambda v: (isinstance(v, str) or _number(v)) and v in net.nodes, "a network node")
+    rules = {
+        "id": (lambda v: isinstance(v, str) or _integer(v), "a string or an integer"),
+        "src": node,
+        "dst": node,
+        "f0": _FIDELITY,
+        "weight": (lambda v: _number(v) and 0 <= v < math.inf, "a finite number >= 0"),
+        "rk": _COUNT,
+    }
+    if not isinstance(rows, list):
+        raise ValueError(f"a flows file must hold a JSON list, got {rows!r}")
+    flows = []
+    for n, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"flow {n} must be a JSON object, got {row!r}")
+        row = {"rk": rk, **row}
+        for key, value in row.items():
+            if key not in rules:
+                raise ValueError(f"flow {n}: unknown key {key!r}; known keys: {', '.join(rules)}")
+            if not rules[key][0](value):
+                raise ValueError(f"flow {n}: {key!r} must be {rules[key][1]}, got {value!r}")
+        if missing := rules.keys() - row.keys():
+            raise ValueError(f"flow {n} lacks {', '.join(map(repr, sorted(missing)))}")
+        flows.append(
+            FlowRequest(row["id"], row["src"], row["dst"], row["f0"], row["weight"], row["rk"])
+        )
+    return flows
+
+
 def _cmd_multiflow(args) -> int:
     net = QuantumNetwork.load(args.net)
     seed = _env_seed()
     if seed is None:
         seed = args.seed
-    flows = [
-        FlowRequest(
-            row["id"],
-            row["src"],
-            row["dst"],
-            row["f0"],
-            row["weight"],
-            row.get("rk", args.rk),
-        )
-        for row in _load_json(args.flows)
-    ]
+    flows = _flows_from_json(_load_json(args.flows), net, args.rk)
     res = multiflow_solve(flows, net, args.eps, args.delta, seed, deltaq=args.deltaq)
     sel = res.selection
     _emit_json(
         {
-            "selection": None if sel is None else [None if i is None else int(i) for i in sel.chosen],
+            "selection": None if sel is None else sel.chosen,
             "total_weight": None if sel is None else sel.total_weight,
             "lp_objective": res.lp_objective,
             "trials": res.trials,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -49,48 +49,31 @@ class FlowRequest:
 @dataclass
 class FlowProgram:
     """max sum w_k x_ki  s.t.  node rows <= beta*Q_v, link rows <= C_l,
-    per-flow rows <= 1, x >= 0.  Columns are (flow, candidate) pairs."""
+    per-flow rows <= 1, x >= 0.  Columns are (flow, candidate) pairs,
+    contiguous per flow in flow order: flow k owns columns
+    offsets[k]:offsets[k + 1]."""
 
     flows: list
     candidates: list  # candidates[k] = list of RoutePlan for flows[k]
     beta: float
-    node_ids: list = field(init=False)
-    link_ids: list = field(init=False)
-    columns: list = field(init=False)  # (flow position, candidate position)
-    a: np.ndarray = field(init=False)  # qubits consumed: node x column
-    b: np.ndarray = field(init=False)  # pairs consumed: link x column
-    weights: np.ndarray = field(init=False)
-    node_budgets: np.ndarray = field(init=False)
-    link_capacities: np.ndarray = field(init=False)
+    node_ids: list
+    links: list  # the EdgeSpec of each link row
+    columns: list  # (flow position, candidate position)
+    offsets: list  # first column of each flow, then the column count
+    a: np.ndarray  # qubits consumed: node x column
+    b: np.ndarray  # pairs consumed: link x column
+    weights: np.ndarray
+    node_budgets: np.ndarray
+    link_capacities: np.ndarray
 
     def lp_arrays(self):
         """(c, A, ub) of the relaxed program; the discount applies to node
         rows only."""
-        rows = [self.a, self.b]
-        ub = [self.beta * self.node_budgets, self.link_capacities]
         flow_rows = np.zeros((len(self.flows), len(self.columns)))
-        for j, (k, _) in enumerate(self.columns):
-            flow_rows[k, j] = 1.0
-        rows.append(flow_rows)
-        ub.append(np.ones(len(self.flows)))
-        return self.weights, np.vstack(rows), np.concatenate(ub)
-
-    def column_usage(self, chosen: list) -> tuple[np.ndarray, np.ndarray]:
-        """Total node and link consumption of a 0/1 selection
-        (chosen[k] = candidate index or None)."""
-        x = np.zeros(len(self.columns))
-        for j, (k, i) in enumerate(self.columns):
-            if chosen[k] == i:
-                x[j] = 1.0
-        return self.a @ x, self.b @ x
-
-    def within_budgets(self, node_usage: np.ndarray, link_usage: np.ndarray) -> bool:
-        """Whether a usage fits the ORIGINAL undiscounted node budgets and
-        link capacities."""
-        return bool(
-            (node_usage <= self.node_budgets + 1e-9).all()
-            and (link_usage <= self.link_capacities + 1e-9).all()
-        )
+        for k, (lo, hi) in enumerate(itertools.pairwise(self.offsets)):
+            flow_rows[k, lo:hi] = 1.0
+        ub = [self.beta * self.node_budgets, self.link_capacities, np.ones(len(self.flows))]
+        return self.weights, np.vstack([self.a, self.b, flow_rows]), np.concatenate(ub)
 
 
 def build_program(flows, candidates, net: QuantumNetwork, beta: float) -> FlowProgram:
@@ -98,52 +81,30 @@ def build_program(flows, candidates, net: QuantumNetwork, beta: float) -> FlowPr
         raise ValueError("beta must lie in (0, 1]")
     if len(flows) != len(candidates):
         raise ValueError("one candidate pool per flow required")
-    prog = FlowProgram(list(flows), [list(c) for c in candidates], beta)
-    prog.node_ids = sorted(net.nodes, key=str)
-    prog.link_ids = sorted(
-        ((min(e.u, e.v, key=str), max(e.u, e.v, key=str)) for e in net.edges),
-        key=str,
+    flows, candidates = list(flows), [list(c) for c in candidates]
+    node_ids = sorted(net.nodes, key=str)
+    # link rows in the order of str((lo, hi)), lo the endpoint whose text sorts first
+    links = sorted(net.edges, key=lambda e: str((min(e.u, e.v, key=str), max(e.u, e.v, key=str))))
+    node_row = {v: r for r, v in enumerate(node_ids)}
+    link_row = {(u, v): r for r, e in enumerate(links) for u, v in ((e.u, e.v), (e.v, e.u))}
+    columns = [(k, i) for k, pool in enumerate(candidates) for i in range(len(pool))]
+    a = np.zeros((len(node_ids), len(columns)))
+    b = np.zeros((len(links), len(columns)))
+    for j, (k, i) in enumerate(columns):
+        plan: RoutePlan = candidates[k][i]
+        for u, v, m in zip(plan.nodes, plan.nodes[1:], plan.pair_counts):
+            a[node_row[u], j] += m
+            a[node_row[v], j] += m
+            b[link_row[u, v], j] += m
+    return FlowProgram(
+        flows, candidates, beta, node_ids, links, columns,
+        offsets=list(itertools.accumulate(map(len, candidates), initial=0)),
+        a=a,
+        b=b,
+        weights=np.array([flows[k].weight for k, _ in columns], dtype=float),
+        node_budgets=np.array([net.node(v).qubits for v in node_ids], dtype=float),
+        link_capacities=np.array([e.capacity for e in links], dtype=float),
     )
-    node_pos = {v: r for r, v in enumerate(prog.node_ids)}
-    link_pos = {l: r for r, l in enumerate(prog.link_ids)}
-    prog.columns = [
-        (k, i) for k, pool in enumerate(prog.candidates) for i in range(len(pool))
-    ]
-    n_cols = len(prog.columns)
-    prog.a = np.zeros((len(prog.node_ids), n_cols))
-    prog.b = np.zeros((len(prog.link_ids), n_cols))
-    prog.weights = np.array(
-        [prog.flows[k].weight for k, _ in prog.columns], dtype=float
-    )
-    for j, (k, i) in enumerate(prog.columns):
-        plan: RoutePlan = prog.candidates[k][i]
-        for v, used in _node_usage(plan).items():
-            prog.a[node_pos[v], j] = used
-        for (u, v), m in _link_usage(plan).items():
-            key = (min(u, v, key=str), max(u, v, key=str))
-            prog.b[link_pos[key], j] = m
-    prog.node_budgets = np.array(
-        [net.node(v).qubits for v in prog.node_ids], dtype=float
-    )
-    prog.link_capacities = np.array(
-        [net.edge(u, v).capacity for u, v in prog.link_ids], dtype=float
-    )
-    return prog
-
-
-def _node_usage(plan: RoutePlan) -> dict:
-    usage: dict = {}
-    for (u, v), m in zip(zip(plan.nodes, plan.nodes[1:]), plan.pair_counts):
-        usage[u] = usage.get(u, 0) + m
-        usage[v] = usage.get(v, 0) + m
-    return usage
-
-
-def _link_usage(plan: RoutePlan) -> dict:
-    return {
-        (u, v): m
-        for (u, v), m in zip(zip(plan.nodes, plan.nodes[1:]), plan.pair_counts)
-    }
 
 
 def solve_lp(prog: FlowProgram) -> tuple[np.ndarray, float]:
@@ -162,6 +123,24 @@ class RoundedSelection:
     node_usage: np.ndarray
     link_usage: np.ndarray
     feasible: bool
+
+
+def _evaluate(prog: FlowProgram, chosen) -> RoundedSelection:
+    """A 0/1 selection (chosen[k] = candidate index or None) with its usage,
+    its weight and whether it fits the ORIGINAL undiscounted node budgets
+    and link capacities."""
+    x = np.zeros(len(prog.columns))
+    weight = 0  # as sum() starts: nothing chosen weighs int 0, written as 0 in JSON
+    for k, i in enumerate(chosen):
+        if i is not None:
+            x[prog.offsets[k] + i] = 1.0
+            weight += prog.flows[k].weight
+    node_usage, link_usage = prog.a @ x, prog.b @ x
+    feasible = bool(
+        (node_usage <= prog.node_budgets + 1e-9).all()
+        and (link_usage <= prog.link_capacities + 1e-9).all()
+    )
+    return RoundedSelection(chosen, weight, node_usage, link_usage, feasible)
 
 
 def _select(xrow, u: float) -> Optional[int]:
@@ -186,22 +165,8 @@ def randomized_round(
     """One uniform draw per flow selects at most one candidate; feasibility
     is judged against the ORIGINAL undiscounted budgets."""
     draws = _trial_rng(seed, trial).random(len(prog.flows))
-    chosen: list = []
-    start = 0  # columns are contiguous per flow, in flow order
-    for k, pool in enumerate(prog.candidates):
-        chosen.append(_select(x[start:start + len(pool)], draws[k]))
-        start += len(pool)
-    node_usage, link_usage = prog.column_usage(chosen)
-    total = sum(
-        prog.flows[k].weight for k, i in enumerate(chosen) if i is not None
-    )
-    return RoundedSelection(
-        chosen=chosen,
-        total_weight=total,
-        node_usage=node_usage,
-        link_usage=link_usage,
-        feasible=prog.within_budgets(node_usage, link_usage),
-    )
+    spans = itertools.pairwise(prog.offsets)
+    return _evaluate(prog, [_select(x[lo:hi], u) for (lo, hi), u in zip(spans, draws)])
 
 
 def flow_candidates(
@@ -220,19 +185,15 @@ def flow_candidates(
 @dataclass
 class MultiflowResult:
     selection: Optional[RoundedSelection]
-    lp_solution: np.ndarray
     lp_objective: float
     trials: int
     feasible_trials: int
-    program: FlowProgram
 
     def to_json(self) -> dict:
         sel = None
         if self.selection is not None:
             sel = {
-                "chosen": [
-                    None if i is None else int(i) for i in self.selection.chosen
-                ],
+                "chosen": self.selection.chosen,
                 "total_weight": self.selection.total_weight,
             }
         return {
@@ -259,9 +220,7 @@ def multiflow_solve(
         raise ValueError("epsilon must lie in (0, 0.5)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    candidates = [
-        flow_candidates(net, fl, epsilon, deltaq=deltaq) for fl in flows
-    ]
+    candidates = [flow_candidates(net, fl, epsilon, deltaq=deltaq) for fl in flows]
     prog = build_program(flows, candidates, net, 1.0 - epsilon)
     x, lp_obj = solve_lp(prog)
     trials = max(1, math.ceil(math.log(1.0 / delta) / math.log(3.0)))
@@ -275,12 +234,7 @@ def multiflow_solve(
         if best is None or sel.total_weight > best.total_weight + 1e-12:
             best = sel
     return MultiflowResult(
-        selection=best,
-        lp_solution=x,
-        lp_objective=lp_obj,
-        trials=trials,
-        feasible_trials=feasible,
-        program=prog,
+        selection=best, lp_objective=lp_obj, trials=trials, feasible_trials=feasible
     )
 
 
@@ -306,9 +260,8 @@ def ilp_solve(prog: FlowProgram) -> tuple[list, float]:
     best_chosen: list = [None] * len(prog.flows)
     best_weight = 0.0
     for chosen in itertools.product(*([*range(p - 1, -1, -1), None] for p in pools)):
-        if prog.within_budgets(*prog.column_usage(chosen)):
-            w = sum(prog.flows[i].weight for i, c in enumerate(chosen) if c is not None)
-            if w > best_weight + 1e-12:
-                best_weight = w
-                best_chosen = list(chosen)
+        sel = _evaluate(prog, chosen)
+        if sel.feasible and sel.total_weight > best_weight + 1e-12:
+            best_weight = sel.total_weight
+            best_chosen = list(chosen)
     return best_chosen, best_weight

@@ -244,6 +244,57 @@ def test_multiflow_output_fields(capsys, grid_net, tmp_path):
         assert rec["total_weight"] <= rec["lp_objective"] / 0.8 + 1e-9
 
 
+_FLOW = {"id": "f1", "src": 0, "dst": 5, "f0": 0.75, "weight": 2.0}
+
+
+@pytest.mark.parametrize(
+    "flows, name",
+    [
+        (_FLOW, "JSON list"),
+        ([3], "JSON object"),
+        ([{**_FLOW, "f0": "0.75"}], "'f0'"),
+        ([{**_FLOW, "weight": "2"}], "'weight'"),
+        ([{**_FLOW, "rk": 2.5}], "'rk'"),
+        ([{**_FLOW, "rk": True}], "'rk'"),
+        ([{**_FLOW, "id": ["f1"]}], "'id'"),
+        ([{**_FLOW, "dst": 9}], "'dst'"),
+        ([{**_FLOW, "RK": 2}], "'RK'"),
+    ],
+    ids=[
+        "object", "row-3", "f0-text", "weight-text", "rk-2.5", "rk-true", "id-list", "dst-9", "key-RK"
+    ],
+)
+def test_multiflow_rejects_bad_flows_file_exits_2(capsys, grid_net, tmp_path, flows, name):
+    _, net_path = grid_net
+    path = tmp_path / "flows.json"
+    path.write_text(json.dumps(flows), encoding="utf-8")
+    out = tmp_path / "out.json"
+    code, stdout, err = run_cli(
+        capsys, "multiflow", "--net", str(net_path), "--flows", str(path), "--out", str(out)
+    )
+    assert code == 2 and stdout == ""
+    assert name in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "chain",
+    ["[0.9, 0.8]", '{"hops": 3}', "3", "[[true]]", '{"hops": [[0.9]], "swap_success": "1"}'],
+)
+def test_strategy_rejects_bad_chain_exits_2(capsys, chain):
+    code, out, err = run_cli(capsys, "strategy", "--chain", chain, "--policy", "pas")
+    assert code == 2 and out == ""
+    assert "--chain" in err
+
+
+@pytest.mark.parametrize("baseline", ["symmetric", "pumping"])
+@pytest.mark.parametrize("fe", ["0.3", "0.45"])
+def test_purify_checks_fe_in_every_mode_exits_2(capsys, baseline, fe):
+    code, out, err = run_cli(capsys, "purify", "--n", "4", "--fe", fe, "--baseline", baseline)
+    assert code == 2 and out == ""
+    assert "--fe" in err
+
+
 def test_topo_gen_deterministic(grid_net, tmp_path):
     spec_path, net_path = grid_net
     again = tmp_path / "again.json"

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from entroute.multiflow import (
     solve_lp,
 )
 from entroute.network import EdgeSpec, NodeSpec, QuantumNetwork
+from entroute.topology import sample_flows
+from entroute.verify import rounding_mc_instance
 
 
 def star_net(qv=3, f=0.92, cap=2):
@@ -177,6 +181,16 @@ def test_lp_ilp_rounding_ordering():
             assert sel.total_weight <= ilp_w + 1e-9
 
 
+def test_selections_are_judged_against_original_budgets():
+    # both flows need 2 qubits at the hub: 4 fit Q_v = 4, not beta * Q_v = 3
+    prog = star_program(qv=4, weights=(2.0, 1.0), beta=0.75)
+    assert ilp_solve(prog) == ([0, 0], 3.0)
+    x, _ = solve_lp(prog)
+    sels = [randomized_round(prog, x, seed=3, trial=t) for t in range(40)]
+    assert any(sel.chosen == [0, 0] for sel in sels)
+    assert all(sel.feasible for sel in sels)
+
+
 def test_lemma_tail_bound_and_mean_weight():
     prog = star_program(qv=4, weights=(2.0, 1.0))
     x, lp_obj = solve_lp(prog)
@@ -275,3 +289,61 @@ def test_ilp_guard():
     if all(len(c) >= 3 for c in cands):
         with pytest.raises(ValueError):
             ilp_solve(prog)
+
+
+@pytest.fixture(scope="module")
+def contended():
+    # the six flows of test_outputs' pinned contended candidates
+    net, _ = rounding_mc_instance(0)
+    flows = sample_flows(net, 6, seed=1, f0=0.97, r_k=3)
+    cands = [flow_candidates(net, fl, 0.2) for fl in flows]
+    assert [len(c) for c in cands] == [0, 3, 0, 3, 3, 3]
+    return net, flows, cands, build_program(flows, cands, net, 0.8)
+
+
+def _recount(net, flows, cands, chosen):
+    """Usage, weight and feasibility of a selection, from its plans alone."""
+    nodes, links, weight = Counter(), Counter(), 0.0
+    for fl, pool, i in zip(flows, cands, chosen):
+        if i is None:
+            continue
+        plan = pool[i]
+        weight += fl.weight
+        for u, v, m in zip(plan.nodes, plan.nodes[1:], plan.pair_counts):
+            nodes[u] += m
+            nodes[v] += m
+            links[frozenset((u, v))] += m
+    feasible = all(q <= net.node(v).qubits for v, q in nodes.items()) and all(
+        m <= net.edge(*link).capacity for link, m in links.items()
+    )
+    return nodes, links, weight, feasible
+
+
+def test_contended_columns_and_roundings_match_their_plans(contended):
+    net, flows, cands, prog = contended
+    for j, (k, i) in enumerate(prog.columns):
+        chosen = [i if kk == k else None for kk in range(len(flows))]
+        nodes, links, _, _ = _recount(net, flows, cands, chosen)
+        assert {v: q for v, q in zip(prog.node_ids, prog.a[:, j]) if q} == nodes
+        assert {frozenset((e.u, e.v)): m for e, m in zip(prog.links, prog.b[:, j]) if m} == links
+    x, _ = solve_lp(prog)
+    feasible = 0
+    for trial in range(300):
+        sel = randomized_round(prog, x, seed=0, trial=trial)
+        nodes, links, weight, ok = _recount(net, flows, cands, sel.chosen)
+        assert {v: q for v, q in zip(prog.node_ids, sel.node_usage) if q} == nodes
+        assert {frozenset((e.u, e.v)): m for e, m in zip(prog.links, sel.link_usage) if m} == links
+        assert sel.total_weight == weight and sel.feasible == ok
+        feasible += ok
+    assert 0 < feasible < 300  # budgets bind: both outcomes occur
+
+
+def test_contended_ilp_matches_an_independent_enumeration(contended):
+    net, flows, cands, prog = contended
+    selections = itertools.product(*([None, *range(len(pool))] for pool in cands))
+    best = max(w for _, _, w, ok in (_recount(net, flows, cands, c) for c in selections) if ok)
+    chosen, weight = ilp_solve(prog)
+    assert weight == best
+    assert _recount(net, flows, cands, chosen)[2:] == (best, True)
+    everything = [len(pool) - 1 if pool else None for pool in cands]
+    assert not _recount(net, flows, cands, everything)[3]  # the budgets bind
