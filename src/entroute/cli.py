@@ -23,9 +23,9 @@ import sys
 from contextlib import nullcontext
 
 from .auxgraph import build_aux_graph
-from .experiments import _COUNT, _FIDELITY, _number, config_from_json, run_experiment
+from .experiments import _COUNT, _FIDELITY, config_from_json, run_experiment
 from .multiflow import FlowRequest, multiflow_solve
-from .network import QuantumNetwork
+from .network import QuantumNetwork, _integer, _json_rows, _number
 from .pair_algebra import pseudo_fidelity
 from .purification import (
     SchedulerConfig,
@@ -45,7 +45,7 @@ from .strategies import (
     swap_and_purify,
     swap_purify_swap,
 )
-from .topology import _integer, generate, spec_from_json
+from .topology import generate, spec_from_json
 from .verify import SUITES, render, run_suite
 
 
@@ -218,6 +218,10 @@ def _write_label_stats(path, stats: dict) -> None:
 
 
 def _cmd_route(args) -> int:
+    if not 0.25 < args.f0 <= 1.0:
+        raise ValueError(f"--f0={args.f0!r} outside (0.25, 1]")
+    if not args.q0 > 0.0:
+        raise ValueError(f"--q0={args.q0!r} must be > 0")
     net = QuantumNetwork.load(args.net)
     src, dst = _node_id(net, args.src), _node_id(net, args.dst)
     aux = build_aux_graph(net, src, dst, deltaq=args.deltaq)
@@ -252,24 +256,10 @@ def _flows_from_json(rows, net: QuantumNetwork, rk: int) -> list:
         "weight": (lambda v: _number(v) and 0 <= v < math.inf, "a finite number >= 0"),
         "rk": _COUNT,
     }
-    if not isinstance(rows, list):
-        raise ValueError(f"a flows file must hold a JSON list, got {rows!r}")
-    flows = []
-    for n, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ValueError(f"flow {n} must be a JSON object, got {row!r}")
-        row = {"rk": rk, **row}
-        for key, value in row.items():
-            if key not in rules:
-                raise ValueError(f"flow {n}: unknown key {key!r}; known keys: {', '.join(rules)}")
-            if not rules[key][0](value):
-                raise ValueError(f"flow {n}: {key!r} must be {rules[key][1]}, got {value!r}")
-        if missing := rules.keys() - row.keys():
-            raise ValueError(f"flow {n} lacks {', '.join(map(repr, sorted(missing)))}")
-        flows.append(
-            FlowRequest(row["id"], row["src"], row["dst"], row["f0"], row["weight"], row["rk"])
-        )
-    return flows
+    rows = _json_rows(rows, rules, rules.keys() - {"rk"}, "flow")
+    return [
+        FlowRequest(r["id"], r["src"], r["dst"], r["f0"], r["weight"], r.get("rk", rk)) for r in rows
+    ]
 
 
 def _cmd_multiflow(args) -> int:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .auxgraph import build_aux_graph
 from .multiflow import FlowRequest, multiflow_solve
+from .network import _integer, _number
 from .pair_algebra import pseudo_fidelity
 from .purification import (
     evaluate_tree,
@@ -36,7 +37,7 @@ from .purification import (
 )
 from .routing import min_cost_path
 from .strategies import RepeaterChain, purify_and_swap, swap_and_purify, swap_purify_swap
-from .topology import TopologySpec, _integer, generate, perturbed, sample_flows, spec_from_json
+from .topology import TopologySpec, generate, perturbed, sample_flows, spec_from_json
 
 CSV_COLUMNS = ("scenario", "algorithm", "parameter", "metric", "value", "seed", "runtime_ms")
 
@@ -426,10 +427,6 @@ def _multiflow(cfg: ExperimentConfig):
 # (a test and what it asks for).  A value no trial could run with
 # exits 2 at config time; failures that depend on the drawn topology stay
 # per-trial error rows.
-
-
-def _number(value) -> bool:
-    return isinstance(value, float) or _integer(value)
 
 
 def _pair_fidelity(v) -> bool:

@@ -11,6 +11,48 @@ from typing import Iterable
 UNIT_COST = ("unit",)
 
 
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    return isinstance(v, float) or _integer(v)
+
+
+def _json_rows(rows, rules: dict, required, what: str) -> list:
+    """rows, checked to be a JSON list of objects whose keys are all in
+    rules and include every key of required, each value meeting its rule
+    (a test and what it asks for); anything else raises ValueError naming
+    the row by what and position, and the key."""
+    if not isinstance(rows, list):
+        raise ValueError(f"{what}s must be a JSON list, got {rows!r}")
+    for n, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"{what} {n} must be a JSON object, got {row!r}")
+        for key, value in row.items():
+            if key not in rules:
+                raise ValueError(f"{what} {n}: unknown key {key!r}; known keys: {', '.join(rules)}")
+            if not rules[key][0](value):
+                raise ValueError(f"{what} {n}: {key!r} must be {rules[key][1]}, got {value!r}")
+        if missing := set(required) - row.keys():
+            raise ValueError(f"{what} {n} lacks {', '.join(map(repr, sorted(missing)))}")
+    return rows
+
+
+# the keys of a network file's node and edge objects with their rules; the
+# values are checked further by NodeSpec and EdgeSpec
+_ID = (lambda v: isinstance(v, str) or _number(v), "a string or a number")
+_NODE_KEYS = {"id": _ID, "qubits": (_integer, "an integer"), "swap_prob": (_number, "a number")}
+_EDGE_KEYS = {
+    "u": _ID,
+    "v": _ID,
+    "capacity": (_integer, "an integer"),
+    "fidelity": (_number, "a number"),
+    "weight": (_number, "a number"),
+    "cost_table": (lambda v: isinstance(v, list) and all(map(_number, v)), "a list of numbers"),
+}
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     id: object
@@ -101,9 +143,6 @@ class QuantumNetwork:
     def neighbors(self, v) -> list:
         return list(self._adj[v])
 
-    def degree(self, v) -> int:
-        return len(self._adj[v])
-
     def reachable(self, s) -> set:
         """Nodes connected to s, s included."""
         seen = {s}
@@ -132,12 +171,17 @@ class QuantumNetwork:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuantumNetwork":
+        """The network of a JSON object as to_json writes it.  A value of
+        the wrong JSON type, or an unknown or missing key, raises
+        ValueError naming the node or edge (by position) and the key."""
+        if not isinstance(obj, dict) or obj.keys() != {"nodes", "edges"}:
+            raise ValueError("a network must be a JSON object with the keys 'nodes' and 'edges' alone")
         nodes = [
             NodeSpec(n["id"], n["qubits"], n.get("swap_prob", 1.0))
-            for n in obj["nodes"]
+            for n in _json_rows(obj["nodes"], _NODE_KEYS, ("id", "qubits"), "node")
         ]
         edges = []
-        for row in obj["edges"]:
+        for row in _json_rows(obj["edges"], _EDGE_KEYS, ("u", "v", "capacity", "fidelity"), "edge"):
             if "cost_table" in row:
                 cost = ("table", tuple(row["cost_table"]))
             elif "weight" in row:

@@ -79,34 +79,6 @@ def tree_to_text(tree) -> str:
     return f"({tree_to_text(left)},{tree_to_text(right)})"
 
 
-def tree_from_text(s: str):
-    """Parse the nested-parentheses form produced by tree_to_text."""
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        if pos < len(s) and s[pos] == "L":
-            pos += 1
-            return LEAF
-        if pos >= len(s) or s[pos] != "(":
-            raise ValueError(f"bad tree text at offset {pos}: {s!r}")
-        pos += 1
-        left = parse()
-        if pos >= len(s) or s[pos] != ",":
-            raise ValueError(f"expected ',' at offset {pos}: {s!r}")
-        pos += 1
-        right = parse()
-        if pos >= len(s) or s[pos] != ")":
-            raise ValueError(f"expected ')' at offset {pos}: {s!r}")
-        pos += 1
-        return (left, right)
-
-    tree = parse()
-    if pos != len(s):
-        raise ValueError(f"trailing characters in tree text: {s!r}")
-    return tree
-
-
 def tree_to_json(tree):
     """JSON-ready form: leaves are the string "L", merges are 2-element lists."""
     if is_leaf(tree):
@@ -123,6 +95,13 @@ def tree_from_json(obj):
     raise ValueError(f"bad tree JSON: {obj!r}")
 
 
+def _check_budget(n: int, f_e: float) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.5 <= f_e <= 1.0 + _GRID_TOL:
+        raise ValueError(f"f_e={f_e!r} outside [0.5, 1]")
+
+
 @dataclass
 class SchedulerConfig:
     n: int
@@ -132,10 +111,7 @@ class SchedulerConfig:
     delta_xi: float = 1e-4
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not 0.5 <= self.f_e <= 1.0 + _GRID_TOL:
-            raise ValueError(f"f_e={self.f_e!r} outside [0.5, 1]")
+        _check_budget(self.n, self.f_e)
         if not 0.25 < self.f_theta <= 1.0 + _GRID_TOL:
             raise ValueError(f"f_theta={self.f_theta!r} outside (0.25, 1]")
         if not (0.0 < self.delta_f < 1.0 and 0.0 < self.delta_xi < 1.0):
@@ -161,10 +137,7 @@ def _best_schedules(n: int, f_e: float):
     best fidelity of any tree with at most i leaves.  Merging
     fidelity-optimal subtrees is optimal because the merge map is
     increasing in both child fidelities."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.5 <= f_e <= 1.0 + _GRID_TOL:
-        raise ValueError(f"f_e={f_e!r} outside [0.5, 1]")
+    _check_budget(n, f_e)
     gamma, trees = [math.nan, f_e], [None, LEAF]
     yield f_e, LEAF
     for i in range(2, n + 1):
@@ -340,10 +313,7 @@ def candidate_frontier(
     The merge loop of schedule() with the leaf bound fixed at n, so one
     frontier serves queries at every threshold (sorted by f_hat ascending).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.5 <= f_e <= 1.0 + _GRID_TOL:
-        raise ValueError(f"f_e={f_e!r} outside [0.5, 1]")
+    _check_budget(n, f_e)
     entries = _merge_frontier(n, f_e, delta_f, delta_xi)
     entries.sort(key=lambda e: (e.f_hat, -e.xi_hat, e.b))
     return entries
@@ -355,10 +325,7 @@ def pumping_frontier(
     """Candidate list restricted to left-deep pumping chains: the accumulator
     always merges with one fresh pair.  Same rounding, dominance filter, and
     sort as candidate_frontier, so the two lists are interchangeable."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.5 <= f_e <= 1.0 + _GRID_TOL:
-        raise ValueError(f"f_e={f_e!r} outside [0.5, 1]")
+    _check_budget(n, f_e)
     cur = ScheduleEntry(1, f_e, 1.0, LEAF)
     entries: list[ScheduleEntry] = [cur]
     for b in range(2, n + 1):
@@ -371,28 +338,6 @@ def pumping_frontier(
             _admit(entries, cur)
     entries.sort(key=lambda e: (e.f_hat, -e.xi_hat, e.b))
     return entries
-
-
-def deltas_for_epsilon(n: int, f_e: float, f_theta: float, eps: float) -> tuple[float, float]:
-    """Step sizes meeting the epsilon-optimality condition, bootstrapped from
-    the symmetric schedule (clamped to 1e-2 to keep the grid meaningful)."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    tree = None
-    b0 = 1
-    while b0 <= n:
-        cand = symmetric_schedule(b0)
-        f, _ = evaluate_tree(cand, f_e)
-        if f >= f_theta - _GRID_TOL:
-            tree = cand
-            break
-        b0 *= 2
-    if tree is None:
-        # threshold unreachable symmetrically; fall back to the finest grid
-        return 1e-4, 1e-4
-    f0, xi0 = evaluate_tree(tree, f_e)
-    b0 = leaf_count(tree)
-    return min(b0 * f0 * eps, 1e-2), min(b0 * xi0 * eps, 1e-2)
 
 
 def symmetric_schedule(n: int):

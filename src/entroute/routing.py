@@ -674,14 +674,13 @@ def k_paths(
     deltas: tuple,
     R: int,
     *,
-    delta_f: float = 1e-4,
-    delta_xi: float = 1e-4,
     stats: Optional[dict] = None,
 ) -> list[RoutePlan]:
     """Up to R cheapest feasible plans under relaxed dominance (labels
-    dominated by fewer than R entries are retained)."""
+    dominated by fewer than R entries are retained), on the 1e-4
+    frontier grid."""
     delta_phi, delta_psi = deltas
-    found = _search(aux, phi0, psi0, delta_phi, delta_psi, R, delta_f, delta_xi, stats)
+    found = _search(aux, phi0, psi0, delta_phi, delta_psi, R, 1e-4, 1e-4, stats)
     return [_plan_from_label(aux, lab, delta_phi) for lab in found]
 
 

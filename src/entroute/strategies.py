@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-from . import purification
 from .pair_algebra import (
     _purification_success_raw,
     _purified_fidelity_raw,
@@ -90,28 +89,13 @@ def _merge_all(fids: tuple) -> tuple[float, float]:
     return go(tuple(sorted(fids)))
 
 
-def purify_and_swap(chain: RepeaterChain, f_theta: Optional[float] = None) -> Optional[StrategyOutcome]:
-    """Purify each hop down to one pair, then swap along the chain.
-
-    Without f_theta each hop is purified for maximal fidelity.  With
-    f_theta, each hop (which must be homogeneous) runs the scheduler at
-    that threshold; returns None when any hop cannot reach it.
-    """
+def purify_and_swap(chain: RepeaterChain) -> StrategyOutcome:
+    """Purify each hop down to one pair for maximal fidelity, then swap
+    along the chain."""
     hop_fids = []
     success = 1.0
     for pairs in chain.hops:
-        if f_theta is None:
-            f, s = _merge_all(tuple(pairs))
-        else:
-            if len(set(pairs)) != 1:
-                raise ValueError("threshold mode needs homogeneous pairs per hop")
-            entry = purification.schedule(
-                purification.SchedulerConfig(len(pairs), pairs[0], f_theta)
-            )
-            if entry is None:
-                return None
-            f, _ = purification.evaluate_tree(entry.tree, pairs[0])
-            s = purification.tree_success_prob(entry.tree, pairs[0])
+        f, s = _merge_all(tuple(pairs))
         hop_fids.append(f)
         success *= s
     fidelity = swap_fidelity(hop_fids)

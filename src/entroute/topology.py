@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .multiflow import FlowRequest
-from .network import EdgeSpec, NodeSpec, QuantumNetwork
+from .network import EdgeSpec, NodeSpec, QuantumNetwork, _integer, _number
 
 _MAX_RETRIES = 64
 
@@ -52,15 +52,11 @@ class TopologySpec:
             raise ValueError("fidelity range must sit within [0.8, 1.0]")
 
 
-def _integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 # the JSON values each TopologySpec annotation accepts
 _JSON_TYPES = {
     "str": (lambda v: isinstance(v, str), "a string"),
     "int": (_integer, "an integer"),
-    "float": (lambda v: _integer(v) or isinstance(v, float), "a number"),
+    "float": (_number, "a number"),
     "Optional[int]": (lambda v: v is None or _integer(v), "an integer or null"),
 }
 
@@ -168,11 +164,10 @@ def sample_flows(
     seed: int,
     *,
     f0: float = 0.8,
-    weight: float = 1.0,
     r_k: int = 3,
 ) -> list:
-    """Distinct node pairs, uniform without replacement; the graph is
-    undirected so pairs are canonically oriented."""
+    """Distinct node pairs, uniform without replacement, each a request of
+    weight 1; the graph is undirected so pairs are canonically oriented."""
     if count < 1:
         raise ValueError("count must be >= 1")
     ids = sorted(net.nodes, key=str)
@@ -182,26 +177,9 @@ def sample_flows(
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(pairs), size=count, replace=False)
     return [
-        FlowRequest(f"flow{n}", pairs[i][0], pairs[i][1], f0, weight, r_k)
+        FlowRequest(f"flow{n}", pairs[i][0], pairs[i][1], f0, 1.0, r_k)
         for n, i in enumerate(picks)
     ]
-
-
-def chain_network(
-    hop_fidelities, pairs_per_hop: int, *, swap_prob: float = 1.0
-) -> QuantumNetwork:
-    """Line topology for repeater-chain experiments: one node per repeater,
-    every hop with the given elementary fidelity and capacity."""
-    l = len(hop_fidelities)
-    if l < 1:
-        raise ValueError("need at least one hop")
-    nodes = [
-        NodeSpec(i, max(1, 2 * pairs_per_hop), swap_prob) for i in range(l + 1)
-    ]
-    edges = [
-        EdgeSpec(i, i + 1, pairs_per_hop, f) for i, f in enumerate(hop_fidelities)
-    ]
-    return QuantumNetwork(nodes, edges)
 
 
 def perturbed(spec: TopologySpec, trial: int) -> TopologySpec:

@@ -210,6 +210,64 @@ def test_route_unknown_node(capsys, grid_net):
     assert "not in network" in err
 
 
+def _broken(net: dict, where: str, key: str, value) -> dict:
+    """A copy of net with where[0][key] set to value."""
+    return {**net, where: [{**net[where][0], key: value}, *net[where][1:]]}
+
+
+@pytest.mark.parametrize("command", ["route", "multiflow"])
+@pytest.mark.parametrize(
+    "breakage, name",
+    [
+        (lambda net: net["nodes"], "JSON object"),
+        (lambda net: {**net, "nodes": {}}, "nodes must be a JSON list"),
+        (lambda net: {**net, "edges": [3]}, "edge 0 must be a JSON object"),
+        (lambda net: _broken(net, "nodes", "qubits", "4"), "'qubits'"),
+        (lambda net: _broken(net, "nodes", "id", None), "'id'"),
+        (lambda net: _broken(net, "edges", "capacity", 2.5), "'capacity'"),
+        (lambda net: _broken(net, "edges", "cost_table", ["1"]), "'cost_table'"),
+        (lambda net: _broken(net, "edges", "pos", [0, 0]), "'pos'"),
+        (lambda net: {**net, "edges": [{"u": 0, "v": 1, "capacity": 3}]}, "edge 0 lacks 'fidelity'"),
+    ],
+    ids=[
+        "list", "nodes-object", "edge-3", "qubits-text", "id-null", "capacity-2.5",
+        "cost-table-text", "key-pos", "no-fidelity",
+    ],
+)
+def test_bad_network_file_exits_2(capsys, grid_net, tmp_path, breakage, name, command):
+    _, net_path = grid_net
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(breakage(json.loads(net_path.read_text()))), encoding="utf-8")
+    flows = tmp_path / "flows.json"
+    flows.write_text(json.dumps([_FLOW]), encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = {
+        "route": ["--src", "0", "--dst", "5", "--f0", "0.8"],
+        "multiflow": ["--flows", str(flows)],
+    }[command]
+    code, stdout, err = run_cli(capsys, command, "--net", str(path), *argv, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert name in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--f0", "0.25"), ("--f0", "1.5"), ("--f0", "nan"), ("--q0", "0"), ("--q0", "-1"), ("--q0", "nan")],
+)
+def test_route_checks_f0_and_q0_exits_2(capsys, grid_net, tmp_path, flag, value):
+    _, net_path = grid_net
+    argv = {"--f0": "0.8", "--q0": "1", flag: value}
+    out = tmp_path / "out.json"
+    code, stdout, err = run_cli(
+        capsys, "route", "--net", str(net_path), "--src", "0", "--dst", "5",
+        *itertools.chain(*argv.items()), "--out", str(out),
+    )
+    assert code == 2 and stdout == ""
+    assert f"{flag}={float(value)!r}" in err
+    assert not out.exists()
+
+
 def test_multiflow_output_fields(capsys, grid_net, tmp_path):
     _, net_path = grid_net
     flows = tmp_path / "flows.json"

@@ -347,3 +347,15 @@ def test_contended_ilp_matches_an_independent_enumeration(contended):
     assert _recount(net, flows, cands, chosen)[2:] == (best, True)
     everything = [len(pool) - 1 if pool else None for pool in cands]
     assert not _recount(net, flows, cands, everything)[3]  # the budgets bind
+
+
+def test_programs_meet_the_one_phase_simplex_precondition(contended):
+    # simplex_solve starts from the slack basis, which needs ub >= 0; a
+    # packing program has A >= 0, c >= 0 and positive budgets on the right
+    programs = [contended[3]]
+    for seed in range(3):
+        net, flows = rounding_mc_instance(seed)
+        programs.append(build_program(flows, [flow_candidates(net, fl, 0.2) for fl in flows], net, 0.8))
+    for prog in programs:
+        c, A, ub = prog.lp_arrays()
+        assert A.size and np.all(A >= 0) and np.all(c >= 0) and np.all(ub > 0)

@@ -12,7 +12,6 @@ from entroute.purification import (
     _ceil_to_grid,
     brute_force_optimal,
     candidate_frontier,
-    deltas_for_epsilon,
     evaluate_tree,
     gamma_table,
     leaf_count,
@@ -22,7 +21,6 @@ from entroute.purification import (
     schedule,
     symmetric_schedule,
     tree_from_json,
-    tree_from_text,
     tree_success_prob,
     tree_to_json,
     tree_to_text,
@@ -194,10 +192,7 @@ def test_baseline_shapes():
 
 def test_serialization_roundtrip():
     for tree in (LEAF, (LEAF, LEAF), ((LEAF, LEAF), (LEAF, (LEAF, LEAF)))):
-        assert tree_from_text(tree_to_text(tree)) == tree
         assert tree_from_json(tree_to_json(tree)) == tree
-    with pytest.raises(ValueError):
-        tree_from_text("((L,L)")
     with pytest.raises(ValueError):
         tree_from_json({"oops": 1})
 
@@ -262,14 +257,6 @@ def test_sandwich_bound():
         _, xi_hat = _discretize_tree(tree, f_e, 1e-9, dxi)
         assert (1 - b * eps) * xi_hat <= xi_exact + 1e-12
         assert xi_exact <= (1 + b * eps) * xi_hat + 1e-12
-
-
-def test_deltas_for_epsilon():
-    df, dxi = deltas_for_epsilon(8, 0.75, 0.8, 0.01)
-    assert 0 < df <= 1e-2
-    assert 0 < dxi <= 1e-2
-    with pytest.raises(ValueError):
-        deltas_for_epsilon(8, 0.75, 0.8, 0.0)
 
 
 def test_schedule_deterministic():

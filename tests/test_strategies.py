@@ -146,16 +146,6 @@ def test_chain_validation():
         swap_purify_swap(RepeaterChain([[0.9], [0.9]]), 3)
 
 
-def test_threshold_mode():
-    chain = RepeaterChain([[0.75, 0.75], [0.75, 0.75]])
-    out = purify_and_swap(chain, f_theta=0.78)
-    f2 = purified_fidelity(0.75, 0.75)
-    assert out.fidelity == pytest.approx(swap_fidelity([f2, f2]), abs=1e-12)
-    assert purify_and_swap(chain, f_theta=0.999) is None
-    with pytest.raises(ValueError):
-        purify_and_swap(RepeaterChain([[0.7, 0.9]]), f_theta=0.8)
-
-
 def test_lemma1_scan_coarse():
     report = lemma1_scan(0.05)
     assert report["lemma1"]["violations"] == 0

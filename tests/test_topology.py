@@ -4,7 +4,6 @@ import pytest
 
 from entroute.topology import (
     TopologySpec,
-    chain_network,
     generate,
     sample_flows,
     spec_from_json,
@@ -125,12 +124,3 @@ def test_sample_flows_count_errors():
         sample_flows(net, 2, seed=0)
     with pytest.raises(ValueError):
         sample_flows(net, 0, seed=0)
-
-
-def test_chain_network_layout():
-    net = chain_network([0.9, 0.85, 0.95], 2, swap_prob=0.8)
-    assert len(net.nodes) == 4 and len(net.edges) == 3
-    assert [e.fidelity for e in net.edges] == [0.9, 0.85, 0.95]
-    assert all(e.capacity == 2 for e in net.edges)
-    assert all(n.swap_prob == 0.8 for n in net.nodes.values())
-    assert net.nodes[1].qubits == 4
