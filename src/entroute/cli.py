@@ -263,6 +263,8 @@ def _flows_from_json(rows, net: QuantumNetwork, rk: int) -> list:
 
 
 def _cmd_multiflow(args) -> int:
+    if args.rk < 1:
+        raise ValueError(f"--rk={args.rk!r} must be >= 1")
     net = QuantumNetwork.load(args.net)
     seed = _env_seed()
     if seed is None:

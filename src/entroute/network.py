@@ -4,7 +4,7 @@ elementary fidelities, and per-edge allocation cost functions."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 # cost tags: ("unit",) | ("weighted", w) | ("table", (c_1, ..., c_cap))

@@ -335,6 +335,16 @@ def test_multiflow_rejects_bad_flows_file_exits_2(capsys, grid_net, tmp_path, fl
     assert not out.exists()
 
 
+def test_multiflow_checks_rk_exits_2(capsys, grid_net, tmp_path):
+    # the default of a flow's "rk" is checked as a flag, not as a row key
+    _, net_path = grid_net
+    path = tmp_path / "flows.json"
+    path.write_text(json.dumps([_FLOW]), encoding="utf-8")
+    code, out, err = run_cli(capsys, "multiflow", "--net", str(net_path), "--flows", str(path), "--rk", "0")
+    assert code == 2 and out == ""
+    assert "--rk=0" in err
+
+
 @pytest.mark.parametrize(
     "chain",
     ["[0.9, 0.8]", '{"hops": 3}', "3", "[[true]]", '{"hops": [[0.9]], "swap_success": "1"}'],
