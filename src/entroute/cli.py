@@ -222,6 +222,9 @@ def _cmd_route(args) -> int:
         raise ValueError(f"--f0={args.f0!r} outside (0.25, 1]")
     if not args.q0 > 0.0:
         raise ValueError(f"--q0={args.q0!r} must be > 0")
+    for flag, step in (("--dphi", args.dphi), ("--dpsi", args.dpsi)):
+        if not 0.0 < step < math.inf:
+            raise ValueError(f"{flag}={step!r} must be a finite number > 0")
     net = QuantumNetwork.load(args.net)
     src, dst = _node_id(net, args.src), _node_id(net, args.dst)
     aux = build_aux_graph(net, src, dst, deltaq=args.deltaq)
@@ -265,10 +268,11 @@ def _flows_from_json(rows, net: QuantumNetwork, rk: int) -> list:
 def _cmd_multiflow(args) -> int:
     if args.rk < 1:
         raise ValueError(f"--rk={args.rk!r} must be >= 1")
+    env = _env_seed()
+    source, seed = ("--seed", args.seed) if env is None else ("ENTROUTE_SEED", env)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{source}={seed!r} must lie in [0, 2**64)")
     net = QuantumNetwork.load(args.net)
-    seed = _env_seed()
-    if seed is None:
-        seed = args.seed
     flows = _flows_from_json(_load_json(args.flows), net, args.rk)
     res = multiflow_solve(flows, net, args.eps, args.delta, seed, deltaq=args.deltaq)
     sel = res.selection

@@ -4,10 +4,13 @@ randomized rounding, and the repeated-trial wrapper.
 
 Rounding trials are independent; each owns a counter-based RNG substream
 keyed by (seed, trial), so any subset of trials reproduces bit-identically.
+One Philox, rekeyed under its lock with counter 0 and an empty buffer, reads
+every substream: its words depend on key and counter alone.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -60,11 +63,10 @@ class FlowProgram:
     links: list  # the EdgeSpec of each link row
     columns: list  # (flow position, candidate position)
     offsets: list  # first column of each flow, then the column count
-    a: np.ndarray  # qubits consumed: node x column
-    b: np.ndarray  # pairs consumed: link x column
+    usage: np.ndarray  # qubits consumed per node row, then pairs per link row, x column
     weights: np.ndarray
-    node_budgets: np.ndarray
-    link_capacities: np.ndarray
+    budgets: np.ndarray  # Q_v of each node row, then C_l of each link row
+    limits: np.ndarray  # budgets + 1e-9: what a 0/1 selection may use
 
     def lp_arrays(self):
         """(c, A, ub) of the relaxed program; the discount applies to node
@@ -72,8 +74,9 @@ class FlowProgram:
         flow_rows = np.zeros((len(self.flows), len(self.columns)))
         for k, (lo, hi) in enumerate(itertools.pairwise(self.offsets)):
             flow_rows[k, lo:hi] = 1.0
-        ub = [self.beta * self.node_budgets, self.link_capacities, np.ones(len(self.flows))]
-        return self.weights, np.vstack([self.a, self.b, flow_rows]), np.concatenate(ub)
+        ub = np.concatenate([self.budgets, np.ones(len(self.flows))])
+        ub[: len(self.node_ids)] *= self.beta
+        return self.weights, np.vstack([self.usage, flow_rows]), ub
 
 
 def build_program(flows, candidates, net: QuantumNetwork, beta: float) -> FlowProgram:
@@ -86,24 +89,23 @@ def build_program(flows, candidates, net: QuantumNetwork, beta: float) -> FlowPr
     # link rows in the order of str((lo, hi)), lo the endpoint whose text sorts first
     links = sorted(net.edges, key=lambda e: str((min(e.u, e.v, key=str), max(e.u, e.v, key=str))))
     node_row = {v: r for r, v in enumerate(node_ids)}
-    link_row = {(u, v): r for r, e in enumerate(links) for u, v in ((e.u, e.v), (e.v, e.u))}
+    link_row = {(u, v): r for r, e in enumerate(links, len(node_ids)) for u, v in ((e.u, e.v), (e.v, e.u))}
     columns = [(k, i) for k, pool in enumerate(candidates) for i in range(len(pool))]
-    a = np.zeros((len(node_ids), len(columns)))
-    b = np.zeros((len(links), len(columns)))
+    usage = np.zeros((len(node_ids) + len(links), len(columns)))
     for j, (k, i) in enumerate(columns):
         plan: RoutePlan = candidates[k][i]
         for u, v, m in zip(plan.nodes, plan.nodes[1:], plan.pair_counts):
-            a[node_row[u], j] += m
-            a[node_row[v], j] += m
-            b[link_row[u, v], j] += m
+            usage[node_row[u], j] += m
+            usage[node_row[v], j] += m
+            usage[link_row[u, v], j] += m
+    budgets = np.array([net.node(v).qubits for v in node_ids] + [e.capacity for e in links], dtype=float)
     return FlowProgram(
         flows, candidates, beta, node_ids, links, columns,
         offsets=list(itertools.accumulate(map(len, candidates), initial=0)),
-        a=a,
-        b=b,
+        usage=usage,
         weights=np.array([flows[k].weight for k, _ in columns], dtype=float),
-        node_budgets=np.array([net.node(v).qubits for v in node_ids], dtype=float),
-        link_capacities=np.array([e.capacity for e in links], dtype=float),
+        budgets=budgets,
+        limits=budgets + 1e-9,
     )
 
 
@@ -135,12 +137,9 @@ def _evaluate(prog: FlowProgram, chosen) -> RoundedSelection:
         if i is not None:
             x[prog.offsets[k] + i] = 1.0
             weight += prog.flows[k].weight
-    node_usage, link_usage = prog.a @ x, prog.b @ x
-    feasible = bool(
-        (node_usage <= prog.node_budgets + 1e-9).all()
-        and (link_usage <= prog.link_capacities + 1e-9).all()
-    )
-    return RoundedSelection(chosen, weight, node_usage, link_usage, feasible)
+    usage = prog.usage @ x
+    n = len(prog.node_ids)
+    return RoundedSelection(chosen, weight, usage[:n], usage[n:], bool((usage <= prog.limits).all()))
 
 
 def _select(xrow, u: float) -> Optional[int]:
@@ -153,10 +152,21 @@ def _select(xrow, u: float) -> Optional[int]:
     return None
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, trial], dtype=np.uint64))
-    )
+_philox = functools.cache(lambda: np.random.Philox(0))  # built on first use: numpy.random adds ~6 MB
+# Philox's state with its buffer empty (buffer_pos 4), less the counter and key
+_EMPTY = {"bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _trial_draws(seed: int, trial: int, n: int) -> list:
+    """The first n values of Generator(Philox(key=[seed, trial])).random(),
+    each word w as Generator.random forms it: (w >> 11) * 2**-53."""
+    if not (0 <= seed < 2**64 and 0 <= trial < 2**64):
+        raise ValueError(f"seed {seed!r} and trial {trial!r} must lie in [0, 2**64)")
+    philox = _philox()
+    with philox.lock:
+        philox.state = {**_EMPTY, "state": {"counter": (0,) * 4, "key": (seed, trial)}}
+        words = philox.random_raw(n).tolist()
+    return [(w >> 11) * 2.0**-53 for w in words]
 
 
 def randomized_round(
@@ -164,9 +174,9 @@ def randomized_round(
 ) -> RoundedSelection:
     """One uniform draw per flow selects at most one candidate; feasibility
     is judged against the ORIGINAL undiscounted budgets."""
-    draws = _trial_rng(seed, trial).random(len(prog.flows))
-    spans = itertools.pairwise(prog.offsets)
-    return _evaluate(prog, [_select(x[lo:hi], u) for (lo, hi), u in zip(spans, draws)])
+    draws = _trial_draws(seed, trial, len(prog.flows))
+    xs, spans = x.tolist(), itertools.pairwise(prog.offsets)
+    return _evaluate(prog, [_select(xs[lo:hi], u) for (lo, hi), u in zip(spans, draws)])
 
 
 def flow_candidates(

@@ -171,8 +171,8 @@ class QuantumNetwork:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuantumNetwork":
-        """The network of a JSON object as to_json writes it.  A value of
-        the wrong JSON type, or an unknown or missing key, raises
+        """The network of a JSON object as to_json writes it.  A wrong JSON
+        type, an unknown or missing key, or both cost keys on one edge raise
         ValueError naming the node or edge (by position) and the key."""
         if not isinstance(obj, dict) or obj.keys() != {"nodes", "edges"}:
             raise ValueError("a network must be a JSON object with the keys 'nodes' and 'edges' alone")
@@ -181,16 +181,17 @@ class QuantumNetwork:
             for n in _json_rows(obj["nodes"], _NODE_KEYS, ("id", "qubits"), "node")
         ]
         edges = []
-        for row in _json_rows(obj["edges"], _EDGE_KEYS, ("u", "v", "capacity", "fidelity"), "edge"):
+        rows = _json_rows(obj["edges"], _EDGE_KEYS, ("u", "v", "capacity", "fidelity"), "edge")
+        for n, row in enumerate(rows):
+            if row.keys() >= {"weight", "cost_table"}:
+                raise ValueError(f"edge {n} ({row['u']!r}, {row['v']!r}) has both 'weight' and 'cost_table'")
             if "cost_table" in row:
                 cost = ("table", tuple(row["cost_table"]))
             elif "weight" in row:
                 cost = ("weighted", row["weight"])
             else:
                 cost = UNIT_COST
-            edges.append(
-                EdgeSpec(row["u"], row["v"], row["capacity"], row["fidelity"], cost)
-            )
+            edges.append(EdgeSpec(row["u"], row["v"], row["capacity"], row["fidelity"], cost))
         return cls(nodes, edges)
 
     def dump(self, path) -> None:

@@ -228,10 +228,14 @@ def _broken(net: dict, where: str, key: str, value) -> dict:
         (lambda net: _broken(net, "edges", "cost_table", ["1"]), "'cost_table'"),
         (lambda net: _broken(net, "edges", "pos", [0, 0]), "'pos'"),
         (lambda net: {**net, "edges": [{"u": 0, "v": 1, "capacity": 3}]}, "edge 0 lacks 'fidelity'"),
+        (
+            lambda net: _broken(_broken(net, "edges", "weight", 2.0), "edges", "cost_table", [1, 2, 3]),
+            "edge 0 (0, 1) has both 'weight' and 'cost_table'",
+        ),
     ],
     ids=[
         "list", "nodes-object", "edge-3", "qubits-text", "id-null", "capacity-2.5",
-        "cost-table-text", "key-pos", "no-fidelity",
+        "cost-table-text", "key-pos", "no-fidelity", "weight-and-cost-table",
     ],
 )
 def test_bad_network_file_exits_2(capsys, grid_net, tmp_path, breakage, name, command):
@@ -247,7 +251,7 @@ def test_bad_network_file_exits_2(capsys, grid_net, tmp_path, breakage, name, co
     }[command]
     code, stdout, err = run_cli(capsys, command, "--net", str(path), *argv, "--out", str(out))
     assert code == 2 and stdout == ""
-    assert name in err
+    assert name in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -265,6 +269,20 @@ def test_route_checks_f0_and_q0_exits_2(capsys, grid_net, tmp_path, flag, value)
     )
     assert code == 2 and stdout == ""
     assert f"{flag}={float(value)!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--dphi", "--dpsi"])
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+def test_route_checks_step_flags_exits_2(capsys, tmp_path, flag, value):
+    # the steps are checked before the network file is read: it does not exist
+    out = tmp_path / "out.json"
+    code, stdout, err = run_cli(
+        capsys, "route", "--net", str(tmp_path / "absent.json"), "--src", "0", "--dst", "5",
+        "--f0", "0.8", flag, value, "--out", str(out),
+    )
+    assert code == 2 and stdout == ""
+    assert f"{flag}={float(value)!r} must be a finite number > 0" in err
     assert not out.exists()
 
 
@@ -343,6 +361,35 @@ def test_multiflow_checks_rk_exits_2(capsys, grid_net, tmp_path):
     code, out, err = run_cli(capsys, "multiflow", "--net", str(net_path), "--flows", str(path), "--rk", "0")
     assert code == 2 and out == ""
     assert "--rk=0" in err
+
+
+@pytest.mark.parametrize(
+    "source, value",
+    [("--seed", "-1"), ("--seed", str(2**64)), ("ENTROUTE_SEED", "-3"), ("ENTROUTE_SEED", str(2**64))],
+)
+def test_multiflow_checks_seed_exits_2(capsys, tmp_path, monkeypatch, source, value):
+    # Philox keys are 64-bit words; the seed is checked before any file is read
+    argv = ["--seed", value] if source == "--seed" else []
+    if source == "ENTROUTE_SEED":
+        monkeypatch.setenv("ENTROUTE_SEED", value)
+    out = tmp_path / "out.json"
+    code, stdout, err = run_cli(
+        capsys, "multiflow", "--net", str(tmp_path / "absent.json"), "--flows", str(tmp_path / "absent.json"),
+        *argv, "--out", str(out),
+    )
+    assert code == 2 and stdout == ""
+    assert f"{source}={value} must lie in [0, 2**64)" in err
+    assert not out.exists()
+
+
+def test_multiflow_accepts_the_largest_seed(capsys, grid_net, tmp_path):
+    _, net_path = grid_net
+    path = tmp_path / "flows.json"
+    path.write_text(json.dumps([_FLOW]), encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "multiflow", "--net", str(net_path), "--flows", str(path), "--seed", str(2**64 - 1)
+    )
+    assert code == 0 and json.loads(out)["trials"] == 3
 
 
 @pytest.mark.parametrize(

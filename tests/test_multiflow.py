@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -7,8 +9,9 @@ import pytest
 
 from entroute.multiflow import (
     FlowRequest,
+    _evaluate,
     _select,
-    _trial_rng,
+    _trial_draws,
     build_program,
     flow_candidates,
     guarantee_conditions,
@@ -68,14 +71,17 @@ def test_build_program_transcription():
     assert len(cands[0]) == 1 and cands[0][0].pair_counts == [1, 1]
     prog = build_program([flow], cands, net, 0.9)
     assert prog.columns == [(0, 0)]
-    a_col = {v: prog.a[r, 0] for r, v in enumerate(prog.node_ids)}
+    a_col = {v: prog.usage[r, 0] for r, v in enumerate(prog.node_ids)}
     assert a_col == {"s": 1.0, "v": 2.0, "t": 1.0}
-    assert prog.b[:, 0].tolist() == [1.0, 1.0]
+    assert prog.usage[3:, 0].tolist() == [1.0, 1.0]  # link rows follow the node rows
     assert prog.weights.tolist() == [1.5]
+    assert prog.budgets.tolist() == [2.0, 2.0, 4.0, 2.0, 2.0]  # nodes s, t, v, then the links
+    assert prog.limits.tolist() == (prog.budgets + 1e-9).tolist()
     c, A, ub = prog.lp_arrays()
     assert A.shape == (3 + 2 + 1, 1)
     v_row = prog.node_ids.index("v")
     assert ub[v_row] == pytest.approx(0.9 * 4)
+    assert ub[3:5].tolist() == [2.0, 2.0]  # link rows undiscounted
     assert ub[-1] == 1.0  # per-flow row undiscounted
 
 
@@ -84,7 +90,8 @@ def test_lp_shared_node_value():
     prog = star_program(qv=4, beta=0.75)
     x, obj = solve_lp(prog)
     assert obj == pytest.approx(1.5, abs=1e-9)
-    assert np.all(prog.a @ x <= 0.75 * prog.node_budgets + 1e-9)
+    n = len(prog.node_ids)
+    assert np.all((prog.usage @ x)[:n] <= 0.75 * prog.budgets[:n] + 1e-9)
     for k in range(2):
         row = sum(x[j] for j, (kk, _) in enumerate(prog.columns) if kk == k)
         assert row <= 1 + 1e-9
@@ -150,7 +157,7 @@ def test_round_frequencies_match_lp():
     ]
     assert sorted(mass) == pytest.approx([0.5, 1.0], abs=1e-9)
     n = 100_000
-    draws = _trial_rng(3, 0).random((n, 2))
+    draws = np.reshape(_trial_draws(3, 0, 2 * n), (n, 2))
     hits = [0, 0]
     for k in range(2):
         xrow = [x[j] for j, (kk, _) in enumerate(prog.columns) if kk == k]
@@ -161,6 +168,61 @@ def test_round_frequencies_match_lp():
         p = mass[k]
         sigma = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(hits[k] / n - p) <= max(3 * sigma, 1e-9)
+
+
+def _fresh_draws(seed, trial, n):
+    """The former per-trial stream: a new Generator over a new Philox."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64))).random(n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("trial", [0, 299, 2**63])
+def test_trial_draws_match_a_fresh_generator(seed, trial):
+    # n = 1..9 crosses Philox's 4-word block twice
+    for n in range(1, 10):
+        draws = _trial_draws(seed, trial, n)
+        assert np.array(draws).tobytes() == _fresh_draws(seed, trial, n).tobytes()
+        assert all(type(u) is float for u in draws)
+
+
+def test_interleaved_trials_keep_their_streams():
+    keys = [(0, 0), (0, 1), (1, 0), (2**64 - 1, 2**63), (0, 0)]
+    expected = {key: _fresh_draws(*key, 7).tolist() for key in keys}
+    for n in (3, 7, 1, 5):
+        for key in keys:
+            assert _trial_draws(*key, n) == expected[key][:n]
+
+
+def test_concurrent_draws_get_the_reference_streams():
+    # every call rekeys the one shared Philox, so without its lock a thread
+    # can read words drawn under another thread's key
+    keys = [(seed, trial) for seed in (0, 5) for trial in range(40)]
+    expected = {key: _fresh_draws(*key, 6).tolist() for key in keys}
+    wrong = []
+
+    def draw(order):
+        for _ in range(25):
+            wrong.extend(key for key in order if _trial_draws(*key, 6) != expected[key])
+
+    orders = (keys, keys[::-1], keys[1::2], keys[::2])
+    threads = [threading.Thread(target=draw, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+@pytest.mark.parametrize("seed, trial", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_trial_draws_reject_keys_outside_64_bits(seed, trial):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        _trial_draws(seed, trial, 3)
 
 
 def test_lp_ilp_rounding_ordering():
@@ -195,7 +257,7 @@ def test_lemma_tail_bound_and_mean_weight():
     prog = star_program(qv=4, weights=(2.0, 1.0))
     x, lp_obj = solve_lp(prog)
     v_row = prog.node_ids.index("v")
-    budget = 0.75 * prog.node_budgets[v_row]
+    budget = 0.75 * prog.budgets[v_row]
     n = 4000
     usages = np.empty(n)
     weights = np.empty(n)
@@ -324,8 +386,9 @@ def test_contended_columns_and_roundings_match_their_plans(contended):
     for j, (k, i) in enumerate(prog.columns):
         chosen = [i if kk == k else None for kk in range(len(flows))]
         nodes, links, _, _ = _recount(net, flows, cands, chosen)
-        assert {v: q for v, q in zip(prog.node_ids, prog.a[:, j]) if q} == nodes
-        assert {frozenset((e.u, e.v)): m for e, m in zip(prog.links, prog.b[:, j]) if m} == links
+        nodes_j, links_j = prog.usage[: len(prog.node_ids), j], prog.usage[len(prog.node_ids) :, j]
+        assert {v: q for v, q in zip(prog.node_ids, nodes_j) if q} == nodes
+        assert {frozenset((e.u, e.v)): m for e, m in zip(prog.links, links_j) if m} == links
     x, _ = solve_lp(prog)
     feasible = 0
     for trial in range(300):
@@ -359,3 +422,45 @@ def test_programs_meet_the_one_phase_simplex_precondition(contended):
     for prog in programs:
         c, A, ub = prog.lp_arrays()
         assert A.size and np.all(A >= 0) and np.all(c >= 0) and np.all(ub > 0)
+
+
+def _former_matrices(prog, net):
+    """The node matrix a and link matrix b as two separate arrays, built
+    hop by hop the way build_program built them before they were stacked."""
+    node_row = {v: r for r, v in enumerate(prog.node_ids)}
+    link_row = {frozenset((e.u, e.v)): r for r, e in enumerate(prog.links)}
+    a = np.zeros((len(prog.node_ids), len(prog.columns)))
+    b = np.zeros((len(prog.links), len(prog.columns)))
+    for j, (k, i) in enumerate(prog.columns):
+        plan = prog.candidates[k][i]
+        for u, v, m in zip(plan.nodes, plan.nodes[1:], plan.pair_counts):
+            a[node_row[u], j] += m
+            a[node_row[v], j] += m
+            b[link_row[frozenset((u, v))], j] += m
+    budgets = np.array([net.node(v).qubits for v in prog.node_ids], dtype=float)
+    capacities = np.array([e.capacity for e in prog.links], dtype=float)
+    return a, b, budgets, capacities
+
+
+def test_evaluate_matches_the_two_matrix_products(contended):
+    programs = [(star_net(qv), star_program(qv, (2.0, 1.0))) for qv in (3, 4)]
+    net, flows = rounding_mc_instance(0)
+    programs.append((net, build_program(flows, [flow_candidates(net, fl, 0.2) for fl in flows], net, 0.8)))
+    programs.append((contended[0], contended[3]))
+    outcomes = set()
+    for net, prog in programs:
+        a, b, budgets, capacities = _former_matrices(prog, net)
+        for chosen in itertools.product(*([None, *range(len(pool))] for pool in prog.candidates)):
+            x = np.zeros(len(prog.columns))
+            for k, i in enumerate(chosen):
+                if i is not None:
+                    x[prog.offsets[k] + i] = 1.0
+            sel = _evaluate(prog, list(chosen))
+            assert sel.node_usage.tobytes() == (a @ x).tobytes()
+            assert sel.link_usage.tobytes() == (b @ x).tobytes()
+            assert sel.total_weight == sum(prog.flows[k].weight for k, i in enumerate(chosen) if i is not None)
+            assert sel.feasible == bool(
+                (a @ x <= budgets + 1e-9).all() and (b @ x <= capacities + 1e-9).all()
+            )
+            outcomes.add(sel.feasible)
+    assert outcomes == {True, False}
