@@ -703,3 +703,13 @@ def test_closed_stdout_exits_141_without_traceback(tmp_path):
         proc.wait()
     assert proc.returncode == 141
     assert err == b""
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded(tmp_path):
+    # the rounding generator is built on first use: numpy.random adds ~6 MB
+    # to every command, and purify, strategy and route never draw
+    code = "import sys, entroute.cli; sys.exit('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_checkout_env(), cwd=tmp_path, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
