@@ -25,7 +25,7 @@ from contextlib import nullcontext
 from .auxgraph import build_aux_graph
 from .experiments import _COUNT, _FIDELITY, config_from_json, run_experiment
 from .multiflow import FlowRequest, multiflow_solve
-from .network import QuantumNetwork, _integer, _json_rows, _number
+from .network import QuantumNetwork, _integer, _json_rows, _number, _seed
 from .pair_algebra import pseudo_fidelity
 from .purification import (
     SchedulerConfig,
@@ -49,14 +49,23 @@ from .topology import generate, spec_from_json
 from .verify import SUITES, render, run_suite
 
 
+def _checked_seed(source: str, seed: int) -> int:
+    """seed, read from source; the one range check of every seed the CLI
+    takes (flags, ENTROUTE_SEED and, by the same rule, a config's seed)."""
+    if not _seed(seed):
+        raise ValueError(f"{source}={seed!r} must lie in [0, 2**64)")
+    return seed
+
+
 def _env_seed():
     raw = os.environ.get("ENTROUTE_SEED", "").strip()
     if not raw:
         return None
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ValueError(f"ENTROUTE_SEED={raw!r} is not an integer") from None
+    return _checked_seed("ENTROUTE_SEED", seed)
 
 
 def _opened(out):
@@ -209,12 +218,17 @@ def _node_id(net: QuantumNetwork, raw: str):
 
 
 def _write_label_stats(path, stats: dict) -> None:
+    """One row per auxiliary vertex of the search's final pass: its alive
+    labels, the labels pushed into it and its expansions, so each column
+    sums to the search's total."""
+    alive = stats["alive_per_vertex"]
+    pushed = stats["pushed_per_vertex"]
+    expanded = stats["expanded_per_vertex"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(("vertex", "alive_labels", "pushed", "expanded"))
-        alive = stats.get("alive_per_vertex", {})
-        for v in sorted(alive, key=str):
-            w.writerow((v, alive[v], stats.get("pushed", 0), stats.get("expanded", 0)))
+        for v in sorted(alive.keys() | pushed.keys() | expanded.keys(), key=str):
+            w.writerow((v, alive.get(v, 0), pushed.get(v, 0), expanded.get(v, 0)))
 
 
 def _cmd_route(args) -> int:
@@ -268,10 +282,9 @@ def _flows_from_json(rows, net: QuantumNetwork, rk: int) -> list:
 def _cmd_multiflow(args) -> int:
     if args.rk < 1:
         raise ValueError(f"--rk={args.rk!r} must be >= 1")
-    env = _env_seed()
-    source, seed = ("--seed", args.seed) if env is None else ("ENTROUTE_SEED", env)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"{source}={seed!r} must lie in [0, 2**64)")
+    seed = _env_seed()
+    if seed is None:
+        seed = _checked_seed("--seed", args.seed)
     net = QuantumNetwork.load(args.net)
     flows = _flows_from_json(_load_json(args.flows), net, args.rk)
     res = multiflow_solve(flows, net, args.eps, args.delta, seed, deltaq=args.deltaq)
@@ -318,7 +331,7 @@ def _cmd_experiment_run(args) -> int:
 def _cmd_verify(args) -> int:
     seed = _env_seed()
     if seed is None:
-        seed = args.seed
+        seed = _checked_seed("--seed", args.seed)
     reports = run_suite(args.suite, seed)
     text, code = render(reports)
     if args.out:

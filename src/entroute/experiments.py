@@ -25,7 +25,7 @@ import numpy as np
 
 from .auxgraph import build_aux_graph
 from .multiflow import FlowRequest, multiflow_solve
-from .network import _integer, _number
+from .network import _integer, _number, _seed
 from .pair_algebra import pseudo_fidelity
 from .purification import (
     evaluate_tree,
@@ -444,7 +444,7 @@ _FIDELITY = (lambda v: _number(v) and 0.25 < v <= 1, "in (0.25, 1]")
 # the config fields past the scenario, with the rule each value must meet
 _FIELDS = {
     "trials": _COUNT,
-    "seed": (_integer, "an integer"),
+    "seed": (_seed, "an integer in [0, 2**64)"),
     "output": (lambda v: v is None or isinstance(v, str), "a path"),
     "topology": (lambda v: v is None or isinstance(v, dict), "an object"),
     # read by route-compare: pseudo_fidelity needs F > 0.25

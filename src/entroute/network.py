@@ -19,6 +19,11 @@ def _number(v) -> bool:
     return isinstance(v, float) or _integer(v)
 
 
+def _seed(v) -> bool:
+    """A seed that numpy's generators and the rounding's Philox key take."""
+    return _integer(v) and 0 <= v < 2**64
+
+
 def _json_rows(rows, rules: dict, required, what: str) -> list:
     """rows, checked to be a JSON list of objects whose keys are all in
     rules and include every key of required, each value meeting its rule

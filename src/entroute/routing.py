@@ -5,11 +5,14 @@ cost, a discretized pseudo-fidelity budget, the bottleneck edge
 log-throughput, and a discretized path log-throughput.  Per-edge
 purification options come from three memoized functions, each a pure
 function of its arguments: the purification frontier of an edge's
-fidelity, built at the edge's budget min(capacity, Q_u, Q_v); its entries
-in first-k order for one delta_phi; and per pair count m a throughput
-table, an immutable staircase of (split index, schedule) steps swept from
-that order.  The budget depends on the edge alone, so every search over a
-network shares its frontiers and tables.
+fidelity, built at the least power of two >= the pair count m, or at the
+edge's budget min(capacity, Q_u, Q_v) if that is smaller; its entries in
+first-k order for one delta_phi; and per m a throughput table, an
+immutable staircase of (split index, schedule) steps swept from that
+order (any frontier budget >= m gives the same staircase).  The budgets
+depend on the edge and m alone, so every search over a network shares its
+frontiers and tables, and a search that reaches small pair counts only
+never builds the large frontiers.
 
 The search starts from a single label at the top source copy.  Every
 intermediate copy index is fixed by the allocation into it (j = Q_v - m),
@@ -86,6 +89,59 @@ precedes.  So the safe labels are admitted, killed and popped, in the same
 relative order, as without the bound.  Sink labels are safe, so the sink
 pops and plans are unchanged.
 
+The cost cap.  A second Dijkstra from t (_cost_to_sink; one helper, _to_sink,
+serves both) gives togo(v), the least cost of a v-t path avoiding s, each
+edge at the fewest pairs an arc over it can allocate (one when deltaq = 1).
+Costs are nonnegative and nondecreasing in the pair count, so no completion
+of a label at v costs less than its cost + togo(v).  A label's reach is the
+largest cost + togo(v) over the labels of its path (0 at the root, its
+parent's at the sink), so a child never reaches below its parent.  The
+proof below takes these float sums as exact up to rho = _ROUND*(1 + c) near
+c, which bounds their rounding along paths of under 2,000 edges.
+
+The search runs in passes.  A pass cuts, before its table is built, every
+arc whose reach (shared by the arc's steps) exceeds cap + _MARGIN*(1 + cap).
+The first cap is togo(s), the least cost of an s-t path at those pair
+counts, which no first arc reaches below.  Whenever the sink pool holds R
+labels, the cap drops to the R-th smallest of their costs (an infinite cap
+never drops).  A sink label leaves the pool only when R others
+dominate it, so from then on the pool holds R labels, and each pops as a
+result unless R results pop first: a pass that dropped its cap returns R
+results.  A pass that returns fewer after cutting an arc had a fixed cap;
+the search reruns at max(least reach cut, 2*cap), which lets that arc
+through, so the passes end.  A pass that cut nothing was the uncapped
+search.  Otherwise _certified looks for T >= top, the largest reach of the
+results, with no reach of an arc let through in (T, T + gap], gap = _TOL +
+rho(top), and every arc cut reaching above T + gap; it walks T up through
+reaches closer than gap.  If there is none, the search reruns with no cap.
+The passes share their arc and successor memos and both Dijkstras; stats=
+describes the last one.  (The phi bound already drops every arc into a
+node with no path to t that avoids s, so no arc the cap sees is a dead
+end.)
+
+Why a certified pass is exact.  Call a label low when its reach is at most
+T.  A dominator of x, in x's pool, costs at most x.cost + _TOL, so its reach
+is at most x's reach + gap; a label x dominates has reach at least x's -
+gap.  Suppose both searches have so far admitted, killed and popped the same
+low labels in the same relative order, and the uncapped one has made no
+label with reach in (T, T + gap].  The next low label popped is the same in
+both: heap keys order low labels alike, and their counter ties follow push
+order, which is alike.  Each arc it takes in the uncapped search with reach
+at most T + gap lies below every cut, so the pass takes it too, and by the
+gap its reach is at most T.  A step's dominators are then low, so its scan
+finds the same ones; the psi_hat skip reads only earlier steps of its arc.
+So it is admitted in both or neither, and it kills the same low labels: a
+label dies when R labels dominate it, all of them low.  A label that is not
+low reaches above T + gap in both searches; it dominates no low label, and
+when it dies only labels reaching above T lose a dominator.  This is where
+_TOL chains end: each link lowers reach by at most gap, and none crosses the
+empty band above T.  So the low labels are admitted, killed and popped
+alike.  The results are low; a sink label that is not low costs more than
+T + _TOL, which is more than any low one, so it pops later.  The first R
+sink pops, and so the plans, are the uncapped search's.  The margin keeps
+the cut arcs, on costs that differ by more than about 1e-9 relative, some
+thousand gaps above the results, so T = top usually certifies a pass.
+
 Budget accounting: an edge expanded at split index k demands per-edge
 pseudo-fidelity -k*delta_phi but is charged only (k-1)*delta_phi against
 the label's budget.  The round-down credit keeps the label of an exactly
@@ -122,6 +178,10 @@ from .purification import (
 
 _TOL = 1e-12
 _INF = math.inf
+# the cost cap: arcs are cut above cap + _MARGIN*(1 + cap); _ROUND*(1 + c)
+# bounds the float rounding of reaches near c (see the module docstring)
+_MARGIN = 1e-9
+_ROUND = 1e-12
 
 # Bounds of the caches below.  They are keyed by float fidelities, so a
 # long-lived process would otherwise grow them without limit; one search
@@ -212,15 +272,11 @@ def _least_charge(budget: int, f_e: float, delta_phi: float, delta_f: float, mod
     return _first_k(top, delta_phi) - 1
 
 
-def _charge_to_sink(
-    net: QuantumNetwork, s, t, limit: int, delta_phi: float, delta_f: float, mode: str
-) -> dict:
-    """LB(v) for every node v != s with LB(v) <= limit: the least sum of
-    _least_charge over the edges of any v-t path in the physical network
-    that avoids s, by one Dijkstra from t.  The search never enters s, and
-    the bound ignores copy indices and simplicity, so no path it can extend
-    a label along from v to t charges less than LB(v)*delta_phi.  Edges out
-    of the nodes left out are never charged."""
+def _to_sink(net: QuantumNetwork, s, t, limit, weight) -> dict:
+    """The least sum of weight(edge) over the edges of any v-t path in the
+    physical network that avoids s, for every node v != s where it is <=
+    limit, by one Dijkstra from t.  Weights must be nonnegative.  Edges out
+    of the nodes left out are never weighed."""
     dist = {t: 0}
     done = set()
     counter = itertools.count()
@@ -233,13 +289,50 @@ def _charge_to_sink(
         for w in net.neighbors(u):
             if w == s or w in done:
                 continue
-            edge = net.edge(u, w)
-            budget = min(edge.capacity, net.node(u).qubits, net.node(w).qubits)
-            d2 = d + _least_charge(budget, edge.fidelity, delta_phi, delta_f, mode)
+            d2 = d + weight(net.edge(u, w))
             if d2 <= limit and d2 < dist.get(w, _INF):
                 dist[w] = d2
                 heapq.heappush(heap, (d2, next(counter), w))
     return dist
+
+
+def _charge_to_sink(
+    net: QuantumNetwork, s, t, limit: int, delta_phi: float, delta_f: float, mode: str
+) -> dict:
+    """LB(v) for every node v != s with LB(v) <= limit: the least sum of
+    _least_charge over the edges of any v-t path that avoids s.  The search
+    never enters s, and the bound ignores copy indices and simplicity, so no
+    path it can extend a label along from v to t charges less than
+    LB(v)*delta_phi."""
+
+    def charge(edge):
+        budget = min(edge.capacity, net.node(edge.u).qubits, net.node(edge.v).qubits)
+        return _least_charge(budget, edge.fidelity, delta_phi, delta_f, mode)
+
+    return _to_sink(net, s, t, limit, charge)
+
+
+def _cost_to_sink(aux: AuxiliaryGraph) -> dict:
+    """togo(v) for every node v that reaches t, s only as its start: the
+    least cost of a v-t path, each edge at the fewest pairs an arc into
+    either of its ends allocates (an arc into w allocates Q_w - j pairs, j a
+    copy index of w below Q_w).  Costs are nonnegative and nondecreasing in
+    the pair count, so no path the search can extend a label along from v
+    to t costs less."""
+    net, s = aux.net, aux.s
+    fewest = {}
+    for w, node in net.nodes.items():
+        below = [j for j in aux.copy_indices(w) if j < node.qubits]
+        fewest[w] = node.qubits - max(below) if below else 1
+
+    def cost(edge):
+        return edge.cost_of(min(fewest[edge.u], fewest[edge.v], edge.capacity))
+
+    togo = _to_sink(net, s, aux.t, _INF, cost)
+    first = [cost(net.edge(s, w)) + togo[w] for w in net.neighbors(s) if w in togo]
+    if first:
+        togo[s] = min(first)
+    return togo
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -336,10 +429,10 @@ class RoutePlan:
 class _Label:
     __slots__ = (
         "cost", "phi_credit", "psi_b", "psi_hat", "path", "pkey", "vertex", "copy", "parent", "arc",
-        "alive", "dominators",
+        "alive", "dominators", "reach",
     )
 
-    def __init__(self, cost, phi_credit, psi_b, psi_hat, path, pkey, vertex, copy, parent, arc):
+    def __init__(self, cost, phi_credit, psi_b, psi_hat, path, pkey, vertex, copy, parent, arc, reach=0.0):
         self.cost = cost
         self.phi_credit = phi_credit
         self.psi_b = psi_b
@@ -352,6 +445,7 @@ class _Label:
         self.arc = arc  # (m, k, edge, schedule entry) of the arc into vertex
         self.alive = True
         self.dominators = 0  # alive labels of its pool that dominate it; < R
+        self.reach = reach  # lower bound on the cost of every completion
 
 
 def _scan(pool: list, cost: float, phi_credit: float, psi_hat: float, copy: int, R: int):
@@ -422,6 +516,19 @@ def _admit(pool: list, lab: _Label, count: int, beaten: list, R: int) -> int:
     return killed
 
 
+def _certified(top: float, reaches: list, least_cut: float) -> bool:
+    """Whether a pass whose results reach at most top is exact (see the
+    module docstring): some T >= top has no reach of the arcs let through in
+    (T, T + gap], for gap = _TOL + _ROUND*(1 + top), and every arc cut
+    reaches above T + gap."""
+    gap = _TOL + _ROUND * (1 + top)
+    for r in sorted(r for r in reaches if r > top):
+        if r > top + gap:
+            break
+        top = r
+    return least_cut > top + gap
+
+
 def _search(
     aux: AuxiliaryGraph,
     phi0: float,
@@ -441,13 +548,10 @@ def _search(
     if R < 1:
         raise ValueError("R must be >= 1")
     net = aux.net
-    pools: dict = {}
-    counter = itertools.count()
-    heap: list = []
-    pushed = expanded = rejected = killed = skipped = dead_pops = pruned = 0
-    # per-search memos: vertex -> the arcs out of it, as (head, pool key,
-    # copy, (str(v),), successor key, edge, m, psi_v, LB(v)); successor key
-    # (id(edge), m) -> (edge cost, ((k, entry, psi_e, (k-1)*delta_phi, arc), ...))
+    # per-search memos, shared by every pass: vertex -> the arcs out of it,
+    # as (head, pool key, copy, (str(v),), successor key, edge, m, psi_v,
+    # LB(v), edge cost, togo(v)); successor key (id(edge), m) -> ((k, entry,
+    # psi_e, (k-1)*delta_phi, arc), ...)
     arc_memo: dict = {}
     succ_memo: dict = {}
     psi_floor = psi0 - _TOL
@@ -456,147 +560,189 @@ def _search(
     # no label has more credit than the root's 0, so none can use an LB(v)
     # above the root's room; such nodes are left out, as if unreachable
     to_sink = _charge_to_sink(net, aux.s, aux.t, int(-phi_low / delta_phi), delta_phi, delta_f, mode)
+    togo = _cost_to_sink(aux)
 
     def arcs_of(vertex):
         arcs = []
         for head, m, edge in aux.out_arcs(vertex):
             if edge is None:
-                arcs.append((head, head, 0, None, None, None, 0, None, None))
+                arcs.append((head, head, 0, None, None, None, 0, None, None, None, None))
             else:
                 v, j = head
                 psi_v = 0.0 if v == aux.t else math.log(net.node(v).swap_prob)
                 lb = to_sink.get(v, _INF)
-                arcs.append((head, v, j, (str(v),), (id(edge), m), edge, m, psi_v, lb))
+                g = togo.get(v, _INF)
+                arcs.append((head, v, j, (str(v),), (id(edge), m), edge, m, psi_v, lb, edge.cost_of(m), g))
         return arcs
 
     def successors(edge, m):
         # every arc over the edge allocates m <= min(capacity, Q_tail, Q_head);
-        # the budget depends on the edge alone, so all searches share its tables
+        # the frontier is built at the least power of two >= m below that
+        # budget (any budget >= m gives the same staircase), so all searches
+        # share it and small pair counts never build the large frontiers
         budget = min(edge.capacity, net.node(edge.u).qubits, net.node(edge.v).qubits)
+        budget = min(budget, 1 << (m - 1).bit_length())
         steps = edge_throughput_table(budget, m, edge.fidelity, delta_phi, delta_f, delta_xi, mode)
-        return edge.cost_of(m), tuple(
+        return tuple(
             (k, entry, math.log(entry.ratio() * m), (k - 1) * delta_phi, (m, k, edge, entry))
             for k, entry in steps
         )
 
+    cap = togo.get(aux.s, _INF)  # no first arc reaches less
     source_copies = aux.copy_indices(aux.s)
-    if source_copies:
-        top = max(source_copies)
-        root = _Label(0.0, 0.0, _INF, _INF, (aux.s,), (str(aux.s),), (aux.s, top), top, None, None)
-        pools[aux.s] = [root]
-        heapq.heappush(heap, (0.0, 0, root.pkey, next(counter), root))
+    for passes in itertools.count(1):
+        pools: dict = {}
+        counter = itertools.count()
+        heap: list = []
+        pushed_at: dict = {}
+        expanded_at: dict = {}
+        rejected = killed = skipped = dead_pops = pruned = capped = 0
+        least_cut = _INF  # the least reach the cap cut
+        reaches = []  # the reach of every arc the cap let through
+        limit = cap + _MARGIN * (1 + cap)
+        if source_copies:
+            top = max(source_copies)
+            root = _Label(0.0, 0.0, _INF, _INF, (aux.s,), (str(aux.s),), (aux.s, top), top, None, None)
+            pools[aux.s] = [root]
+            heapq.heappush(heap, (0.0, 0, root.pkey, next(counter), root))
 
-    results: list[_Label] = []
-    while heap:
-        lab = heapq.heappop(heap)[-1]
-        if not lab.alive:
-            dead_pops += 1
-            continue
-        vertex = lab.vertex
-        if vertex == VIRTUAL_SINK:
-            results.append(lab)
-            if len(results) >= R:
-                break
-            continue
-        expanded += 1
-        arcs = arc_memo.get(vertex)
-        if arcs is None:
-            arcs = arc_memo[vertex] = arcs_of(vertex)
-        cost, phi_credit, psi_hat, psi_b = lab.cost, lab.phi_credit, lab.psi_hat, lab.psi_b
-        path = lab.path
-        depth = len(path)
-        kmax = int(math.floor((phi_credit - phi0) / delta_phi + 1e-9)) + 1
-        # a step k into v with k - 1 + LB(v) > kroom - 1 cannot reach t (see
-        # the module docstring); phi_credit >= phi_floor, so int() floors
-        kroom = int((phi_credit - phi_low) / delta_phi) + 1
-        for head, key, j, pkey_v, succ_key, edge, m, psi_v, lb in arcs:
-            if edge is None:
-                # zero-cost virtual hop into the sink
-                pool = pools.get(key)
-                if pool is None:
-                    pool = pools[key] = []
-                found = _scan(pool, cost, phi_credit, psi_hat, 0, R)
-                if found is None:
-                    rejected += 1
-                    continue
-                new = _Label(cost, phi_credit, psi_b, psi_hat, path, lab.pkey, head, 0, lab, None)
-                killed += _admit(pool, new, *found, R)
-                heapq.heappush(heap, (cost, depth - 1, new.pkey, next(counter), new))
-                pushed += 1
+        results: list[_Label] = []
+        while heap:
+            lab = heapq.heappop(heap)[-1]
+            if not lab.alive:
+                dead_pops += 1
                 continue
-            if kmax < 1 or key in path:
-                continue
-            kcap = kroom - lb
-            if kcap < kmax:
-                pruned += 1
-                if kcap < 1:
-                    continue
-            else:
-                kcap = kmax
-            succ = succ_memo.get(succ_key)
-            if succ is None:
-                succ = succ_memo[succ_key] = successors(edge, m)
-            edge_cost, steps = succ
-            cost2 = cost + edge_cost
-            psi_base = psi_v + psi_hat
-            pool = pools.get(key)
-            last_psi = -_INF
-            for k, entry, psi_e, phi_charge, arc in steps:
-                if k > kcap:
+            vertex = lab.vertex
+            if vertex == VIRTUAL_SINK:
+                results.append(lab)
+                if len(results) >= R:
                     break
-                # _ceil_to_grid of the path log-throughput, inlined; psi_base is the
-                # first partial sum of psi_v + psi_hat + psi_e - psi_b, so each value
-                # is the float that summing left to right gives
-                if psi_b == _INF:
-                    psi_hat2 = math.ceil((psi_v + psi_e) / delta_psi - 1e-9) * delta_psi
-                elif psi_e <= psi_b:
-                    psi_hat2 = math.ceil((psi_base + psi_e - psi_b) / delta_psi - 1e-9) * delta_psi
+                continue
+            expanded_at[vertex] = expanded_at.get(vertex, 0) + 1
+            arcs = arc_memo.get(vertex)
+            if arcs is None:
+                arcs = arc_memo[vertex] = arcs_of(vertex)
+            cost, phi_credit, psi_hat, psi_b = lab.cost, lab.phi_credit, lab.psi_hat, lab.psi_b
+            reach0 = lab.reach
+            path = lab.path
+            depth = len(path)
+            kmax = int(math.floor((phi_credit - phi0) / delta_phi + 1e-9)) + 1
+            # a step k into v with k - 1 + LB(v) > kroom - 1 cannot reach t (see
+            # the module docstring); phi_credit >= phi_floor, so int() floors
+            kroom = int((phi_credit - phi_low) / delta_phi) + 1
+            for head, key, j, pkey_v, succ_key, edge, m, psi_v, lb, edge_cost, g in arcs:
+                if edge is None:
+                    # zero-cost virtual hop into the sink
+                    pool = pools.get(key)
+                    if pool is None:
+                        pool = pools[key] = []
+                    found = _scan(pool, cost, phi_credit, psi_hat, 0, R)
+                    if found is None:
+                        rejected += 1
+                        continue
+                    new = _Label(cost, phi_credit, psi_b, psi_hat, path, lab.pkey, head, 0, lab, None, reach0)
+                    killed += _admit(pool, new, *found, R)
+                    heapq.heappush(heap, (cost, depth - 1, new.pkey, next(counter), new))
+                    pushed_at[head] = pushed_at.get(head, 0) + 1
+                    if len(pool) >= R and cap < _INF:
+                        # R sink labels at most this cost will pop (see the
+                        # module docstring); an infinite cap never drops
+                        cap = min(cap, sorted(e.cost for e in pool)[R - 1])
+                        limit = cap + _MARGIN * (1 + cap)
+                    continue
+                if kmax < 1 or key in path:
+                    continue
+                kcap = kroom - lb
+                if kcap < kmax:
+                    pruned += 1
+                    if kcap < 1:
+                        continue
                 else:
-                    psi_hat2 = math.ceil(psi_base / delta_psi - 1e-9) * delta_psi
-                if psi_hat2 <= last_psi:
-                    # same cost and copy as the step that set last_psi, less
-                    # phi credit and no more psi_hat (see the module docstring)
-                    skipped += 1
+                    kcap = kmax
+                cost2 = cost + edge_cost
+                reach = cost2 + g
+                if reach < reach0:
+                    reach = reach0
+                if reach > limit:
+                    capped += 1
+                    if reach < least_cut:
+                        least_cut = reach
                     continue
-                if R == 1:
-                    last_psi = psi_hat2
-                if psi_hat2 < psi_floor:
-                    continue
-                phi_credit2 = phi_credit - phi_charge
-                if phi_credit2 < phi_floor:
-                    continue
-                if pool is None:
-                    pool = pools[key] = []
-                found = _scan(pool, cost2, phi_credit2, psi_hat2, j, R)
-                if found is None:
-                    rejected += 1
-                    last_psi = psi_hat2
-                    continue
-                new = _Label(
-                    cost2,
-                    phi_credit2,
-                    psi_b if psi_b < psi_e else psi_e,
-                    psi_hat2,
-                    path + (key,),
-                    lab.pkey + pkey_v,
-                    head,
-                    j,
-                    lab,
-                    arc,
-                )
-                killed += _admit(pool, new, *found, R)
-                if R > 1:
-                    last_psi = -_INF
-                heapq.heappush(heap, (cost2, depth, new.pkey, next(counter), new))
-                pushed += 1
+                reaches.append(reach)
+                steps = succ_memo.get(succ_key)
+                if steps is None:
+                    steps = succ_memo[succ_key] = successors(edge, m)
+                psi_base = psi_v + psi_hat
+                pool = pools.get(key)
+                last_psi = -_INF
+                for k, entry, psi_e, phi_charge, arc in steps:
+                    if k > kcap:
+                        break
+                    # _ceil_to_grid of the path log-throughput, inlined; psi_base is the
+                    # first partial sum of psi_v + psi_hat + psi_e - psi_b, so each value
+                    # is the float that summing left to right gives
+                    if psi_b == _INF:
+                        psi_hat2 = math.ceil((psi_v + psi_e) / delta_psi - 1e-9) * delta_psi
+                    elif psi_e <= psi_b:
+                        psi_hat2 = math.ceil((psi_base + psi_e - psi_b) / delta_psi - 1e-9) * delta_psi
+                    else:
+                        psi_hat2 = math.ceil(psi_base / delta_psi - 1e-9) * delta_psi
+                    if psi_hat2 <= last_psi:
+                        # same cost and copy as the step that set last_psi, less
+                        # phi credit and no more psi_hat (see the module docstring)
+                        skipped += 1
+                        continue
+                    if R == 1:
+                        last_psi = psi_hat2
+                    if psi_hat2 < psi_floor:
+                        continue
+                    phi_credit2 = phi_credit - phi_charge
+                    if phi_credit2 < phi_floor:
+                        continue
+                    if pool is None:
+                        pool = pools[key] = []
+                    found = _scan(pool, cost2, phi_credit2, psi_hat2, j, R)
+                    if found is None:
+                        rejected += 1
+                        last_psi = psi_hat2
+                        continue
+                    new = _Label(
+                        cost2,
+                        phi_credit2,
+                        psi_b if psi_b < psi_e else psi_e,
+                        psi_hat2,
+                        path + (key,),
+                        lab.pkey + pkey_v,
+                        head,
+                        j,
+                        lab,
+                        arc,
+                        reach,
+                    )
+                    killed += _admit(pool, new, *found, R)
+                    if R > 1:
+                        last_psi = -_INF
+                    heapq.heappush(heap, (cost2, depth, new.pkey, next(counter), new))
+                    pushed_at[head] = pushed_at.get(head, 0) + 1
+
+        if not capped:
+            break  # the cap cut nothing: this was the uncapped search
+        if len(results) < R:
+            cap = max(least_cut, 2 * cap)  # no drop happened: deepen
+            continue
+        if _certified(max(e.reach for e in results), reaches, least_cut):
+            break
+        cap = _INF  # rerun uncapped
 
     if stats is not None:
         per_vertex: dict = {}
         for pool in pools.values():
             for e in pool:
                 per_vertex.setdefault(e.vertex, []).append(e)
-        stats["pushed"] = pushed
-        stats["expanded"] = expanded
+        stats["pushed"] = sum(pushed_at.values())
+        stats["expanded"] = sum(expanded_at.values())
+        stats["pushed_per_vertex"] = pushed_at
+        stats["expanded_per_vertex"] = expanded_at
         stats["alive_per_vertex"] = {v: len(ls) for v, ls in per_vertex.items()}
         stats["labels"] = {
             v: [(e.cost, e.phi_credit, e.psi_b, e.psi_hat, e.path) for e in ls]
@@ -607,6 +753,9 @@ def _search(
         stats["skipped"] = skipped
         stats["dead_pops"] = dead_pops
         stats["pruned"] = pruned
+        stats["capped"] = capped
+        stats["passes"] = passes
+        stats["cap"] = cap
     return results
 
 

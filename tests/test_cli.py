@@ -179,6 +179,28 @@ def test_route_plan_and_sidecar(capsys, grid_net, tmp_path):
     assert set(net.nodes) == {0, 1, 2, 3, 4, 5}
 
 
+def test_route_stats_columns_sum_to_the_search_totals(capsys, grid_net, tmp_path):
+    """--stats-out gives each vertex its own counts, not the search totals
+    on every row: the columns add up to the totals of stats=."""
+    from entroute.auxgraph import build_aux_graph
+    from entroute.routing import min_cost_path
+
+    _, net_path = grid_net
+    stats_path = tmp_path / "stats.csv"
+    argv = ("--src", "0", "--dst", "5", "--f0", "0.75", "--q0", "0.25", "--dphi", "0.005", "--dpsi", "0.01")
+    code, _, _ = run_cli(capsys, "route", "--net", str(net_path), *argv, "--stats-out", str(stats_path))
+    assert code == 0
+    stats: dict = {}
+    aux = build_aux_graph(QuantumNetwork.load(net_path), 0, 5)
+    min_cost_path(aux, pseudo_fidelity(0.75), math.log(0.25), 0.005, 0.01, stats=stats)
+    lines = stats_path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "vertex,alive_labels,pushed,expanded"
+    rows = [line.rsplit(",", 3)[1:] for line in lines[1:]]
+    assert len(rows) > 2
+    sums = [sum(int(row[i]) for row in rows) for i in range(3)]
+    assert sums == [sum(stats["alive_per_vertex"].values()), stats["pushed"], stats["expanded"]]
+
+
 def test_route_infeasible_agrees_with_oracle(capsys, grid_net):
     _, net_path = grid_net
     code, out, _ = run_cli(
@@ -433,6 +455,50 @@ def test_env_seed_invalid(capsys, grid_net, monkeypatch, tmp_path):
     )
     assert code == 2
     assert "ENTROUTE_SEED" in err
+
+
+@pytest.mark.parametrize(
+    "source, value", [("--seed", "-1"), ("--seed", str(2**64)), ("ENTROUTE_SEED", "-1")]
+)
+def test_verify_checks_seed_exits_2(capsys, tmp_path, monkeypatch, source, value):
+    # numpy and the rounding's Philox key take seeds in [0, 2**64) only
+    argv = ["--seed", value] if source == "--seed" else []
+    if source == "ENTROUTE_SEED":
+        monkeypatch.setenv("ENTROUTE_SEED", value)
+    out = tmp_path / "report.txt"
+    code, stdout, err = run_cli(capsys, "verify", "--suite", "theorem4-mc", *argv, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert f"{source}={value} must lie in [0, 2**64)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", str(2**64)])
+def test_env_seed_out_of_range_exits_2(capsys, grid_net, tmp_path, monkeypatch, value):
+    spec_path, _ = grid_net
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "route-compare", "trials": 1}), encoding="utf-8")
+    monkeypatch.setenv("ENTROUTE_SEED", value)
+    for argv, out in (
+        (["topo", "gen", "--spec", str(spec_path)], tmp_path / "other.json"),
+        (["experiment", "run", "--config", str(cfg)], tmp_path / "out"),
+    ):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2 and stdout == "", argv
+        assert f"ENTROUTE_SEED={value} must lie in [0, 2**64)" in err, argv
+        assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("seed", [-5, 2**64])
+@pytest.mark.parametrize("scenario", ["multiflow", "route-compare"])
+def test_experiment_rejects_bad_seed_exits_2(capsys, tmp_path, scenario, seed):
+    # a config error, not an error row: numpy rejected -5 only inside a trial
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario, "trials": 1, "seed": seed}), encoding="utf-8")
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "experiment", "run", "--config", str(cfg), "--out", str(outdir))
+    assert code == 2 and out == ""
+    assert f"'seed' must be an integer in [0, 2**64), got {seed}" in err
+    assert not outdir.exists()
 
 
 def test_experiment_run_writes_outputs(capsys, tmp_path):

@@ -567,9 +567,11 @@ def test_label_invariants():
 # It builds every candidate label before testing it against the pool, and
 # walks the arcs and throughput tables again for every label it expands.
 # _search tests the raw values first, memoizes arcs and successors per
-# search, and drops the steps whose charge plus a lower bound on the charge
-# on to t exceeds the label's phi credit; the plans of the two must agree,
-# and so must the admissions, kills and heap pops of the labels it keeps.
+# search, drops the steps whose charge plus a lower bound on the charge on
+# to t exceeds the label's phi credit, and cuts the arcs whose reach (cost
+# plus a lower bound on the cost on to t) exceeds its cost cap; the plans of
+# the two must agree, and so must the admissions, kills and heap pops of the
+# labels it keeps below the cap.
 
 _TOL = routing._TOL
 _INF = routing._INF
@@ -649,8 +651,9 @@ def _oracle_search(
     keep=lambda lab: True,
 ) -> list[_OracleLabel]:
     """The former search, which prunes nothing.  Its stats= count and
-    list only the labels that keep accepts (the root always counts), with
-    the pools in the order of their first such candidate."""
+    list only the labels that keep accepts (the root always counts); the
+    alive ones are grouped by vertex in push order, which within a vertex
+    is pool order."""
     if phi0 > _TOL:
         raise ValueError("phi0 must be <= 0")
     if delta_phi <= 0 or delta_psi <= 0:
@@ -661,28 +664,24 @@ def _oracle_search(
     pools: dict = {}
     counter = itertools.count()
     heap: list = []
-    pushed = 0
     expanded = 0
-    kept_pools: dict = {}  # pool keys in the order of their first kept candidate
+    kept: list = []  # the pushed labels keep accepts, in push order, the root first
 
     def push(lab: _OracleLabel):
-        nonlocal pushed
         key = lab.vertex[0] if lab.vertex[0] != "__virtual__" else lab.vertex
-        kept = keep(lab)
-        if kept:
-            kept_pools.setdefault(key)
         if _try_insert(pools.setdefault(key, []), lab, R):
             heapq.heappush(
                 heap,
                 (lab.cost, len(lab.path) - 1, tuple(map(str, lab.path)), next(counter), lab),
             )
-            pushed += kept
+            if keep(lab):
+                kept.append(lab)
 
     source_copies = aux.copy_indices(aux.s)
     if source_copies:
         root = _OracleLabel(0.0, 0.0, _INF, _INF, (aux.s,), (aux.s, max(source_copies)), None, None)
         pools[aux.s] = [root]
-        kept_pools[aux.s] = None
+        kept.append(root)
         heapq.heappush(heap, (0.0, 0, (str(aux.s),), next(counter), root))
 
     results: list[_OracleLabel] = []
@@ -745,19 +744,74 @@ def _oracle_search(
                 )
 
     if stats is not None:
-        per_vertex: dict = {}
-        for key in kept_pools:
-            for e in pools[key]:
-                if e.alive and (e.parent is None or keep(e)):
-                    per_vertex.setdefault(e.vertex, []).append(e)
-        stats["pushed"] = pushed
+        stats["pushed"] = len(kept) - bool(source_copies)
         stats["expanded"] = expanded
-        stats["alive_per_vertex"] = {v: len(ls) for v, ls in per_vertex.items()}
-        stats["labels"] = {
+        stats.update(_label_stats(kept))
+    return results
+
+
+def _label_stats(labels) -> dict:
+    """alive_per_vertex and labels of stats= over the alive ones of labels,
+    grouped by vertex in the order given."""
+    per_vertex: dict = {}
+    for e in labels:
+        if e.alive:
+            per_vertex.setdefault(e.vertex, []).append(e)
+    return {
+        "alive_per_vertex": {v: len(ls) for v, ls in per_vertex.items()},
+        "labels": {
             v: [(e.cost, e.phi_credit, e.psi_b, e.psi_hat, e.path) for e in ls]
             for v, ls in per_vertex.items()
-        }
-    return results
+        },
+    }
+
+
+def _reach(lab, togo) -> float:
+    """A label's reach as the module docstring defines it: the largest
+    cost + togo(v) along its path, 0 at the root; a sink label's is its
+    parent's."""
+    if lab.parent is None:
+        return 0.0
+    reach = _reach(lab.parent, togo)
+    if lab.vertex == VIRTUAL_SINK:
+        return reach
+    return max(reach, lab.cost + togo.get(lab.vertex[0], math.inf))
+
+
+class _HeapLog:
+    """heapq as _search calls it, logging per pass the labels pushed (the
+    root first; its push starts a pass) and the labels popped alive and
+    expanded."""
+
+    def __init__(self):
+        self.passes: list = []
+
+    def heappush(self, heap, item):
+        lab = item[-1]
+        if isinstance(lab, routing._Label):
+            if lab.parent is None:
+                self.passes.append(([], []))
+            self.passes[-1][0].append(lab)
+        heapq.heappush(heap, item)
+
+    def heappop(self, heap):
+        item = heapq.heappop(heap)
+        lab = item[-1]
+        if isinstance(lab, routing._Label) and lab.alive and lab.vertex != VIRTUAL_SINK:
+            self.passes[-1][1].append(lab)
+        return item
+
+
+def _logged_search(*args):
+    """_search(*args) with a stats= dict, and the final pass's pushes and
+    expansions, from a _HeapLog."""
+    log = _HeapLog()
+    stats: dict = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(routing, "heapq", log)
+        found = routing._search(*args[:8], stats, *args[8:])
+    pushed, expanded = log.passes[-1] if log.passes else ([], [])
+    return found, stats, pushed, expanded
 
 
 def _rand_case(seed):
@@ -771,6 +825,18 @@ def _grid_case(side, deltaq_capacity, seed, f0):
     net = topology.generate(spec)
     s, t = random.Random(seed).sample(sorted(net.nodes), 2)
     return build_aux_graph(net, s, t, deltaq), f0
+
+
+def _weighted_case(seed, weights):
+    """A random net whose edges cost weight * m, the weight drawn from
+    weights: decimals whose sums round differently by order, or weights
+    apart by less than _TOL, so that path costs tie only up to _TOL."""
+    net, s, t, f0 = rand_net(seed)
+    rng = random.Random(-seed)
+    edges = [
+        EdgeSpec(e.u, e.v, e.capacity, e.fidelity, ("weighted", rng.choice(weights))) for e in net.edges
+    ]
+    return build_aux_graph(QuantumNetwork(list(net.nodes.values()), edges), s, t), f0
 
 
 # A search's size grows with the copies per node, Q_v / deltaq; at most three
@@ -787,6 +853,11 @@ _search_cases = st.one_of(
         st.integers(0, 10**6),
         st.sampled_from([0.8, 0.85, 0.9]),
     ),
+    st.builds(
+        _weighted_case,
+        st.integers(0, 10**6),
+        st.sampled_from([(0.1, 0.2, 0.3, 0.7), (1.0, 1.0 + 4e-13, 1.0 - 3e-13, 2.0)]),
+    ),
 )
 _steps = st.sampled_from([0.005, 0.01, 0.02])
 
@@ -798,37 +869,56 @@ def _plan_key(plan):
 @settings(max_examples=80, deadline=None)
 @given(_search_cases, st.integers(1, 3), st.sampled_from(["optimal", "pumping"]), _steps, _steps)
 @example(_grid_case(4, (5, 15), 3, 0.85), 3, "optimal", 0.005, 0.005)  # ~1,400 labels pushed
-@example(_grid_case(3, (5, 15), 4, 0.8), 3, "optimal", 0.005, 0.005)  # steps skipped, labels killed
+@example(_grid_case(3, (5, 15), 4, 0.8), 3, "optimal", 0.005, 0.005)
+@example(_grid_case(3, (5, 15), 3, 0.8), 3, "optimal", 0.005, 0.005)  # steps skipped, labels killed
+@example(_weighted_case(287, (0.1, 0.2, 0.3, 0.7)), 3, "optimal", 0.01, 0.01)  # a reach is its parent's
 def test_search_matches_former_search(case, R, mode, delta_phi, delta_psi):
     """Testing dominance on raw values before a label is built, the
-    per-search arc and successor memos, and the phi lower bound change no
-    plan, and no admission, kill or heap pop of a label the bound keeps:
-    the plans equal the former search's, and the stats equal its stats
-    over those labels, in pool order.  The bound keeps a label whose step
-    k into v from a parent with credit c has k - 1 + LB(v) <=
-    floor((c - phi0 + 2e-9)/delta_phi)."""
+    per-search arc and successor memos, the phi lower bound and the cost
+    cap change no plan, and no admission, kill or heap pop of a label both
+    bounds keep: the plans equal the former search's, and the final pass's
+    pushes, expansions and alive labels (in pool order) among the labels
+    whose reach is at most the results' (all of them when the search
+    returns fewer than R plans) equal the former search's among the labels
+    that also pass the phi bound.  That keeps a label whose step k into v
+    from a parent with credit c has k - 1 + LB(v) <= floor((c - phi0 +
+    2e-9)/delta_phi).  stats= describes that final pass."""
     aux, f0 = case
     phi0 = pseudo_fidelity(f0)
     args = (aux, phi0, math.log(0.2), delta_phi, delta_psi, R, 1e-4, 1e-4)
     phi_low = phi0 - 2e-9
     limit = int(-phi_low / delta_phi)
     to_sink = routing._charge_to_sink(aux.net, aux.s, aux.t, limit, delta_phi, 1e-4, mode)
+    togo = routing._cost_to_sink(aux)
 
-    def passes(lab):
+    got, got_stats, pushed, expanded = _logged_search(*args, mode)
+    top = max(lab.reach for lab in got) if len(got) == R else math.inf
+
+    def low(lab):
+        return _reach(lab, togo) <= top
+
+    def keep(lab):
+        if not low(lab):
+            return False
         if lab.vertex == VIRTUAL_SINK:
             return True
         room = int((lab.parent.phi_credit - phi_low) / delta_phi)
         return lab.arc[1] - 1 + to_sink.get(lab.vertex[0], math.inf) <= room
 
-    got_stats, want_stats = {}, {}
-    got = routing._search(*args, got_stats, mode)
-    want = _oracle_search(*args, want_stats, mode, passes)
+    want_stats = {}
+    want = _oracle_search(*args, want_stats, mode, keep)
     assert [_plan_key(routing._plan_from_label(aux, lab, delta_phi)) for lab in got] == [
         _plan_key(routing._plan_from_label(aux, lab, delta_phi)) for lab in want
     ]
+    assert all(lab.reach == _reach(lab, togo) for lab in pushed)
+    # stats= counts the final pass
+    assert got_stats["pushed"] == len(pushed[1:]) and got_stats["expanded"] == len(expanded)
+    assert got_stats["alive_per_vertex"] == _label_stats(pushed)["alive_per_vertex"]
+    kept = [lab for lab in pushed if low(lab)]
+    got_low = {"pushed": len(kept[1:]), "expanded": sum(map(low, expanded)), **_label_stats(kept)}
     for key in ("pushed", "expanded", "alive_per_vertex", "labels"):
-        assert got_stats[key] == want_stats[key], key
-    assert list(got_stats["labels"]) == list(want_stats["labels"])
+        assert got_low[key] == want_stats[key], key
+    assert list(got_low["labels"]) == list(want_stats["labels"])
 
 
 def test_charge_to_sink_is_least_path_charge():
@@ -855,6 +945,137 @@ def test_charge_to_sink_is_least_path_charge():
                 assert got == {v: d for v, d in want.items() if d <= limit}, (seed, mode, limit)
                 cut += len(got) < len(want) and max(got.values()) > 0
     assert cut > 0  # some limit leaves out nodes and keeps a charged one
+
+
+def test_cost_to_sink_is_least_path_cost():
+    """togo(v) is the least cost of the simple v-t paths that avoid s (of
+    the s-t paths for v = s), found by enumerating them, each edge at the
+    fewest pairs an arc into one of its ends allocates: one pair when
+    deltaq = 1.  Every arc of the auxiliary graph allocates at least that
+    many, so the bound holds; exactly the nodes with such a path have one."""
+    cases = [_weighted_case(seed, (0.1, 0.2, 0.3, 0.7)) for seed in range(6)]
+    # with Q_v = degree * 7 and deltaq = 3 the fewest pairs differ by node
+    cases += [_grid_case(3, dq_cap, seed, 0.8) for dq_cap in ((3, 7), (5, 15)) for seed in range(3)]
+    above_one = uneven = 0
+    for n, (aux, _) in enumerate(cases):
+        net, s, t = aux.net, aux.s, aux.t
+        fewest = {}  # the fewest pairs an arc into a node allocates
+        for v in net.nodes:
+            counts = [net.node(v).qubits - j for j in aux.copy_indices(v) if j < net.node(v).qubits]
+            fewest[v] = min(counts, default=1)
+            assert aux.deltaq > 1 or fewest[v] == 1
+        above_one += max(fewest.values()) > 1
+        uneven += any(fewest[e.u] != fewest[e.v] for e in net.edges)
+        for v in net.nodes:
+            for j in aux.copy_indices(v):
+                for head, m, edge in aux.out_arcs((v, j)):
+                    assert edge is None or m >= min(fewest[edge.u], fewest[edge.v]), n
+        want = {}
+        for v in net.nodes:
+            for nodes in routing._simple_paths(net, v, t):
+                if s not in nodes[1:]:
+                    edges = [net.edge(a, b) for a, b in zip(nodes, nodes[1:])]
+                    total = sum(e.cost_of(min(fewest[e.u], fewest[e.v], e.capacity)) for e in edges)
+                    want[v] = min(total, want.get(v, total))
+        got = routing._cost_to_sink(aux)
+        assert got.keys() == want.keys(), n
+        for v, cost in want.items():
+            assert got[v] == pytest.approx(cost, rel=1e-15, abs=0), (n, v)
+    # the deltaq = 3 and 5 grids charge more than one pair, and the deltaq = 3
+    # ones charge an edge the fewer of its two ends' counts
+    assert above_one == 6 and uneven == 3
+
+
+def _instance_46():
+    """Flow 0 of multiflow-mc instance 46 (2x2 grid, capacity and allowance
+    39, seed 46), as flow_candidates searches it."""
+    from entroute.multiflow import _PSI_FLOOR
+
+    spec = topology.TopologySpec(kind="grid", rows=2, cols=2, capacity=39, qubit_allowance=39, seed=46)
+    net = topology.generate(spec)
+    flow = topology.sample_flows(net, 3, seed=47, f0=0.8, r_k=3)[0]
+    aux = build_aux_graph(net, flow.source, flow.destination)
+    phi0 = pseudo_fidelity(flow.f0)
+    deltas = discretization_steps(aux, phi0, _PSI_FLOOR, 0.2)
+    return (aux, phi0, _PSI_FLOOR, *deltas, flow.r_k, 1e-4, 1e-4)
+
+
+def test_cost_cap_keeps_instance_46():
+    """The R = 3 query whose third plan lazy generation changed (two plans
+    of cost 3 tie): under the cap it is still [1, 0, 2] with pair counts
+    [2, 1], as in the uncapped former search.  The second pass is certified
+    at the third plan's cost, so a cap that cut an arc it should keep would
+    end uncapped (cap inf) or in a third pass."""
+    args = _instance_46()
+    aux, delta_phi = args[0], args[3]
+    stats: dict = {}
+    got = routing._search(*args, stats)
+    want = _oracle_search(*args, None)
+    plans = [routing._plan_from_label(aux, lab, delta_phi) for lab in got]
+    assert [_plan_key(p) for p in plans] == [
+        _plan_key(routing._plan_from_label(aux, lab, delta_phi)) for lab in want
+    ]
+    assert (plans[2].nodes, plans[2].pair_counts, plans[2].cost) == ([1, 0, 2], [2, 1], 3.0)
+    assert (stats["passes"], stats["cap"]) == (2, 3.0) and stats["capped"] > 0
+
+
+def test_cost_cap_lets_through_every_arc_up_to_the_cap():
+    """Queries whose cheapest path meets the thresholds: the first pass, at
+    togo(s), keeps every arc that reaches no higher, so it returns that
+    path, while it cuts some dearer arcs."""
+    for seed in (1, 2, 3, 4, 10):
+        aux, f0 = _rand_case(seed)
+        stats: dict = {}
+        plan = min_cost_path(aux, pseudo_fidelity(f0), math.log(0.2), 0.005, 0.005, stats=stats)
+        assert plan.cost == routing._cost_to_sink(aux)[aux.s] == stats["cap"], seed
+        assert stats["passes"] == 1 and stats["capped"] > 0, seed
+
+
+def test_cost_cap_deepens_past_an_infinite_cost():
+    """The only feasible path has an edge of infinite weight: the cap cuts
+    it (its reach is inf) and the search reruns uncapped, as the former
+    search returns it."""
+    nodes = [NodeSpec(n, 3) for n in "svuta"]
+    edges = [
+        EdgeSpec("s", "v", 2, 0.97), EdgeSpec("v", "u", 2, 0.97, ("weighted", math.inf)),
+        EdgeSpec("u", "t", 2, 0.97), EdgeSpec("s", "a", 1, 0.6), EdgeSpec("a", "t", 1, 0.6),
+    ]
+    aux = build_aux_graph(QuantumNetwork(nodes, edges), "s", "t")
+    args = (aux, pseudo_fidelity(0.8), math.log(0.2), 0.01, 0.01, 1, 1e-4, 1e-4)
+    stats: dict = {}
+    got = routing._search(*args, stats)
+    want = _oracle_search(*args, None)
+    assert [(lab.path, lab.cost) for lab in got] == [(lab.path, lab.cost) for lab in want]
+    assert got[0].cost == math.inf and (stats["passes"], stats["cap"]) == (2, math.inf)
+
+
+def test_certificate_needs_a_gap_above_the_results():
+    """A pass is exact when some T >= the results' reach has no arc let
+    through in (T, T + gap] and every cut arc reaches above T + gap; reaches
+    closer together than the gap carry T up with them."""
+    gap = routing._TOL + routing._ROUND * 6
+    assert routing._certified(5.0, [1.0, 5.0], 5.0 + 2 * gap)
+    assert not routing._certified(5.0, [1.0, 5.0], 5.0 + gap / 2)
+    # a chain of reaches under a gap apart reaches the cut arc
+    chain = [5.0 + i * gap * 0.9 for i in range(1, 12)]  # up to 5 + 9.9 gaps
+    assert not routing._certified(5.0, chain, 5.0 + 4 * gap)
+    assert not routing._certified(5.0, chain, 5.0 + 10.5 * gap)
+    assert routing._certified(5.0, chain, 5.0 + 11 * gap)
+    # a gap in the chain is enough: T = 5 + 2.7 gaps
+    assert routing._certified(5.0, chain[:3] + [c + gap for c in chain[3:]], 5.0 + 4 * gap)
+
+
+def test_uncertified_pass_reruns_uncapped(monkeypatch):
+    """A pass the certificate does not accept is rerun with no cap, which
+    is the eager search: same plans, nothing cut."""
+    args = _instance_46()
+    aux, delta_phi = args[0], args[3]
+    want = [_plan_key(routing._plan_from_label(aux, lab, delta_phi)) for lab in routing._search(*args, None)]
+    monkeypatch.setattr(routing, "_certified", lambda *a: False)
+    stats: dict = {}
+    got = routing._search(*args, stats)
+    assert [_plan_key(routing._plan_from_label(aux, lab, delta_phi)) for lab in got] == want
+    assert (stats["passes"], stats["cap"], stats["capped"]) == (3, math.inf, 0)
 
 
 def test_phi_bound_prunes_and_keeps_the_optimum():
@@ -1014,10 +1235,10 @@ def test_dominator_counts_stay_exact(stream, R):
 
 
 def test_search_counts_every_kill():
-    """The counters of stats= add up: every pushed label (and the root) is
-    alive in a pool unless it was killed, and only a killed label can be
-    popped dead."""
-    cases = [_grid_case(4, (5, 15), 3, 0.85), _grid_case(3, (5, 15), 4, 0.8)]
+    """The counters of stats= add up over the final pass: every pushed
+    label (and the root) is alive in a pool unless it was killed, and only
+    a killed label can be popped dead."""
+    cases = [_grid_case(4, (5, 15), 3, 0.85), _grid_case(3, (5, 15), 3, 0.8)]
     cases += [_grid_case(3, (1, 3), 0, 0.8), _rand_case(3)]
     seen = {}
     for n, (aux, f0) in enumerate(cases):
@@ -1027,10 +1248,11 @@ def test_search_counts_every_kill():
             routing._search(*args, stats)
             assert sum(stats["alive_per_vertex"].values()) == stats["pushed"] + 1 - stats["killed"]
             assert stats["dead_pops"] <= stats["killed"]
-    # the R = 3 examples of test_search_matches_former_search skip steps
-    # after a rejection and kill labels by a count reaching R
+    # two R = 3 examples of test_search_matches_former_search skip steps
+    # after a rejection and kill labels by a count reaching R, below the cap
     for n in (0, 1):
         assert seen[n, 3]["skipped"] > 0 and seen[n, 3]["killed"] > 0
+        assert seen[n, 3]["capped"] > 0
     for key in ("rejected", "dead_pops"):
         assert any(stats[key] > 0 for stats in seen.values()), key
 
