@@ -645,7 +645,7 @@ def _search(
                     heapq.heappush(heap, (cost, depth - 1, new.pkey, next(counter), new))
                     pushed_at[head] = pushed_at.get(head, 0) + 1
                     if len(pool) >= R and cap < _INF:
-                        # R sink labels at most this cost will pop (see the
+                        # from now on the pass returns R results (see the
                         # module docstring); an infinite cap never drops
                         cap = min(cap, sorted(e.cost for e in pool)[R - 1])
                         limit = cap + _MARGIN * (1 + cap)
