@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -67,6 +67,8 @@ class FlowProgram:
     weights: np.ndarray
     budgets: np.ndarray  # Q_v of each node row, then C_l of each link row
     limits: np.ndarray  # budgets + 1e-9: what a 0/1 selection may use
+    # tuple(chosen) -> (weight, node usage, link usage, fits), filled by _judge
+    verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def lp_arrays(self):
         """(c, A, ub) of the relaxed program; the discount applies to node
@@ -127,19 +129,42 @@ class RoundedSelection:
     feasible: bool
 
 
-def _evaluate(prog: FlowProgram, chosen) -> RoundedSelection:
-    """A 0/1 selection (chosen[k] = candidate index or None) with its usage,
-    its weight and whether it fits the ORIGINAL undiscounted node budgets
-    and link capacities."""
-    x = np.zeros(len(prog.columns))
-    weight = 0  # as sum() starts: nothing chosen weighs int 0, written as 0 in JSON
-    for k, i in enumerate(chosen):
-        if i is not None:
-            x[prog.offsets[k] + i] = 1.0
-            weight += prog.flows[k].weight
-    usage = prog.usage @ x
+def _judge(prog: FlowProgram, selections) -> None:
+    """Store in prog.verdicts the verdict of every selection (a tuple,
+    chosen[k] = candidate index or None) not yet judged: its weight, its
+    node and link usage and whether it fits the ORIGINAL undiscounted node
+    budgets and link capacities.  One product judges them all; usage holds
+    integer pair counts, so every partial sum is exact and each column has
+    the bytes of prog.usage @ x.  Threads that judge one selection at once
+    store equal verdicts."""
+    new = [s for s in dict.fromkeys(selections) if s not in prog.verdicts]
+    if not new:
+        return
+    x = np.zeros((len(prog.columns), len(new)))
+    weights = []
+    for c, chosen in enumerate(new):
+        weight = 0  # as sum() starts: nothing chosen weighs int 0, written as 0 in JSON
+        for k, i in enumerate(chosen):
+            if i is not None:
+                x[prog.offsets[k] + i, c] = 1.0
+                weight += prog.flows[k].weight
+        weights.append(weight)
+    usage = np.ascontiguousarray((prog.usage @ x).T)
+    usage.flags.writeable = False  # the verdicts hand out views of it
+    fits = (usage <= prog.limits).all(axis=1).tolist()
     n = len(prog.node_ids)
-    return RoundedSelection(chosen, weight, usage[:n], usage[n:], bool((usage <= prog.limits).all()))
+    for chosen, weight, row, ok in zip(new, weights, usage, fits):
+        prog.verdicts[chosen] = (weight, row[:n], row[n:], ok)
+
+
+def _evaluate(prog: FlowProgram, chosen) -> RoundedSelection:
+    """A 0/1 selection with its verdict (see _judge), judged once per program."""
+    key = tuple(chosen)
+    verdict = prog.verdicts.get(key)
+    if verdict is None:
+        _judge(prog, [key])
+        verdict = prog.verdicts[key]
+    return RoundedSelection(chosen, *verdict)
 
 
 def _select(xrow, u: float) -> Optional[int]:
@@ -269,9 +294,11 @@ def ilp_solve(prog: FlowProgram) -> tuple[list, float]:
         raise ValueError("ILP oracle bounded to 4096 selections")
     best_chosen: list = [None] * len(prog.flows)
     best_weight = 0.0
-    for chosen in itertools.product(*([*range(p - 1, -1, -1), None] for p in pools)):
-        sel = _evaluate(prog, chosen)
-        if sel.feasible and sel.total_weight > best_weight + 1e-12:
-            best_weight = sel.total_weight
+    selections = list(itertools.product(*([*range(p - 1, -1, -1), None] for p in pools)))
+    _judge(prog, selections)
+    for chosen in selections:
+        weight, _, _, fits = prog.verdicts[chosen]
+        if fits and weight > best_weight + 1e-12:
+            best_weight = weight
             best_chosen = list(chosen)
     return best_chosen, best_weight

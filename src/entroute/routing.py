@@ -115,7 +115,8 @@ results, with no reach of an arc let through in (T, T + gap], gap = _TOL +
 rho(top), and every arc cut reaching above T + gap; it walks T up through
 reaches closer than gap.  If there is none, the search reruns with no cap.
 The passes share their arc and successor memos and both Dijkstras; stats=
-describes the last one.  (The phi bound already drops every arc into a
+describes the last one, except pushed_all_passes, which counts the labels
+every pass pushed.  (The phi bound already drops every arc into a
 node with no path to t that avoids s, so no arc the cap sees is a dead
 end.)
 
@@ -151,6 +152,7 @@ retained labels still certify phi_hat >= phi0 - |path|*delta_phi.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -590,6 +592,7 @@ def _search(
 
     cap = togo.get(aux.s, _INF)  # no first arc reaches less
     source_copies = aux.copy_indices(aux.s)
+    pushed_all = 0  # over every pass; the other counts describe the final pass
     for passes in itertools.count(1):
         pools: dict = {}
         counter = itertools.count()
@@ -725,6 +728,7 @@ def _search(
                     heapq.heappush(heap, (cost2, depth, new.pkey, next(counter), new))
                     pushed_at[head] = pushed_at.get(head, 0) + 1
 
+        pushed_all += sum(pushed_at.values())
         if not capped:
             break  # the cap cut nothing: this was the uncapped search
         if len(results) < R:
@@ -740,6 +744,7 @@ def _search(
             for e in pool:
                 per_vertex.setdefault(e.vertex, []).append(e)
         stats["pushed"] = sum(pushed_at.values())
+        stats["pushed_all_passes"] = pushed_all
         stats["expanded"] = sum(expanded_at.values())
         stats["pushed_per_vertex"] = pushed_at
         stats["expanded_per_vertex"] = expanded_at
@@ -864,11 +869,12 @@ def _max_allocation(aux: AuxiliaryGraph, edge) -> int:
         if not tail_idx or not head_idx:
             continue
         q_head = aux.net.node(head).qubits
-        cap = min(max(tail_idx), edge.capacity)
-        for j in head_idx:
-            m = q_head - j
-            if 1 <= m <= cap:
-                best = max(best, m)
+        cap = min(tail_idx[-1], edge.capacity)
+        # copy indices ascend, so the least j with m = q_head - j <= cap
+        # gives the largest such m
+        at = bisect.bisect_left(head_idx, q_head - cap)
+        if at < len(head_idx) and q_head - head_idx[at] >= 1:
+            best = max(best, q_head - head_idx[at])
     return best
 
 

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from entroute.multiflow import (
     FlowRequest,
     _evaluate,
+    _judge,
     _select,
     _trial_draws,
     build_program,
@@ -443,6 +445,10 @@ def _former_matrices(prog, net):
 
 
 def test_evaluate_matches_the_two_matrix_products(contended):
+    """Each program's whole selection space, judged in one batch on one
+    fresh program and one selection at a time on another, gives the bytes
+    of the two former matrix products, the weight sum() gives and the same
+    flag."""
     programs = [(star_net(qv), star_program(qv, (2.0, 1.0))) for qv in (3, 4)]
     net, flows = rounding_mc_instance(0)
     programs.append((net, build_program(flows, [flow_candidates(net, fl, 0.2) for fl in flows], net, 0.8)))
@@ -450,17 +456,83 @@ def test_evaluate_matches_the_two_matrix_products(contended):
     outcomes = set()
     for net, prog in programs:
         a, b, budgets, capacities = _former_matrices(prog, net)
-        for chosen in itertools.product(*([None, *range(len(pool))] for pool in prog.candidates)):
+        selections = list(itertools.product(*([None, *range(len(pool))] for pool in prog.candidates)))
+        batch, single = replace(prog), replace(prog)
+        _judge(batch, selections)
+        assert len(batch.verdicts) == len(selections)
+        for chosen in selections:
             x = np.zeros(len(prog.columns))
             for k, i in enumerate(chosen):
                 if i is not None:
                     x[prog.offsets[k] + i] = 1.0
-            sel = _evaluate(prog, list(chosen))
-            assert sel.node_usage.tobytes() == (a @ x).tobytes()
-            assert sel.link_usage.tobytes() == (b @ x).tobytes()
-            assert sel.total_weight == sum(prog.flows[k].weight for k, i in enumerate(chosen) if i is not None)
-            assert sel.feasible == bool(
-                (a @ x <= budgets + 1e-9).all() and (b @ x <= capacities + 1e-9).all()
-            )
-            outcomes.add(sel.feasible)
+            weight = sum(prog.flows[k].weight for k, i in enumerate(chosen) if i is not None)
+            feasible = bool((a @ x <= budgets + 1e-9).all() and (b @ x <= capacities + 1e-9).all())
+            for sel in (_evaluate(single, list(chosen)), _evaluate(batch, list(chosen))):
+                assert sel.chosen == list(chosen)
+                assert sel.node_usage.tobytes() == (a @ x).tobytes()
+                assert sel.link_usage.tobytes() == (b @ x).tobytes()
+                assert type(sel.total_weight) is type(weight) and sel.total_weight == weight
+                assert sel.feasible is feasible
+            outcomes.add(feasible)
+        assert len(batch.verdicts) == len(single.verdicts) == len(selections)
     assert outcomes == {True, False}
+
+
+def test_verdict_usage_is_read_only():
+    # the memo hands every caller the same arrays
+    prog = star_program(3, (2.0, 1.0))
+    sel = _evaluate(prog, [0, None])
+    for usage in (sel.node_usage, sel.link_usage):
+        with pytest.raises(ValueError):
+            usage[0] = 99.0
+    assert _evaluate(prog, [0, None]).node_usage.tobytes() == sel.node_usage.tobytes()
+
+
+def _outcome(sel):
+    return sel.chosen, sel.total_weight, sel.feasible, sel.node_usage.tobytes(), sel.link_usage.tobytes()
+
+
+def test_memo_keeps_every_rounding_outcome():
+    """The ILP judges the whole selection space; the 300 roundings on the
+    same program then only look their verdicts up, and read what a fresh
+    program per trial computes."""
+    net, flows = rounding_mc_instance(0)
+    prog = build_program(flows, [flow_candidates(net, fl, 0.2) for fl in flows], net, 0.8)
+    x, _ = solve_lp(prog)
+    ilp = ilp_solve(prog)
+    judged = len(prog.verdicts)
+    shared = [_outcome(randomized_round(prog, x, 0, t)) for t in range(300)]
+    fresh = [_outcome(randomized_round(replace(prog), x, 0, t)) for t in range(300)]
+    assert shared == fresh
+    assert len(prog.verdicts) == judged == math.prod(len(pool) + 1 for pool in prog.candidates)
+    assert ilp_solve(prog) == ilp == ilp_solve(replace(prog))
+
+
+def test_concurrent_rounds_share_one_program(contended):
+    # threads that miss the memo on one selection at once both judge it and
+    # store equal verdicts; every thread must still read the serial outcomes
+    prog = contended[3]
+    # uniform over each pool and none, so the trials spread over 256 selections
+    x = np.concatenate([np.full(hi - lo, 1.0 / (hi - lo + 1)) for lo, hi in itertools.pairwise(prog.offsets)])
+    trials = list(range(200))
+    expected = {t: _outcome(randomized_round(replace(prog), x, 7, t)) for t in trials}
+    shared = replace(prog)
+    wrong = []
+
+    def rounds(order):
+        wrong.extend(t for t in order if _outcome(randomized_round(shared, x, 7, t)) != expected[t])
+
+    orders = (trials, trials[::-1], trials[1::2] + trials[::2], trials[::2] + trials[1::2])
+    threads = [threading.Thread(target=rounds, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(shared.verdicts) == len({tuple(expected[t][0]) for t in trials}) > 50

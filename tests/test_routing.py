@@ -2,6 +2,7 @@ import heapq
 import itertools
 import math
 import random
+from collections import Counter
 from typing import Optional
 
 import pytest
@@ -433,6 +434,49 @@ def test_search_matches_oracle_on_seeded_instances():
             assert plan.fidelity >= f_slack - 5e-5, seed
             assert plan.phi_hat >= phi0 - len(net.nodes) * dphi - 1e-9, seed
     assert checked >= 5  # the batch must actually exercise feasible cases
+
+
+def _former_max_allocation(aux, edge):
+    """routing._max_allocation as it was: a scan of every head copy."""
+    best = 0
+    for tail, head in ((edge.u, edge.v), (edge.v, edge.u)):
+        if head == aux.s or tail == aux.t:
+            continue
+        tail_idx = aux.copy_indices(tail)
+        head_idx = aux.copy_indices(head)
+        if not tail_idx or not head_idx:
+            continue
+        q_head = aux.net.node(head).qubits
+        cap = min(max(tail_idx), edge.capacity)
+        for j in head_idx:
+            m = q_head - j
+            if 1 <= m <= cap:
+                best = max(best, m)
+    return best
+
+
+def test_max_allocation_matches_a_scan_of_every_copy():
+    """The bisection over the ascending copy indices finds the pair count
+    the former scan found, on edges at s and t too, and 0 where no copy
+    fits (deltaq 5 on small allowances)."""
+    seen = Counter()
+    for deltaq in (1, 5):
+        for seed in range(6):
+            for capacity, allowance in ((15, None), (39, 39), (7, 2), (12, 3)):
+                spec = topology.TopologySpec(
+                    kind="grid", rows=3, cols=3, capacity=capacity, qubit_allowance=allowance, seed=seed
+                )
+                net = topology.generate(spec)
+                s, t = random.Random(seed).sample(sorted(net.nodes), 2)
+                aux = build_aux_graph(net, s, t, deltaq)
+                for e in net.edges:
+                    got = routing._max_allocation(aux, e)
+                    assert got == _former_max_allocation(aux, e), (deltaq, seed, capacity, e)
+                    end = "s" if aux.s in (e.u, e.v) else "t" if aux.t in (e.u, e.v) else "inner"
+                    seen[deltaq, end, got > 0] += 1
+    for deltaq in (1, 5):
+        assert all(seen[deltaq, end, True] for end in ("s", "t", "inner"))
+    assert seen[5, "inner", False] > 0
 
 
 def test_monotone_in_fidelity_threshold():
@@ -1255,6 +1299,33 @@ def test_search_counts_every_kill():
         assert seen[n, 3]["capped"] > 0
     for key in ("rejected", "dead_pops"):
         assert any(stats[key] > 0 for stats in seen.values()), key
+
+
+def test_search_counts_pushes_over_every_pass():
+    """pushed_all_passes counts the labels every pass pushed, as a heapq
+    log sees them; pushed still counts the final pass alone, so the two
+    are equal after one pass."""
+    args46 = _instance_46()
+    cases = [args46, args46[:5] + (1,) + args46[6:]]  # R = 3 and R = 1
+    for seed in (1, 3, 10):
+        aux, f0 = _rand_case(seed)
+        cases.append((aux, pseudo_fidelity(f0), math.log(0.2), 0.005, 0.005, 1, 1e-4, 1e-4))
+    passes = set()
+    for args in cases:
+        log = _HeapLog()
+        stats: dict = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(routing, "heapq", log)
+            routing._search(*args, stats)
+        assert len(log.passes) == stats["passes"]
+        assert stats["pushed_all_passes"] == sum(len(pushed) - 1 for pushed, _ in log.passes)
+        assert stats["pushed"] == len(log.passes[-1][0]) - 1
+        if stats["passes"] == 1:
+            assert stats["pushed_all_passes"] == stats["pushed"]
+        else:
+            assert stats["pushed_all_passes"] > stats["pushed"]
+        passes.add(stats["passes"])
+    assert 1 in passes and max(passes) > 1
 
 
 def test_dominance_is_inclusive_at_the_tolerance():
