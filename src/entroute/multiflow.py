@@ -137,7 +137,7 @@ def _judge(prog: FlowProgram, selections) -> None:
     integer pair counts, so every partial sum is exact and each column has
     the bytes of prog.usage @ x.  Threads that judge one selection at once
     store equal verdicts."""
-    new = [s for s in dict.fromkeys(selections) if s not in prog.verdicts]
+    new = [s for s in selections if s not in prog.verdicts]
     if not new:
         return
     x = np.zeros((len(prog.columns), len(new)))
@@ -160,11 +160,9 @@ def _judge(prog: FlowProgram, selections) -> None:
 def _evaluate(prog: FlowProgram, chosen) -> RoundedSelection:
     """A 0/1 selection with its verdict (see _judge), judged once per program."""
     key = tuple(chosen)
-    verdict = prog.verdicts.get(key)
-    if verdict is None:
+    if key not in prog.verdicts:
         _judge(prog, [key])
-        verdict = prog.verdicts[key]
-    return RoundedSelection(chosen, *verdict)
+    return RoundedSelection(chosen, *prog.verdicts[key])
 
 
 def _select(xrow, u: float) -> Optional[int]:
