@@ -100,6 +100,9 @@ def _cmd_purify(args) -> int:
         if args.oracle:
             tree = brute_force_optimal(args.n, args.fe, args.ftheta)
         else:
+            for flag, step in (("--df", args.df), ("--dxi", args.dxi)):
+                if not (0.0 < step < 1.0 and 1.0 / step < math.inf):
+                    raise ValueError(f"{flag}={step!r} must lie in (0, 1) and have a finite reciprocal")
             ent = schedule(
                 SchedulerConfig(args.n, args.fe, args.ftheta, args.df, args.dxi)
             )
@@ -237,8 +240,8 @@ def _cmd_route(args) -> int:
     if not args.q0 > 0.0:
         raise ValueError(f"--q0={args.q0!r} must be > 0")
     for flag, step in (("--dphi", args.dphi), ("--dpsi", args.dpsi)):
-        if not 0.0 < step < math.inf:
-            raise ValueError(f"{flag}={step!r} must be a finite number > 0")
+        if not (0.0 < step < math.inf and 1.0 / step < math.inf):
+            raise ValueError(f"{flag}={step!r} must be a finite number > 0 with a finite reciprocal")
     net = QuantumNetwork.load(args.net)
     src, dst = _node_id(net, args.src), _node_id(net, args.dst)
     aux = build_aux_graph(net, src, dst, deltaq=args.deltaq)

@@ -439,6 +439,8 @@ def _pair(v, test) -> bool:
 
 
 _POSITIVE = (lambda v: _number(v) and v > 0, "positive")
+# a search step: a subnormal one has an infinite reciprocal and overflows the grid
+_STEP = (lambda v: _number(v) and 0 < v < math.inf and 1 / v < math.inf, "finite, > 0, with a finite reciprocal")
 _COUNT = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
 _FIDELITY = (lambda v: _number(v) and 0.25 < v <= 1, "in (0.25, 1]")
 # the config fields past the scenario, with the rule each value must meet
@@ -499,10 +501,10 @@ _SCENARIOS = {
         ("ours", "q-step"),
         {
             "dphi": (
-                lambda v: isinstance(v, (list, tuple)) and all(map(_POSITIVE[0], v)),
-                "a list of positive numbers",
+                lambda v: isinstance(v, (list, tuple)) and all(map(_STEP[0], v)),
+                "a list of finite numbers > 0 with finite reciprocals",
             ),
-            "dpsi": _POSITIVE,
+            "dpsi": _STEP,
             "demand": _POSITIVE,
             "deltaq": _COUNT,
         },

@@ -34,11 +34,30 @@ def is_leaf(tree) -> bool:
     return tree == LEAF
 
 
+_MERGE = object()  # on _fold's stack: merge the top two values
+
+
+def _fold(tree, leaf, merge):
+    """merge(left value, right value) at every internal node, bottom-up,
+    with every leaf valued leaf: the value of the recursion on the tree's
+    shape, left subtree first, but walked with an explicit stack, so a
+    pumping chain of n pairs (n - 1 levels deep) needs no n stack frames."""
+    values = []
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        if t is _MERGE:
+            right = values.pop()
+            values.append(merge(values.pop(), right))
+        elif is_leaf(t):
+            values.append(leaf)
+        else:
+            stack += (_MERGE, t[1], t[0])
+    return values[0]
+
+
 def leaf_count(tree) -> int:
-    if is_leaf(tree):
-        return 1
-    left, right = tree
-    return leaf_count(left) + leaf_count(right)
+    return _fold(tree, 1, int.__add__)
 
 
 def evaluate_tree(tree, f_e: float) -> tuple[float, float]:
@@ -47,44 +66,33 @@ def evaluate_tree(tree, f_e: float) -> tuple[float, float]:
     Yield of a leaf is 1; a merge multiplies the purification success
     probability by the smaller child yield.
     """
-    if is_leaf(tree):
-        return f_e, 1.0
-    left, right = tree
-    f1, x1 = evaluate_tree(left, f_e)
-    f2, x2 = evaluate_tree(right, f_e)
-    f = purified_fidelity(f1, f2)
-    xi = purification_success_prob(f1, f2) * min(x1, x2)
-    return f, xi
+
+    def merge(left, right):
+        (f1, x1), (f2, x2) = left, right
+        return purified_fidelity(f1, f2), purification_success_prob(f1, f2) * min(x1, x2)
+
+    return _fold(tree, (f_e, 1.0), merge)
 
 
 def tree_success_prob(tree, f_e: float) -> float:
     """Probability that every purification in a single run of the tree
     succeeds (one-shot semantics, no min-yield accounting)."""
 
-    def run(t) -> tuple[float, float]:
-        # (fidelity, success probability) of subtree t, in one pass
-        if is_leaf(t):
-            return f_e, 1.0
-        f1, p_left = run(t[0])
-        f2, p_right = run(t[1])
+    def merge(left, right):
+        # (fidelity, success probability) of a subtree, in one pass
+        (f1, p_left), (f2, p_right) = left, right
         return purified_fidelity(f1, f2), purification_success_prob(f1, f2) * p_left * p_right
 
-    return run(tree)[1]
+    return _fold(tree, (f_e, 1.0), merge)[1]
 
 
 def tree_to_text(tree) -> str:
-    if is_leaf(tree):
-        return "L"
-    left, right = tree
-    return f"({tree_to_text(left)},{tree_to_text(right)})"
+    return _fold(tree, "L", lambda left, right: f"({left},{right})")
 
 
 def tree_to_json(tree):
     """JSON-ready form: leaves are the string "L", merges are 2-element lists."""
-    if is_leaf(tree):
-        return "L"
-    left, right = tree
-    return [tree_to_json(left), tree_to_json(right)]
+    return _fold(tree, "L", lambda left, right: [left, right])
 
 
 def tree_from_json(obj):
@@ -114,8 +122,10 @@ class SchedulerConfig:
         _check_budget(self.n, self.f_e)
         if not 0.25 < self.f_theta <= 1.0 + _GRID_TOL:
             raise ValueError(f"f_theta={self.f_theta!r} outside (0.25, 1]")
-        if not (0.0 < self.delta_f < 1.0 and 0.0 < self.delta_xi < 1.0):
-            raise ValueError("delta_f and delta_xi must lie in (0, 1)")
+        # a step with an infinite reciprocal (a subnormal) overflows the grid
+        for name, step in (("delta_f", self.delta_f), ("delta_xi", self.delta_xi)):
+            if not (0.0 < step < 1.0 and 1.0 / step < math.inf):
+                raise ValueError(f"{name}={step!r} must lie in (0, 1) and have a finite reciprocal")
 
 
 @dataclass(slots=True)

@@ -78,6 +78,29 @@ def test_purify_infeasible_exit_code(capsys):
     assert json.loads(out)["infeasible"] is True
 
 
+def test_purify_deep_pumping_tree_exits_0(capsys):
+    # a pumping tree of n pairs is n - 1 levels deep; every tree walk is
+    # iterative, so it prints its schedule
+    n, fe = 5000, 0.9
+    code, out, _ = run_cli(capsys, "purify", "--n", str(n), "--fe", str(fe), "--baseline", "pumping")
+    assert code == 0
+    rec = json.loads(out)
+    f = fe
+    for _ in range(n - 1):
+        f = purified_fidelity(f, fe)
+    assert rec["exact_fidelity"] == f
+    assert rec["leaves"] == n
+    assert rec["tree"] == "(" * (n - 1) + "L" + ",L)" * (n - 1)
+
+
+@pytest.mark.parametrize("flag", ["--df", "--dxi"])
+def test_purify_checks_subnormal_step_exits_2(capsys, flag):
+    # 1e-320 lies in (0, 1), but its reciprocal is infinite
+    code, out, err = run_cli(capsys, "purify", "--n", "4", "--fe", "0.9", "--ftheta", "0.95", flag, "1e-320")
+    assert code == 2 and out == ""
+    assert f"{flag}=1e-320 must lie in (0, 1)" in err
+
+
 def test_purify_missing_ftheta(capsys):
     code, _, err = run_cli(capsys, "purify", "--n", "2", "--fe", "0.75")
     assert code == 2
@@ -295,7 +318,7 @@ def test_route_checks_f0_and_q0_exits_2(capsys, grid_net, tmp_path, flag, value)
 
 
 @pytest.mark.parametrize("flag", ["--dphi", "--dpsi"])
-@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf", "1e-320"])
 def test_route_checks_step_flags_exits_2(capsys, tmp_path, flag, value):
     # the steps are checked before the network file is read: it does not exist
     out = tmp_path / "out.json"
@@ -634,6 +657,8 @@ def test_experiment_rejects_bad_sps_exits_2(capsys, tmp_path, alg):
         ("route-compare", "dphi", 0.01),
         ("route-compare", "dpsi", 0),
         ("route-compare", "dpsi", -0.01),
+        ("route-compare", "dphi", [0.01, 1e-320]),
+        ("route-compare", "dpsi", 1e-320),
         ("multiflow", "flows", 0),
         ("multiflow", "flow_fidelity", 0.2),
         ("multiflow", "epsilon", 0),

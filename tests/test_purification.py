@@ -275,6 +275,9 @@ def test_config_validation():
         SchedulerConfig(4, 0.75, 0.2)
     with pytest.raises(ValueError):
         SchedulerConfig(4, 0.75, 0.8, delta_f=0.0)
+    for name in ("delta_f", "delta_xi"):
+        with pytest.raises(ValueError, match=f"{name}=1e-320"):
+            SchedulerConfig(4, 0.75, 0.8, **{name: 1e-320})
 
 
 # --- semi-naive merge loop against the full re-merge loop it replaced ---

@@ -284,6 +284,54 @@ def test_least_charge_bounds_every_step(budget, f_e, delta_phi, grid, mode):
     assert 0 <= cheap <= k_min - 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 64), st.floats(0.5, 1.0)), max_size=10),
+    st.floats(0.5, 1.0),
+    st.integers(1, 64),
+    st.one_of(st.sampled_from([1e-5, 1e-4, 1e-3, 1e-2]), st.floats(1e-5, 1e-2)),
+    st.sampled_from(["optimal", "pumping"]),
+)
+def test_ceilings_batch_matches_least_charge(edges, f_one, budget_one, delta_f, mode):
+    """The batch kernel gives every edge of a network of mixed budgets, a
+    budget-1 edge and an f_e = 1.0 edge among them, the per-edge ceiling bit
+    for bit, and so _least_charge's charge at every delta_phi."""
+    edges = ((1, f_one), (budget_one, 1.0), *edges)
+    tops = routing._ceilings(edges, delta_f, mode)
+    assert list(tops) == [routing._ceiling(b, f_e, delta_f, mode) for b, f_e in edges]
+    for delta_phi in (0.001, 0.005, 0.01, 0.02):
+        got = [routing._first_k(top, delta_phi) - 1 for top in tops]
+        assert got == [routing._least_charge(b, f_e, delta_phi, delta_f, mode) for b, f_e in edges]
+
+
+@pytest.mark.parametrize(
+    "spec, batched",
+    [
+        # route-compare's network: 40 edges at budget 15
+        (topology.TopologySpec(kind="grid", rows=5, cols=5, capacity=15, seed=3), True),
+        # multiflow-mc's: 4 edges at budget 39
+        (topology.TopologySpec(kind="grid", rows=2, cols=2, capacity=39, qubit_allowance=39, seed=3), False),
+    ],
+)
+def test_charge_to_sink_same_on_both_sides_of_the_size_rule(monkeypatch, spec, batched):
+    """_charge_to_sink returns the same LB(v) whether the ceilings come from
+    one batch or edge by edge; the size rule batches the 5x5 grid only."""
+    net = topology.generate(spec)
+    s, t = min(net.nodes), max(net.nodes)
+    rule, real, calls = routing._BATCH_SIZE, routing._ceilings, []
+    monkeypatch.setattr(routing, "_ceilings", lambda *args: calls.append(args) or real(*args))
+    for mode in ("optimal", "pumping"):
+        for delta_phi, limit in ((0.001, 10**9), (0.01, 10**9), (0.01, 10)):
+            calls.clear()
+            monkeypatch.setattr(routing, "_BATCH_SIZE", rule)
+            want = routing._charge_to_sink(net, s, t, limit, delta_phi, 1e-4, mode)
+            assert bool(calls) == batched
+            assert max(want.values()) > 0
+            for size in (0, math.inf):  # every network batched, then none
+                monkeypatch.setattr(routing, "_BATCH_SIZE", size)
+                assert routing._charge_to_sink(net, s, t, limit, delta_phi, 1e-4, mode) == want
+
+
 def test_table_rejects_bad_arguments():
     with pytest.raises(ValueError, match="below pair_budget"):
         edge_throughput_table(4, 5, 0.8, 0.01, 1e-4, 1e-4, "optimal")
@@ -1367,6 +1415,7 @@ def test_routing_caches_stay_bounded():
         f_e = 0.6 + 0.3 * i / n
         routing.edge_throughput_table(1, 1, f_e, 0.01, 1e-4, 1e-4, "optimal")
         routing._least_charge(1, f_e, 0.01, 1e-4, "optimal")
+        routing._ceilings(((1, f_e),), 1e-4, "optimal")
         routing._fronts(1, f_e)
     # every cache saw more keys than it may hold: each is full, not over
     for cache, bound in (
@@ -1374,6 +1423,7 @@ def test_routing_caches_stay_bounded():
         (routing._frontier, routing.FRONTIER_CACHE_SIZE),
         (routing._first_k_order, routing.FRONTIER_CACHE_SIZE),
         (routing._least_charge, routing.FRONTIER_CACHE_SIZE),
+        (routing._ceilings, routing.CEILINGS_CACHE_SIZE),
         (routing._fronts, routing.FRONTS_CACHE_SIZE),
     ):
         info = cache.cache_info()
