@@ -440,7 +440,10 @@ def _pair(v, test) -> bool:
 
 _POSITIVE = (lambda v: _number(v) and v > 0, "positive")
 # a search step: a subnormal one has an infinite reciprocal and overflows the grid
-_STEP = (lambda v: _number(v) and 0 < v < math.inf and 1 / v < math.inf, "finite, > 0, with a finite reciprocal")
+_STEP = (
+    lambda v: _number(v) and 0 < v < math.inf and 1 / v < math.inf,
+    "a finite number > 0 with a finite reciprocal",
+)
 _COUNT = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
 _FIDELITY = (lambda v: _number(v) and 0.25 < v <= 1, "in (0.25, 1]")
 # the config fields past the scenario, with the rule each value must meet

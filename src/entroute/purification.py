@@ -30,30 +30,33 @@ _BRUTE_FORCE_MAX_N = 10
 _GRID_TOL = 1e-12
 
 
-def is_leaf(tree) -> bool:
-    return tree == LEAF
-
-
-_MERGE = object()  # on _fold's stack: merge the top two values
-
-
 def _fold(tree, leaf, merge):
-    """merge(left value, right value) at every internal node, bottom-up,
-    with every leaf valued leaf: the value of the recursion on the tree's
-    shape, left subtree first, but walked with an explicit stack, so a
-    pumping chain of n pairs (n - 1 levels deep) needs no n stack frames."""
-    values = []
+    """The value of tree, each leaf valued leaf and each merge node
+    merge(left value, right value): what the recursion on the tree's shape
+    returns, left subtree first, but walked with an explicit stack, so a
+    pumping chain of n pairs (n - 1 levels deep) needs no n stack frames.
+
+    A subtree that occurs more than once (the scheduler's trees share their
+    subtrees) is valued once, by its id, and its value reused: the same
+    value the recursion computes again for it, so the result is the same.
+    """
+    if tree == LEAF:
+        return leaf
+    value = {}
     stack = [tree]
     while stack:
-        t = stack.pop()
-        if t is _MERGE:
-            right = values.pop()
-            values.append(merge(values.pop(), right))
-        elif is_leaf(t):
-            values.append(leaf)
+        t = stack[-1]
+        left, right = t
+        a = leaf if left == LEAF else value.get(id(left))
+        b = leaf if right == LEAF else value.get(id(right))
+        if a is None:
+            stack.append(left)
+        elif b is None:
+            stack.append(right)
         else:
-            stack += (_MERGE, t[1], t[0])
-    return values[0]
+            value[id(t)] = merge(a, b)
+            stack.pop()
+    return value[id(tree)]
 
 
 def leaf_count(tree) -> int:
@@ -91,7 +94,8 @@ def tree_to_text(tree) -> str:
 
 
 def tree_to_json(tree):
-    """JSON-ready form: leaves are the string "L", merges are 2-element lists."""
+    """JSON-ready form: leaves are the string "L", merges are 2-element
+    lists; a subtree that occurs more than once is one list, shared."""
     return _fold(tree, "L", lambda left, right: [left, right])
 
 

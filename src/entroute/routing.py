@@ -204,19 +204,15 @@ FRONTS_CACHE_SIZE = 256
 # schedule mode (delta_phi is not in the key)
 CEILINGS_CACHE_SIZE = 256
 
-# _charge_to_sink batches the phi ceilings (_ceilings) of a network of E
-# edges and largest budget B when E*(B + 29) > _BATCH_SIZE in optimal mode,
-# E*29 > _BATCH_SIZE in pumping mode.  Timed on a 2-vCPU Xeon (Python 3.11,
-# numpy 2.4) with the charges at delta_phi = 0.01 included: a batch level
-# costs ~15 us optimal, ~9 us pumping, whatever E (B - 1 levels); one edge
-# costs ~0.17 us per map evaluation (~B^2/4 of them) plus ~1.25 us per level
-# optimal, ~0.6 us per level pumping.  Per level, E edges then cost about
-# E*(B + 29)*0.042 us optimal and E*14*0.042 us pumping, which meet the
-# batch near E*(B + 29) = 350 and E = 16.  40 edges at budget 15
-# (route-compare's 5x5 grid): 0.28 vs 1.09 ms optimal, 0.29 vs 0.40 ms
-# pumping; 4 at budget 39 (multiflow-mc's 2x2 grid): 0.55 vs 0.45 ms and
-# 0.35 vs 0.09 ms.  The rule also batches pumping networks of 13-16 edges,
-# where the batch costs up to ~0.1 ms more.
+# _charge_to_sink batches the phi ceilings of a network of E edges and
+# largest budget B (_ceilings) when E*(B + 29) > _BATCH_SIZE in optimal
+# mode, E*29 > _BATCH_SIZE in pumping mode.  Timed on a 2-vCPU Xeon (Python
+# 3.11, numpy 2.4), charges at delta_phi = 0.01 included: a batch level costs
+# ~15 us (optimal) or ~9 us (pumping) whatever E; one edge's level costs
+# ~0.042*(B + 29) us (B/4 map evaluations at 0.17 us, plus 1.25 us) or ~0.6
+# us, so the two meet near the rule (pumping: at ~16 edges).  40 edges at
+# budget 15 (route-compare): 0.28 vs 1.09 ms optimal, 0.29 vs 0.40 ms
+# pumping; 4 at budget 39 (multiflow-mc): 0.55 vs 0.45 ms and 0.35 vs 0.09.
 _BATCH_SIZE = 350
 
 
@@ -281,9 +277,8 @@ def _least_charge(budget: int, f_e: float, delta_phi: float, delta_f: float, mod
     arguments, so by induction g bounds every f_hat.  A larger f_hat has a
     first k no larger, and a table step's k is at least its entry's first k.
 
-    _charge_to_sink calls this one edge at a time on small networks only;
-    on larger ones _ceilings runs the same recursion over all edges at once
-    (see _BATCH_SIZE), and _ceiling stays the reference it is tested against.
+    _charge_to_sink charges edge by edge this way on small networks only;
+    larger ones take every ceiling from one _ceilings batch (_BATCH_SIZE).
     """
     return _first_k(_ceiling(budget, f_e, delta_f, mode), delta_phi) - 1
 
@@ -371,9 +366,8 @@ def _charge_to_sink(
     _least_charge over the edges of any v-t path that avoids s.  The search
     never enters s, and the bound ignores copy indices and simplicity, so no
     path it can extend a label along from v to t charges less than
-    LB(v)*delta_phi.  On a network large enough by _BATCH_SIZE's rule the
-    ceilings of every edge come from one _ceilings call, and each charge is
-    the first k of its ceiling less one, which is _least_charge's value."""
+    LB(v)*delta_phi.  A network large by _BATCH_SIZE's rule takes its
+    ceilings from one _ceilings batch, giving _least_charge's charges."""
     budgets = {id(e): min(e.capacity, net.node(e.u).qubits, net.node(e.v).qubits) for e in net.edges}
     per_level = 29 + (max(budgets.values(), default=0) if mode == "optimal" else 0)
     if len(budgets) * per_level > _BATCH_SIZE:

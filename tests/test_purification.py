@@ -480,3 +480,25 @@ def _quadratic_success_prob(tree, f_e):
 )
 def test_tree_success_prob_bit_equal_to_quadratic_form(tree, f_e):
     assert tree_success_prob(tree, f_e) == _quadratic_success_prob(tree, f_e)
+
+
+def _recursive_walks(tree, f_e):
+    """The recursive walks the stack walks replaced: (leaf count, exact
+    (fidelity, yield), text, JSON form)."""
+    if tree == LEAF:
+        return 1, (f_e, 1.0), "L", "L"
+    b1, (f1, x1), s1, j1 = _recursive_walks(tree[0], f_e)
+    b2, (f2, x2), s2, j2 = _recursive_walks(tree[1], f_e)
+    fx = (purified_fidelity(f1, f2), purification_success_prob(f1, f2) * min(x1, x2))
+    return b1 + b2, fx, f"({s1},{s2})", [j1, j2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # (t, t) shares one subtree object twice, as the scheduler's trees do
+    st.recursive(st.just(LEAF), lambda t: st.tuples(t, t) | t.map(lambda s: (s, s)), max_leaves=40),
+    st.floats(0.5, 1.0),
+)
+def test_tree_walks_bit_equal_to_recursion(tree, f_e):
+    want = _recursive_walks(tree, f_e)
+    assert (leaf_count(tree), evaluate_tree(tree, f_e), tree_to_text(tree), tree_to_json(tree)) == want
