@@ -115,6 +115,8 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{self.scenario} option {key!r} must be {rules[key][1]}, got {value!r}"
                 )
+        if self.scenario == "purify-compare":
+            _pair_counts(self)  # raises on an empty range
 
     def algorithm_list(self) -> tuple:
         return self.algorithms or _SCENARIOS[self.scenario].algorithms
@@ -222,13 +224,18 @@ def _purify_tree(alg: str, n: int, f_e: float):
     return pumping_schedule(n)
 
 
+def _pair_counts(cfg: ExperimentConfig) -> range:
+    n_min, n_max = cfg.opt("pairs_min", 2), cfg.opt("pairs_max", 12)
+    if n_min > n_max:
+        raise ValueError(f"purify-compare option 'pairs_min' ({n_min}) exceeds 'pairs_max' ({n_max})")
+    return range(n_min, n_max + 1)
+
+
 def _purify_compare(cfg: ExperimentConfig):
     fidelities = cfg.opt("fidelities", (0.7, 0.75, 0.8))
-    n_min = cfg.opt("pairs_min", 2)
-    n_max = cfg.opt("pairs_max", 12)
     rows, artifacts = [], []
     for f_e in fidelities:
-        for n in range(n_min, n_max + 1):
+        for n in _pair_counts(cfg):
             param = f"f_e={f_e:g},n={n:02d}"
             for alg in cfg.algorithm_list():
                 t0 = time.perf_counter()
@@ -480,7 +487,10 @@ _SCENARIOS = {
                 "a list of numbers in [0.5, 1]",
             ),
             "pairs_min": _COUNT,
-            "pairs_max": _COUNT,
+            # a pumping tree of n pairs is n - 1 levels deep, and the summary
+            # writes it as nested lists, which json.dumps walks recursively
+            # (RecursionError near 1,000)
+            "pairs_max": (lambda v: _integer(v) and 1 <= v <= 512, "an integer in [1, 512]"),
         },
     ),
     "strategy-compare": _Scenario(

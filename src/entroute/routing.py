@@ -200,8 +200,9 @@ _ROUND = 1e-12
 FRONTIER_CACHE_SIZE = 1024
 TABLE_CACHE_SIZE = 8192
 FRONTS_CACHE_SIZE = 256
-# _ceilings is keyed by a whole network's edges: one entry per network and
-# schedule mode (delta_phi is not in the key)
+# _ceilings is keyed by a whole network's edges, as a tuple of budgets and
+# one of the edges' own fidelity floats: one entry per network and schedule
+# mode (delta_phi is not in the key)
 CEILINGS_CACHE_SIZE = 256
 
 # _charge_to_sink batches the phi ceilings of a network of E edges and
@@ -306,18 +307,19 @@ def _ceiling(budget: int, f_e: float, delta_f: float, mode: str) -> float:
 
 
 @lru_cache(maxsize=CEILINGS_CACHE_SIZE)
-def _ceilings(edges: tuple, delta_f: float, mode: str) -> tuple:
-    """_ceiling(budget, f_e, delta_f, mode) for every (budget, f_e) of
-    edges, by its recursion run level by level over all of them at once.
+def _ceilings(budgets: tuple, fidelities: tuple, delta_f: float, mode: str) -> tuple:
+    """_ceiling(budget, f_e, delta_f, mode) for every edge, budgets[i] and
+    fidelities[i] being edge i's, by its recursion run level by level over
+    all of them at once.
 
     Row i of g holds every edge's g[i].  Each level applies the same float
     operations to the same operands as _ceiling (F, up, max), one numpy
     operation per step over all edges, so every ceiling is the same float;
     rows past an edge's budget are computed and never read.
     """
-    budgets = np.array([b for b, _ in edges])
-    g = np.empty((int(budgets.max()) + 1, len(edges)))
-    g[1] = [f for _, f in edges]
+    budgets = np.array(budgets)
+    g = np.empty((int(budgets.max()) + 1, len(budgets)))
+    g[1] = fidelities
 
     def up(f):
         return np.minimum(np.ceil((f + 1e-12) / delta_f) * delta_f, 1.0)
@@ -332,7 +334,7 @@ def _ceilings(edges: tuple, delta_f: float, mode: str) -> tuple:
         np.maximum.accumulate(g[1:], axis=0, out=g[1:])
     else:
         raise ValueError(f"unknown schedule mode {mode!r}")
-    return tuple(g[budgets, np.arange(len(edges))].tolist())
+    return tuple(g[budgets, np.arange(len(budgets))].tolist())
 
 
 def _to_sink(net: QuantumNetwork, s, t, limit, weight) -> dict:
@@ -371,8 +373,8 @@ def _charge_to_sink(
     budgets = {id(e): min(e.capacity, net.node(e.u).qubits, net.node(e.v).qubits) for e in net.edges}
     per_level = 29 + (max(budgets.values(), default=0) if mode == "optimal" else 0)
     if len(budgets) * per_level > _BATCH_SIZE:
-        key = tuple((budgets[id(e)], e.fidelity) for e in net.edges)
-        tops = dict(zip(budgets, _ceilings(key, delta_f, mode)))
+        fidelities = tuple(e.fidelity for e in net.edges)
+        tops = dict(zip(budgets, _ceilings(tuple(budgets.values()), fidelities, delta_f, mode)))
 
         def charge(edge):
             return _first_k(tops[id(edge)], delta_phi) - 1

@@ -11,18 +11,38 @@ elementary pairs:
 Purification here consumes all pairs it is handed (the merge order is
 optimized for final fidelity); success probabilities are one-shot products
 of per-merge success and per-swap p_s.
+
+optimal_policy_fidelity, the exhaustive oracle these are checked against,
+enumerates operation trees rather than states.  A policy interleaves
+purifications (two pairs of one span) and swaps (pairs of adjacent spans),
+so every pair it ever holds is the root of a binary tree: purify nodes join
+two subtrees of the same span, swap nodes join adjacent ones, and the
+leaves are initial pairs, each used at most once; pairs left unused are
+simply outside the tree.  A tree's span is the union of its leaves' hops,
+so it is fixed by the set (bitmask) of initial pairs it uses, and every
+tree over a mask is a swap of the mask's pairs left and right of a hop
+boundary inside its span, or a purification of two complementary halves
+that each span all of it.  Conversely every such tree can be played out as
+a policy, its other pairs unused.  So the fidelities a policy can end with
+are the values of the trees whose mask spans the chain, and the oracle
+takes the largest.  Each node takes its operands in the order of a search
+over sorted states (multisets of pairs), every interleaving played out: a
+swap puts the left span first (_swap2_raw(left, right)), and a purification
+the lower fidelity first.  So the maximum is that search's float, which
+tests/test_strategies.py keeps as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from typing import Iterable
 
 import numpy as np
 
 from .pair_algebra import (
+    _check_fidelity,
     _purification_success_raw,
     _purified_fidelity_raw,
     _swap2_raw,
@@ -282,48 +302,75 @@ def scan_points(region: str, step: float):
 # ---------------------------------------------------------------------------
 # Exhaustive policy oracle
 
+# the enumeration's bound; n pairs split over hops in 2**(n-1) layouts, so
+# there are 255 of 1 to 8 pairs, which bounds _policy_layout's cache
+_POLICY_PAIRS_MAX = 8
+
+
+@lru_cache(maxsize=None)
+def _policy_layout(counts: tuple) -> tuple:
+    """The operation-tree structure of a chain with counts[h] pairs on hop
+    h, pairs numbered hop by hop: (steps, roots).  steps lists every mask
+    of two or more pairs whose hops are contiguous, in increasing order (a
+    split's halves come first), with its swap splits (left, right) at each
+    hop boundary inside its span and its purify splits (x, y), x < y, whose
+    two halves both span all of its hops.  roots are the masks spanning the
+    whole chain."""
+    hop_of = [h for h, c in enumerate(counts) for _ in range(c)]
+    n = len(hop_of)
+    below = [sum(1 << i for i in range(n) if hop_of[i] < c) for c in range(len(counts) + 1)]
+    span = [None] * (1 << n)
+    steps, roots = [], []
+    for mask in range(1, 1 << n):
+        hops = {hop_of[i] for i in range(n) if mask >> i & 1}
+        lo, hi = min(hops), max(hops) + 1
+        if len(hops) != hi - lo:
+            continue  # a gap: no tree has these leaves
+        span[mask] = (lo, hi)
+        if lo == 0 and hi == len(counts):
+            roots.append(mask)
+        if mask & (mask - 1) == 0:
+            continue  # one pair: a leaf
+        swaps = [(mask & below[c], mask & ~below[c]) for c in range(lo + 1, hi)]
+        purifies = []
+        x = (mask - 1) & mask
+        while x:
+            y = mask ^ x
+            if x < y and span[x] == span[y] == (lo, hi):
+                purifies.append((x, y))
+            x = (x - 1) & mask
+        steps.append((mask, swaps, purifies))
+    return steps, roots
+
+
 def optimal_policy_fidelity(chain: RepeaterChain) -> float:
     """Best final fidelity over ALL interleavings of purification (between
     pairs sharing a span) and swapping (of adjacent spans), allowing pairs
-    to go unused.  Desk scale: at most 8 initial pairs."""
-    n_pairs = sum(len(h) for h in chain.hops)
-    if n_pairs > 8:
-        raise ValueError("policy enumeration bounded at 8 initial pairs")
-    l = chain.length
-    init = []
-    for hop_idx, pairs in enumerate(chain.hops):
-        for f in pairs:
-            init.append((hop_idx, hop_idx + 1, f))
-    memo: dict = {}
+    to go unused.  Desk scale: at most 8 initial pairs, each of fidelity in
+    [0.25, 1].
 
-    def value(state: tuple) -> float:
-        hit = memo.get(state)
-        if hit is not None:
-            return hit
-        best = -1.0
-        for u, v, f in state:
-            if u == 0 and v == l:
-                if f > best:
-                    best = f
-        n = len(state)
-        for i in range(n):
-            ui, vi, fi = state[i]
-            for j in range(i + 1, n):
-                uj, vj, fj = state[j]
-                if ui == uj and vi == vj:
-                    merged = (ui, vi, purified_fidelity(fi, fj))
-                elif vi == uj:
-                    merged = (ui, vj, _swap2_raw(fi, fj))
-                elif vj == ui:
-                    merged = (uj, vi, _swap2_raw(fj, fi))
-                else:
-                    continue
-                rest = state[:i] + state[i + 1 : j] + state[j + 1 :]
-                nxt = tuple(sorted(rest + (merged,)))
-                cand = value(nxt)
-                if cand > best:
-                    best = cand
-        memo[state] = best
-        return best
-
-    return value(tuple(sorted(init)))
+    vals[mask] is the set of fidelities a tree over exactly the pairs of
+    mask can reach (see the module docstring); the answer is the largest
+    over the masks spanning the chain."""
+    counts = tuple(len(h) for h in chain.hops)
+    if sum(counts) > _POLICY_PAIRS_MAX:
+        raise ValueError(f"policy enumeration bounded at {_POLICY_PAIRS_MAX} initial pairs")
+    init = [f for pairs in chain.hops for f in pairs]
+    for f in init:
+        _check_fidelity(f)
+    steps, roots = _policy_layout(counts)
+    vals = [None] * (1 << len(init))
+    for i, f in enumerate(init):
+        vals[1 << i] = {f}
+    for mask, swaps, purifies in steps:
+        out = set()
+        for left, right in swaps:
+            out.update(_swap2_raw(a, b) for a in vals[left] for b in vals[right])
+        for x, y in purifies:
+            out.update(
+                _purified_fidelity_raw(a, b) if a <= b else _purified_fidelity_raw(b, a)
+                for a in vals[x]
+                for b in vals[y]
+            )
+        vals[mask] = out
+    return max(max(vals[mask]) for mask in roots)

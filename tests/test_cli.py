@@ -691,6 +691,8 @@ def test_experiment_rejects_bad_sps_exits_2(capsys, tmp_path, alg):
         # a subnormal step has an infinite reciprocal
         ("route-compare", "dphi", [0.01, 1e-320]),
         ("route-compare", "dpsi", 1e-320),
+        # the summary's nested tree lists would overflow json.dumps' recursion
+        ("purify-compare", "pairs_max", 513),
     ],
 )
 def test_experiment_rejects_bad_option_value_exits_2(capsys, tmp_path, scenario, option, value):
@@ -705,6 +707,42 @@ def test_experiment_rejects_bad_option_value_exits_2(capsys, tmp_path, scenario,
     )
     assert code == 2 and out == ""
     assert f"'{option}'" in err
+    assert not outdir.exists()
+
+
+def test_purify_compare_writes_at_the_pairs_bound(capsys, tmp_path):
+    # a 511-level pumping tree goes through the summary's json.dumps
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "scenario": "purify-compare",
+                "algorithms": ["pumping"],
+                "fidelities": [0.9],
+                "pairs_min": 512,
+                "pairs_max": 512,
+            }
+        ),
+        encoding="utf-8",
+    )
+    outdir = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "experiment", "run", "--config", str(cfg), "--out", str(outdir))
+    assert code == 0
+    summary = json.loads((outdir / "summary.json").read_text(encoding="utf-8"))
+    assert [a["n"] for a in summary["artifacts"]] == [512]
+
+
+@pytest.mark.parametrize("options", [{"pairs_min": 9, "pairs_max": 3}, {"pairs_min": 13}])
+def test_purify_compare_rejects_empty_pair_range_exits_2(capsys, tmp_path, options):
+    # pairs_max defaults to 12; an empty range once wrote a header-only CSV
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "purify-compare", **options}), encoding="utf-8")
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "experiment", "run", "--config", str(cfg), "--out", str(outdir)
+    )
+    assert code == 2 and out == ""
+    assert "'pairs_min'" in err and "'pairs_max'" in err
     assert not outdir.exists()
 
 

@@ -297,7 +297,7 @@ def test_ceilings_batch_matches_least_charge(edges, f_one, budget_one, delta_f, 
     budget-1 edge and an f_e = 1.0 edge among them, the per-edge ceiling bit
     for bit, and so _least_charge's charge at every delta_phi."""
     edges = ((1, f_one), (budget_one, 1.0), *edges)
-    tops = routing._ceilings(edges, delta_f, mode)
+    tops = routing._ceilings(*zip(*edges), delta_f, mode)
     assert list(tops) == [routing._ceiling(b, f_e, delta_f, mode) for b, f_e in edges]
     for delta_phi in (0.001, 0.005, 0.01, 0.02):
         got = [routing._first_k(top, delta_phi) - 1 for top in tops]
@@ -1415,7 +1415,7 @@ def test_routing_caches_stay_bounded():
         f_e = 0.6 + 0.3 * i / n
         routing.edge_throughput_table(1, 1, f_e, 0.01, 1e-4, 1e-4, "optimal")
         routing._least_charge(1, f_e, 0.01, 1e-4, "optimal")
-        routing._ceilings(((1, f_e),), 1e-4, "optimal")
+        routing._ceilings((1,), (f_e,), 1e-4, "optimal")
         routing._fronts(1, f_e)
     # every cache saw more keys than it may hold: each is full, not over
     for cache, bound in (

@@ -1,6 +1,12 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entroute import strategies
 from entroute.pair_algebra import (
+    _swap2_raw,
     purification_success_prob,
     purified_fidelity,
     swap_fidelity,
@@ -215,3 +221,105 @@ def test_policy_oracle_can_discard():
 def test_policy_oracle_bound():
     with pytest.raises(ValueError):
         optimal_policy_fidelity(RepeaterChain([[0.9] * 5, [0.9] * 4]))
+
+
+def _state_search_fidelity(chain: RepeaterChain) -> float:
+    """The policy oracle as a search over states (multisets of (u, v, f)
+    pairs), every interleaving of purifications and swaps: the reference
+    that optimal_policy_fidelity's tree enumeration must equal exactly."""
+    l = chain.length
+    init = []
+    for hop_idx, pairs in enumerate(chain.hops):
+        for f in pairs:
+            init.append((hop_idx, hop_idx + 1, f))
+    memo: dict = {}
+
+    def value(state: tuple) -> float:
+        hit = memo.get(state)
+        if hit is not None:
+            return hit
+        best = -1.0
+        for u, v, f in state:
+            if u == 0 and v == l:
+                if f > best:
+                    best = f
+        n = len(state)
+        for i in range(n):
+            ui, vi, fi = state[i]
+            for j in range(i + 1, n):
+                uj, vj, fj = state[j]
+                if ui == uj and vi == vj:
+                    merged = (ui, vi, purified_fidelity(fi, fj))
+                elif vi == uj:
+                    merged = (ui, vj, _swap2_raw(fi, fj))
+                elif vj == ui:
+                    merged = (uj, vi, _swap2_raw(fj, fi))
+                else:
+                    continue
+                rest = state[:i] + state[i + 1 : j] + state[j + 1 :]
+                nxt = tuple(sorted(rest + (merged,)))
+                cand = value(nxt)
+                if cand > best:
+                    best = cand
+        memo[state] = best
+        return best
+
+    return value(tuple(sorted(init)))
+
+
+@st.composite
+def _small_chains(draw):
+    # ties come from the sampled values; the floats fill in between
+    fid = st.one_of(st.sampled_from([0.25, 0.5, 0.7, 0.8, 0.9, 1.0]), st.floats(0.25, 1.0))
+    hops = []
+    for _ in range(draw(st.integers(1, 4))):
+        room = 6 - sum(map(len, hops)) - 1
+        if room < 0:
+            break
+        hops.append(draw(st.lists(fid, min_size=1, max_size=min(3, room + 1))))
+    return hops
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_chains())
+def test_policy_oracle_matches_state_search(hops):
+    """The tree enumeration returns the state search's float exactly.  It
+    fails if the purify branch is dropped (one hop of two pairs) or if only
+    the mask of all pairs is scored (a weak pair that should go unused)."""
+    chain = RepeaterChain(hops, swap_success=0.8)
+    assert optimal_policy_fidelity(chain) == _state_search_fidelity(chain)
+
+
+def test_policy_layout_cache_stays_bounded():
+    # one chain per layout of 1 to 8 pairs (a composition of n: 2**(n-1)
+    # of them), then chains over the bound, which must not be cached
+    layouts = [
+        _composition(n, cuts)
+        for n in range(1, 9)
+        for cuts in itertools.product((False, True), repeat=n - 1)
+    ]
+    assert len(layouts) == len(set(layouts)) == 255
+    for counts in layouts:
+        optimal_policy_fidelity(RepeaterChain([[1.0] * k for k in counts]))
+    for counts in ((9,), (4, 5), (1,) * 9):
+        with pytest.raises(ValueError, match="bounded at 8"):
+            optimal_policy_fidelity(RepeaterChain([[1.0] * k for k in counts]))
+    assert strategies._policy_layout.cache_info().currsize <= 255
+
+
+def _composition(n, cuts):
+    counts, run = [], 1
+    for cut in cuts:
+        if cut:
+            counts.append(run)
+            run = 1
+        else:
+            run += 1
+    return tuple(counts + [run])
+
+
+@pytest.mark.parametrize("hops", [[[0.1]], [[0.9], [0.2]], [[0.9, 1.5]], [[0.9], [0.8, 0.9, float("nan")]]])
+def test_policy_oracle_checks_every_initial_pair(hops):
+    # a pair that no policy merges is checked too: [[0.1]] once returned 0.1
+    with pytest.raises(ValueError, match="outside"):
+        optimal_policy_fidelity(RepeaterChain(hops))
