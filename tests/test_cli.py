@@ -734,7 +734,7 @@ def test_purify_compare_writes_at_the_pairs_bound(capsys, tmp_path):
 
 @pytest.mark.parametrize("options", [{"pairs_min": 9, "pairs_max": 3}, {"pairs_min": 13}])
 def test_purify_compare_rejects_empty_pair_range_exits_2(capsys, tmp_path, options):
-    # pairs_max defaults to 12; an empty range once wrote a header-only CSV
+    # pairs_max defaults to 12; an empty range would write a header-only CSV
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "purify-compare", **options}), encoding="utf-8")
     outdir = tmp_path / "out"

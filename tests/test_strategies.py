@@ -320,6 +320,6 @@ def _composition(n, cuts):
 
 @pytest.mark.parametrize("hops", [[[0.1]], [[0.9], [0.2]], [[0.9, 1.5]], [[0.9], [0.8, 0.9, float("nan")]]])
 def test_policy_oracle_checks_every_initial_pair(hops):
-    # a pair that no policy merges is checked too: [[0.1]] once returned 0.1
+    # a pair that no policy merges is checked too, as [[0.1]]'s only pair
     with pytest.raises(ValueError, match="outside"):
         optimal_policy_fidelity(RepeaterChain(hops))
