@@ -199,7 +199,7 @@ def _cmd_strategy(args) -> int:
     }
     if args.policy == "sps":
         record["h"] = chain.length if args.h is None else args.h
-    _emit_json(record)
+    _emit_json(record, args.out)
     return 0
 
 

@@ -4,6 +4,7 @@ elementary fidelities, and per-edge allocation cost functions."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -86,21 +87,26 @@ class EdgeSpec:
             raise ValueError(f"edge ({self.u!r},{self.v!r}): capacity must be >= 1")
         if not 0.5 < self.fidelity <= 1.0:
             raise ValueError(f"edge ({self.u!r},{self.v!r}): fidelity outside (0.5, 1]")
+        # every cost is finite and >= 0, as the search's cost cap assumes
         tag = self.cost[0]
         if tag == "unit":
             pass
         elif tag == "weighted":
-            if len(self.cost) != 2 or self.cost[1] < 0:
-                raise ValueError("weighted cost needs a nonnegative weight")
+            if len(self.cost) != 2 or not 0 <= self.cost[1] * self.capacity < math.inf:
+                raise ValueError(
+                    f"edge ({self.u!r},{self.v!r}): weight must be >= 0 with weight * capacity "
+                    f"finite, got {self.cost!r}"
+                )
         elif tag == "table":
-            # one entry per allocation size, must be nonnegative and nondecreasing
+            # one entry per allocation size, finite, nonnegative and nondecreasing
             table = self.cost[1]
             if len(self.cost) != 2 or len(table) != self.capacity:
                 raise ValueError("cost table must have one entry per pair count")
-            if any(c < 0 for c in table) or any(
-                a > b for a, b in zip(table, table[1:])
-            ):
-                raise ValueError("cost table must be nonnegative and nondecreasing")
+            if not all(0 <= c < math.inf for c in table) or any(a > b for a, b in zip(table, table[1:])):
+                raise ValueError(
+                    f"edge ({self.u!r},{self.v!r}): cost table must be finite, nonnegative "
+                    f"and nondecreasing, got {table!r}"
+                )
         else:
             raise ValueError(f"unknown cost tag {tag!r}")
 

@@ -114,6 +114,11 @@ def _check_budget(n: int, f_e: float) -> None:
         raise ValueError(f"f_e={f_e!r} outside [0.5, 1]")
 
 
+def _check_threshold(f_theta: float) -> None:
+    if not 0.25 < f_theta <= 1.0 + _GRID_TOL:
+        raise ValueError(f"f_theta={f_theta!r} outside (0.25, 1]")
+
+
 @dataclass
 class SchedulerConfig:
     n: int
@@ -124,8 +129,7 @@ class SchedulerConfig:
 
     def __post_init__(self):
         _check_budget(self.n, self.f_e)
-        if not 0.25 < self.f_theta <= 1.0 + _GRID_TOL:
-            raise ValueError(f"f_theta={self.f_theta!r} outside (0.25, 1]")
+        _check_threshold(self.f_theta)
         # a step with an infinite reciprocal (a subnormal) overflows the grid
         for name, step in (("delta_f", self.delta_f), ("delta_xi", self.delta_xi)):
             if not (0.0 < step < 1.0 and 1.0 / step < math.inf):
@@ -410,8 +414,10 @@ def brute_force_optimal(n: int, f_e: float, f_theta: float):
     """Exhaustive oracle: the tree maximizing exact yield/leaves subject to
     exact fidelity >= f_theta, over all shapes within the leaf bound.
 
-    Returns None when infeasible.  Raises on n beyond the desk-scale bound.
+    Returns None when infeasible.  Raises on n beyond the desk-scale bound
+    and on f_theta outside (0.25, 1], as SchedulerConfig does.
     """
+    _check_threshold(f_theta)
     if n > _BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force bounded at n={_BRUTE_FORCE_MAX_N}, got {n}")
     nprime = min_leaves(n, f_e, f_theta)

@@ -35,37 +35,17 @@ _TOL, d.phi_credit >= x.phi_credit - _TOL and d.psi_hat >= x.psi_hat -
 _TOL, and it counts against x at a copy index at least x's (a higher copy
 reaches every arc a lower one does, at identical terms).  Under relaxed
 dominance R, a candidate is admitted unless R pool labels count against
-it, and a pool label dies once R do.  Each label keeps its number of alive
-dominators, always < R.  A killed label leaves its pool at once; it keeps
-an alive flag only because the heap deletes lazily.
+it, and a pool label dies once R do.  A killed label leaves its pool at
+once; it keeps an alive flag only because the heap deletes lazily.
 
-A candidate costs one newest-first pass over its pool (_scan).  The pass
-counts the candidate's dominators and rejects at the R-th, which does not
-depend on the order, and collects the labels the candidate dominates.  An
-admitted scan ran to the end, so its count is exact and becomes the new
-label's.  Then (_admit) each collected label gains a dominator, in pool
-order; one whose count reaches R is killed, and each label it dominated
-loses one.
-
-These are the kills of the former insert, which recounted from scratch, in
-pool order, each label the newcomer dominates, and killed it at R.  Before
-an admission every count is exact and < R.  A label the newcomer does not
-dominate gains no dominator, so neither insert kills it.  A label x the
-newcomer dominates is reached in the same order by both.  The recount then
-finds x's dominators before the admission, plus the newcomer, minus those
-killed earlier in this admission, and that is x's count, since each kill
-took one off every label the killed one dominated.  So both kill x or
-neither does, and afterwards every count is again exact and < R.
-
-Table steps on one arc share the candidate's cost and copy index, and a
-later step has less phi credit.  So a later step whose psi_hat is no higher
-than that of a rejected one is dominated by each of the rejecting step's R
-dominators, directly, with no chain through _TOL: it is skipped without a
-scan.  Only an admission kills, so the rule holds until the arc's next
-admission.  With R = 1 the earlier rule stays: a step is skipped when its
-psi_hat is no higher than that of any earlier step on the arc that got past
-this check (admitted, rejected or below a floor).  stats= reports the scans
-that rejected, the kills, the skipped steps and the dead labels popped.
+A candidate costs one newest-first pass over its pool (_scan), which
+rejects at the R-th label that counts against it and otherwise collects
+the labels it counts against.  Only a newcomer adds a dominator, and it
+adds one only to the labels it collected, so rechecking those labels in
+pool order (_admit: each recounted newest first, killed at R) is the rule
+itself.  At R = 1 the newest label is the newcomer, so each recount stops
+at its first label.  stats= reports the scans that rejected, the kills and
+the dead labels popped.
 
 The phi lower bound.  Before the search, one Dijkstra from t over the
 physical network (_charge_to_sink) gives LB(v) in units of delta_phi: no
@@ -82,12 +62,11 @@ parent of a safe label is safe (LB(u) is at most the edge's charge plus
 LB(v)), and so is every label that dominates a safe one: credits are sums
 of multiples of delta_phi, so a credit at least another's - _TOL lies on
 the same multiple or a higher one (for delta_phi > 2*_TOL), and no chain
-of dominators loses more than float rounding.  The admission, kills and
-R>1 count of a safe label depend only on the labels that dominate it, and
-the R = 1 psi_hat skip rule only on earlier steps of the arc, which no drop
-precedes.  So the safe labels are admitted, killed and popped, in the same
-relative order, as without the bound.  Sink labels are safe, so the sink
-pops and plans are unchanged.
+of dominators loses more than float rounding.  The admission and kill of
+a safe label depend only on the labels that dominate it.  So the safe
+labels are admitted, killed and popped, in the same relative order, as
+without the bound.  Sink labels are safe, so the sink pops and plans are
+unchanged.
 
 Each edge is charged _least_charge: the first k, less one, of a ceiling on
 the f_hat of its frontier.  Each ceiling is a recursion over the edge's
@@ -137,18 +116,17 @@ both: heap keys order low labels alike, and their counter ties follow push
 order, which is alike.  Each arc it takes in the uncapped search with reach
 at most T + gap lies below every cut, so the pass takes it too, and by the
 gap its reach is at most T.  A step's dominators are then low, so its scan
-finds the same ones; the psi_hat skip reads only earlier steps of its arc.
-So it is admitted in both or neither, and it kills the same low labels: a
-label dies when R labels dominate it, all of them low.  A label that is not
-low reaches above T + gap in both searches; it dominates no low label, and
-when it dies only labels reaching above T lose a dominator.  This is where
-_TOL chains end: each link lowers reach by at most gap, and none crosses the
-empty band above T.  So the low labels are admitted, killed and popped
-alike.  The results are low; a sink label that is not low costs more than
-T + _TOL, which is more than any low one, so it pops later.  The first R
-sink pops, and so the plans, are the uncapped search's.  The margin keeps
-the cut arcs, on costs that differ by more than about 1e-9 relative, some
-thousand gaps above the results, so T = top usually certifies a pass.
+finds the same ones.  So it is admitted in both or neither, and it kills
+the same low labels: a label dies when R labels dominate it, all of them
+low.  A label that is not low reaches above T + gap in both searches, and
+it dominates no low label.  This is where _TOL chains end: each link
+lowers reach by at most gap, and none crosses the empty band above T.  So
+the low labels are admitted, killed and popped alike.  The results are
+low; a sink label that is not low costs more than T + _TOL, which is more
+than any low one, so it pops later.  The first R sink pops, and so the
+plans, are the uncapped search's.  The margin keeps the cut arcs, on costs
+that differ by more than about 1e-9 relative, some thousand gaps above the
+results, so T = top usually certifies a pass.
 
 Budget accounting: an edge expanded at split index k demands per-edge
 pseudo-fidelity -k*delta_phi but is charged only (k-1)*delta_phi against
@@ -504,7 +482,7 @@ class RoutePlan:
 class _Label:
     __slots__ = (
         "cost", "phi_credit", "psi_b", "psi_hat", "path", "pkey", "vertex", "copy", "parent", "arc",
-        "alive", "dominators", "reach",
+        "alive", "reach",
     )
 
     def __init__(self, cost, phi_credit, psi_b, psi_hat, path, pkey, vertex, copy, parent, arc, reach=0.0):
@@ -519,7 +497,6 @@ class _Label:
         self.parent = parent
         self.arc = arc  # (m, k, edge, schedule entry) of the arc into vertex
         self.alive = True
-        self.dominators = 0  # alive labels of its pool that dominate it; < R
         self.reach = reach  # lower bound on the cost of every completion
 
 
@@ -527,9 +504,9 @@ def _scan(pool: list, cost: float, phi_credit: float, psi_hat: float, copy: int,
     """One newest-first pass over a pool for a candidate's values.
 
     Returns None at the R-th label at copy index copy or higher that
-    dominates (cost, phi_credit, psi_hat).  Otherwise returns that count,
-    then exact, and the labels at copy index <= copy that the values
-    dominate, in pool order.  Values equal within _TOL dominate both ways.
+    dominates (cost, phi_credit, psi_hat).  Otherwise returns the labels at
+    copy index <= copy that the values dominate, in pool order.  Values
+    equal within _TOL dominate both ways.
     """
     tol = _TOL
     cost_hi = cost + tol
@@ -551,43 +528,40 @@ def _scan(pool: list, cost: float, phi_credit: float, psi_hat: float, copy: int,
         ):
             beaten.append(e)
     beaten.reverse()
-    return count, beaten
+    return beaten
 
 
-def _admit(pool: list, lab: _Label, count: int, beaten: list, R: int) -> int:
-    """Append lab, whose _scan found count dominators and the labels
-    beaten, to its pool; kill the labels that now have R alive dominators
-    and return how many there were.
+def _admit(pool: list, lab: _Label, beaten: list, R: int) -> int:
+    """Append lab, whose _scan found the labels beaten, to its pool; kill
+    the labels that now have R alive dominators and return how many there
+    were.
 
-    Each label of beaten gains lab as a dominator, in pool order, and is
-    killed when its count reaches R; a killed label leaves the pool, and
-    each label it dominated loses a dominator.  With R = 1 no alive label
-    dominates another, so lab kills all of beaten and no count changes.
+    Each label of beaten, in pool order, is recounted: the other pool labels
+    at its copy index or higher that dominate it, newest first up to R.  At
+    R it is killed and leaves the pool.
     """
-    lab.dominators = count
     pool.append(lab)
-    if R == 1:
-        for e in beaten:
-            e.alive = False
-            pool.remove(e)
-        return len(beaten)
     killed = 0
     for e in beaten:
-        e.dominators += 1
-        if e.dominators < R:
-            continue
-        e.alive = False
-        pool.remove(e)
-        killed += 1
-        cost, phi_credit, psi_hat, copy = e.cost, e.phi_credit, e.psi_hat, e.copy
-        for x in pool:
+        cost_hi = e.cost + _TOL
+        phi_lo = e.phi_credit - _TOL
+        psi_lo = e.psi_hat - _TOL
+        copy = e.copy
+        count = 0
+        for x in reversed(pool):
             if (
-                x.copy <= copy
-                and cost <= x.cost + _TOL
-                and phi_credit >= x.phi_credit - _TOL
-                and psi_hat >= x.psi_hat - _TOL
+                x.cost <= cost_hi
+                and x.phi_credit >= phi_lo
+                and x.psi_hat >= psi_lo
+                and x.copy >= copy
+                and x is not e
             ):
-                x.dominators -= 1
+                count += 1
+                if count >= R:
+                    e.alive = False
+                    pool.remove(e)
+                    killed += 1
+                    break
     return killed
 
 
@@ -676,7 +650,7 @@ def _search(
         heap: list = []
         pushed_at: dict = {}
         expanded_at: dict = {}
-        rejected = killed = skipped = dead_pops = pruned = capped = 0
+        rejected = killed = dead_pops = pruned = capped = 0
         least_cut = _INF  # the least reach the cap cut
         reaches = []  # the reach of every arc the cap let through
         limit = cap + _MARGIN * (1 + cap)
@@ -716,12 +690,12 @@ def _search(
                     pool = pools.get(key)
                     if pool is None:
                         pool = pools[key] = []
-                    found = _scan(pool, cost, phi_credit, psi_hat, 0, R)
-                    if found is None:
+                    beaten = _scan(pool, cost, phi_credit, psi_hat, 0, R)
+                    if beaten is None:
                         rejected += 1
                         continue
                     new = _Label(cost, phi_credit, psi_b, psi_hat, path, lab.pkey, head, 0, lab, None, reach0)
-                    killed += _admit(pool, new, *found, R)
+                    killed += _admit(pool, new, beaten, R)
                     heapq.heappush(heap, (cost, depth - 1, new.pkey, next(counter), new))
                     pushed_at[head] = pushed_at.get(head, 0) + 1
                     if len(pool) >= R and cap < _INF:
@@ -754,7 +728,6 @@ def _search(
                     steps = succ_memo[succ_key] = successors(edge, m)
                 psi_base = psi_v + psi_hat
                 pool = pools.get(key)
-                last_psi = -_INF
                 for k, entry, psi_e, phi_charge, arc in steps:
                     if k > kcap:
                         break
@@ -767,13 +740,6 @@ def _search(
                         psi_hat2 = math.ceil((psi_base + psi_e - psi_b) / delta_psi - 1e-9) * delta_psi
                     else:
                         psi_hat2 = math.ceil(psi_base / delta_psi - 1e-9) * delta_psi
-                    if psi_hat2 <= last_psi:
-                        # same cost and copy as the step that set last_psi, less
-                        # phi credit and no more psi_hat (see the module docstring)
-                        skipped += 1
-                        continue
-                    if R == 1:
-                        last_psi = psi_hat2
                     if psi_hat2 < psi_floor:
                         continue
                     phi_credit2 = phi_credit - phi_charge
@@ -781,10 +747,9 @@ def _search(
                         continue
                     if pool is None:
                         pool = pools[key] = []
-                    found = _scan(pool, cost2, phi_credit2, psi_hat2, j, R)
-                    if found is None:
+                    beaten = _scan(pool, cost2, phi_credit2, psi_hat2, j, R)
+                    if beaten is None:
                         rejected += 1
-                        last_psi = psi_hat2
                         continue
                     new = _Label(
                         cost2,
@@ -799,9 +764,7 @@ def _search(
                         arc,
                         reach,
                     )
-                    killed += _admit(pool, new, *found, R)
-                    if R > 1:
-                        last_psi = -_INF
+                    killed += _admit(pool, new, beaten, R)
                     heapq.heappush(heap, (cost2, depth, new.pkey, next(counter), new))
                     pushed_at[head] = pushed_at.get(head, 0) + 1
 
@@ -832,7 +795,6 @@ def _search(
         }
         stats["rejected"] = rejected
         stats["killed"] = killed
-        stats["skipped"] = skipped
         stats["dead_pops"] = dead_pops
         stats["pruned"] = pruned
         stats["capped"] = capped

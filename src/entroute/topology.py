@@ -47,6 +47,18 @@ class TopologySpec:
             raise ValueError("grid needs rows, cols >= 1 and at least 2 nodes")
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        for name, ok, rule in (
+            ("alpha", 0 < self.alpha <= 1, "in (0, 1]"),
+            ("beta_w", self.beta_w > 0, "> 0"),
+            ("domain_size", self.domain_size > 0, "> 0"),
+            ("fidelity_sigma", self.fidelity_sigma >= 0, ">= 0"),
+            ("qubit_allowance", self.qubit_allowance is None or self.qubit_allowance >= 1, ">= 1 or null"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if not 0.8 <= self.fidelity_lo < self.fidelity_hi <= 1.0:
             # keep the sampled range inside what the experiments assume
             raise ValueError("fidelity range must sit within [0.8, 1.0]")

@@ -101,6 +101,15 @@ def test_purify_checks_subnormal_step_exits_2(capsys, flag):
     assert f"{flag}=1e-320 must lie in (0, 1)" in err
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["scheduler", "oracle"])
+@pytest.mark.parametrize("ftheta", ["5", "nan", "0.25"])
+def test_purify_checks_ftheta_exits_2(capsys, ftheta, oracle):
+    # the oracle checks the threshold as the scheduler does
+    code, out, err = run_cli(capsys, "purify", "--n", "4", "--fe", "0.9", "--ftheta", ftheta, *oracle)
+    assert code == 2 and out == ""
+    assert f"f_theta={float(ftheta)!r} outside (0.25, 1]" in err
+
+
 def test_purify_missing_ftheta(capsys):
     code, _, err = run_cli(capsys, "purify", "--n", "2", "--fe", "0.75")
     assert code == 2
@@ -128,6 +137,17 @@ def test_strategy_eval(capsys):
     )
     sps = json.loads(out)
     assert sps["fidelity"] == pytest.approx(rec["fidelity"], abs=1e-12)
+
+
+def test_strategy_policy_writes_out_file(capsys, tmp_path):
+    chain = "[[0.8, 0.8], [0.9, 0.9]]"
+    code, printed, _ = run_cli(capsys, "strategy", "--chain", chain, "--policy", "sap")
+    assert code == 0
+    out_path = tmp_path / "sap.json"
+    code, stdout, _ = run_cli(capsys, "strategy", "--chain", chain, "--policy", "sap", "--out", str(out_path))
+    assert code == 0 and stdout == ""
+    assert out_path.read_text(encoding="utf-8") == printed
+    assert json.loads(printed)["policy"] == "sap"
 
 
 def test_strategy_scan_csv(capsys, tmp_path):
@@ -277,10 +297,15 @@ def _broken(net: dict, where: str, key: str, value) -> dict:
             lambda net: _broken(_broken(net, "edges", "weight", 2.0), "edges", "cost_table", [1, 2, 3]),
             "edge 0 (0, 1) has both 'weight' and 'cost_table'",
         ),
+        (lambda net: _broken(net, "edges", "weight", math.nan), "weight must be >= 0"),
+        (lambda net: _broken(net, "edges", "weight", math.inf), "weight must be >= 0"),
+        (lambda net: _broken(net, "edges", "cost_table", [1, math.nan, 3]), "cost table must be finite"),
+        (lambda net: _broken(net, "edges", "cost_table", [1, 2, math.inf]), "cost table must be finite"),
     ],
     ids=[
         "list", "nodes-object", "edge-3", "qubits-text", "id-null", "capacity-2.5",
         "cost-table-text", "key-pos", "no-fidelity", "weight-and-cost-table",
+        "weight-nan", "weight-inf", "cost-table-nan", "cost-table-inf",
     ],
 )
 def test_bad_network_file_exits_2(capsys, grid_net, tmp_path, breakage, name, command):
@@ -754,6 +779,10 @@ def test_purify_compare_rejects_empty_pair_range_exits_2(capsys, tmp_path, optio
         ({"kind": "grid", "rows": 3, "cols": 3, "capacity": True}, "'capacity'"),
         ({"rows": 3, "cols": 3}, "'kind'"),
         ({"kind": "grid", "rows": -1, "cols": -2}, "rows, cols >= 1"),
+        ({"kind": "waxman", "n": 6, "alpha": 0}, "alpha must be in (0, 1]"),
+        ({"kind": "waxman", "n": 6, "domain_size": -1.0}, "domain_size must be > 0"),
+        ({"kind": "grid", "rows": 3, "cols": 3, "fidelity_sigma": -0.1}, "fidelity_sigma must be >= 0"),
+        ({"kind": "grid", "rows": 3, "cols": 3, "fidelity_mu": math.nan}, "fidelity_mu must be finite"),
     ],
 )
 def test_experiment_rejects_bad_topology_exits_2(capsys, tmp_path, topology, name):
@@ -778,6 +807,25 @@ def test_topo_gen_rejects_bad_spec_exits_2(capsys, tmp_path):
     out = tmp_path / "net.json"
     code, _, err = run_cli(capsys, "topo", "gen", "--spec", str(spec), "--out", str(out))
     assert code == 2 and "'rowz'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"kind": "waxman", "n": 6, "beta_w": 0}, "beta_w must be > 0"),
+        ({"kind": "waxman", "n": 6, "alpha": math.nan}, "alpha must be finite"),
+        ({"kind": "grid", "rows": 2, "cols": 2, "qubit_allowance": -3}, "qubit_allowance must be >= 1"),
+    ],
+    ids=["beta_w-0", "alpha-nan", "qubit_allowance-neg"],
+)
+def test_topo_gen_checks_spec_parameters_exits_2(capsys, tmp_path, fields, name):
+    # beta_w 0 used to end in a traceback, allowance -3 in 1-qubit nodes
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(fields), encoding="utf-8")
+    out = tmp_path / "net.json"
+    code, _, err = run_cli(capsys, "topo", "gen", "--spec", str(spec), "--out", str(out))
+    assert code == 2 and name in err and "Traceback" not in err
     assert not out.exists()
 
 

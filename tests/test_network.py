@@ -1,3 +1,6 @@
+import json
+import math
+
 import pytest
 
 from entroute.auxgraph import (
@@ -61,6 +64,34 @@ def test_cost_functions():
     assert table.cost_of(3) == 4.0
     with pytest.raises(ValueError):
         table.cost_of(4)
+
+
+@pytest.mark.parametrize(
+    "cost, message",
+    [
+        ({"weight": math.nan}, "weight must be >= 0"),
+        ({"weight": math.inf}, "weight must be >= 0"),
+        ({"weight": -1.0}, "weight must be >= 0"),
+        ({"weight": 1e308}, "weight must be >= 0"),  # 2 pairs cost inf
+        ({"cost_table": [1.0, math.nan]}, "cost table must be finite"),
+        ({"cost_table": [1.0, math.inf]}, "cost table must be finite"),
+        ({"cost_table": [math.nan, 1.0]}, "cost table must be finite"),
+    ],
+    ids=[
+        "weight-nan", "weight-inf", "weight-neg", "weight-overflow", "table-nan", "table-inf", "table-nan-first"
+    ],
+)
+def test_from_json_rejects_non_finite_costs(cost, message):
+    # every cost must be finite and >= 0, as the search's cost cap assumes;
+    # json.loads reads NaN and Infinity
+    text = json.dumps(
+        {
+            "nodes": [{"id": "a", "qubits": 2}, {"id": "b", "qubits": 2}],
+            "edges": [{"u": "a", "v": "b", "capacity": 2, "fidelity": 0.9, **cost}],
+        }
+    )
+    with pytest.raises(ValueError, match=message):
+        QuantumNetwork.from_json(json.loads(text))
 
 
 def test_json_round_trip(tmp_path):

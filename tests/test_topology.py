@@ -71,8 +71,9 @@ def test_waxman_fidelity_mean_near_mu():
     assert abs(mean - 0.9) <= 3 * 0.05 / math.sqrt(len(fids))
 
 
-def test_waxman_zero_alpha_exhausts_retries():
-    spec = TopologySpec(kind="waxman", n=6, alpha=0.0, seed=0)
+def test_waxman_vanishing_alpha_exhausts_retries():
+    # alpha 0 is rejected by the spec; at 1e-12 no draw has an edge
+    spec = TopologySpec(kind="waxman", n=6, alpha=1e-12, seed=0)
     with pytest.raises(RuntimeError, match="sub-seeds"):
         generate(spec)
 
@@ -86,6 +87,36 @@ def test_spec_validation():
         TopologySpec(kind="grid", rows=1, cols=1)
     with pytest.raises(ValueError):
         TopologySpec(kind="grid", rows=2, cols=2, capacity=0)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("alpha", 0.0, "alpha must be in"),
+        ("alpha", 1.01, "alpha must be in"),
+        ("alpha", math.nan, "alpha must be finite"),
+        ("beta_w", 0.0, "beta_w must be > 0"),
+        ("beta_w", math.inf, "beta_w must be finite"),
+        ("domain_size", 0.0, "domain_size must be > 0"),
+        ("domain_size", -1.0, "domain_size must be > 0"),
+        ("fidelity_sigma", -0.01, "fidelity_sigma must be >= 0"),
+        ("fidelity_mu", math.nan, "fidelity_mu must be finite"),
+        ("fidelity_mu", -math.inf, "fidelity_mu must be finite"),
+        ("swap_prob", math.nan, "swap_prob must be finite"),
+        ("qubit_allowance", 0, "qubit_allowance must be >= 1"),
+        ("qubit_allowance", -3, "qubit_allowance must be >= 1"),
+    ],
+)
+def test_spec_checks_sampling_parameters(field, value, message):
+    for kind in ({"kind": "waxman", "n": 6}, {"kind": "grid", "rows": 2, "cols": 2}):
+        with pytest.raises(ValueError, match=message):
+            spec_from_json({**kind, field: value})
+
+
+def test_spec_accepts_the_closed_bounds():
+    for field, value in (("alpha", 1.0), ("fidelity_sigma", 0.0), ("qubit_allowance", 1)):
+        net = generate(TopologySpec(kind="waxman", n=6, beta_w=1.0, seed=1, **{field: value}))
+        assert len(net.reachable(0)) == 6
 
 
 def test_spec_from_json_defaults():
