@@ -1281,15 +1281,8 @@ _coarse_labels = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(_coarse_labels, st.integers(1, 3))
-@example([(1, 0, 0, 0)] * 2 + [(0, 0, 0, 0)], 2)
-@example([(1, 0, 0, 1)] * 3 + [(0, 0, 0, 2)], 3)
 def test_incremental_recount_matches_full_recount(stream, R):
-    """_scan and _admit admit and kill the labels the full recount does,
-    and after every admission each pool label has fewer than R other pool
-    labels at its copy index or higher that dominate it.  The examples
-    admit R equal labels, then a better one: the first equal label it
-    reaches dies, and the recount of the others must no longer count it,
-    or they die too."""
+    """_scan and _admit admit and kill the labels the full recount does."""
     oracle_pool, pool = [], []
     oracle_labels, labels = [], []
     for i, (cost, phi, psi, j) in enumerate(stream):
@@ -1306,6 +1299,30 @@ def test_incremental_recount_matches_full_recount(stream, R):
             oracle_labels.append(a)
         assert [x.alive for x in labels] == [x.alive for x in oracle_labels], i
         assert [x.path for x in pool] == [x.path for x in oracle_pool if x.alive], i
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coarse_labels, st.integers(2, 3))
+@example([(1, 0, 0, 0)] * 2 + [(0, 0, 0, 0)], 2)
+@example([(1, 0, 0, 1)] * 3 + [(0, 0, 0, 2)], 3)
+def test_dominator_counts_stay_exact(stream, R):
+    """After every admission each pool label has fewer than R other pool
+    labels at its copy index or higher that dominate it, counted from
+    scratch; the kills are the full recount's.  The examples admit R equal
+    labels, then a better one: the first equal label it reaches dies, and
+    the recount of the others must no longer count it, or they die too."""
+    pool, oracle_pool, pairs = [], [], []
+    for i, (cost, phi, psi, j) in enumerate(stream):
+        cost, phi, psi = float(cost), 0.01 * phi, 0.1 * psi
+        twin = _OracleLabel(cost, phi, 0.0, psi, (i,), ("v", j), None, None)
+        beaten = routing._scan(pool, cost, phi, psi, j, R)
+        admitted = _full_recount_insert(oracle_pool, twin, R)
+        assert (beaten is not None) == admitted, i
+        if admitted:
+            b = routing._Label(cost, phi, 0.0, psi, (i,), (str(i),), ("v", j), j, None, None)
+            routing._admit(pool, b, beaten, R)
+            pairs.append((b, twin))
+        assert [b.alive for b, _ in pairs] == [twin.alive for _, twin in pairs], i
         for e in pool:
             assert sum(x is not e and x.copy >= e.copy and _dominates(x, e) for x in pool) < R, i
 
