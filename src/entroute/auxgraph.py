@@ -53,12 +53,19 @@ class AuxiliaryGraph:
             if w == self.s:
                 continue
             edge = self.net.edge(u, w)
-            cap = min(i, edge.capacity)
             q_w = self.net.node(w).qubits
-            for j in self._indices[w]:
-                m = q_w - j
-                if 1 <= m <= cap:
-                    yield (w, j), m, edge
+            for m in self.pair_counts(u, w):
+                if m <= i:
+                    yield (w, q_w - m), m, edge
+
+    def pair_counts(self, u, w) -> tuple:
+        """The pair counts of the arcs from the copies of u into its
+        neighbour w, in out_arcs order (j ascending, so m descending): m =
+        Q_w - j for each copy index j of w with 1 <= m <= the edge's
+        capacity.  The copy (u, i) takes those with m <= i, a suffix."""
+        q_w = self.net.node(w).qubits
+        cap = self.net.edge(u, w).capacity
+        return tuple(q_w - j for j in self._indices[w] if 1 <= q_w - j <= cap)
 
     def encode_path(self, nodes: list, pair_counts: list) -> list:
         """Map (node path, per-edge pair counts) to its auxiliary vertex path.

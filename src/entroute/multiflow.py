@@ -5,11 +5,17 @@ randomized rounding, and the repeated-trial wrapper.
 Rounding trials are independent; each owns a counter-based RNG substream
 keyed by (seed, trial), so any subset of trials reproduces bit-identically.
 One Philox, rekeyed under its lock with counter 0 and an empty buffer, reads
-every substream: its words depend on key and counter alone.
+every substream: its words depend on key and counter alone.  A trial draws
+u per flow and picks the first candidate whose running sum of x, added left
+to right, exceeds u, by bisect over those sums (its interval ends).  They
+are computed once per x and program and kept in FlowProgram.ends; they
+ascend only when x >= 0, so an x with a negative or NaN entry raises
+ValueError (solve_lp clamps its optimum at 0).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -69,6 +75,8 @@ class FlowProgram:
     limits: np.ndarray  # budgets + 1e-9: what a 0/1 selection may use
     # tuple(chosen) -> (weight, node usage, link usage, fits), filled by _judge
     verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # x.tobytes() -> each flow's interval ends under x, filled by _interval_ends
+    ends: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def lp_arrays(self):
         """(c, A, ub) of the relaxed program; the discount applies to node
@@ -165,14 +173,22 @@ def _evaluate(prog: FlowProgram, chosen) -> RoundedSelection:
     return RoundedSelection(chosen, *prog.verdicts[key])
 
 
-def _select(xrow, u: float) -> Optional[int]:
-    """Index whose cumulative-probability interval contains u, else None."""
-    acc = 0.0
-    for i, xi in enumerate(xrow):
-        acc += xi
-        if u < acc:
-            return i
-    return None
+def _interval_ends(prog: FlowProgram, x: np.ndarray) -> list:
+    """Per flow, the running sums of its columns' x, added left to right:
+    candidate i is drawn when u < ends[i] and u >= every earlier end.  The
+    ends ascend, so bisect finds that i, only when x >= 0; an x with a
+    negative or NaN entry raises ValueError.  Computed once per x (keyed by
+    its bytes) and program; threads that compute one x at once store equal
+    lists."""
+    x = np.asarray(x, dtype=float)
+    key = x.tobytes()
+    ends = prog.ends.get(key)
+    if ends is None:
+        if not (x >= 0).all():
+            raise ValueError("rounding needs x >= 0 in every entry, with no NaN")
+        xs, spans = x.tolist(), itertools.pairwise(prog.offsets)
+        ends = prog.ends[key] = [list(itertools.accumulate(xs[lo:hi])) for lo, hi in spans]
+    return ends
 
 
 _philox = functools.cache(lambda: np.random.Philox(0))  # built on first use: numpy.random adds ~6 MB
@@ -197,9 +213,12 @@ def randomized_round(
 ) -> RoundedSelection:
     """One uniform draw per flow selects at most one candidate; feasibility
     is judged against the ORIGINAL undiscounted budgets."""
-    draws = _trial_draws(seed, trial, len(prog.flows))
-    xs, spans = x.tolist(), itertools.pairwise(prog.offsets)
-    return _evaluate(prog, [_select(xs[lo:hi], u) for (lo, hi), u in zip(spans, draws)])
+    ends = _interval_ends(prog, x)
+    chosen = []
+    for row, u in zip(ends, _trial_draws(seed, trial, len(prog.flows))):
+        i = bisect.bisect_right(row, u)
+        chosen.append(i if i < len(row) else None)
+    return _evaluate(prog, chosen)
 
 
 def flow_candidates(

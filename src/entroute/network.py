@@ -141,6 +141,12 @@ class QuantumNetwork:
             self.edges.append(e)
             self._adj[e.u][e.v] = e
             self._adj[e.v][e.u] = e
+        # a path costs at most the sum of its edges' costs at capacity (costs
+        # do not fall as m grows), so a finite total keeps every path cost,
+        # summed in floats, finite
+        total = sum(e.cost_of(e.capacity) for e in self.edges)
+        if not total < math.inf:
+            raise ValueError(f"the edges' costs at capacity sum to {total!r}; the sum must be finite")
 
     def node(self, v) -> NodeSpec:
         return self.nodes[v]

@@ -19,15 +19,26 @@ intermediate copy index is fixed by the allocation into it (j = Q_v - m),
 and the top source copy reaches every arc a lower one does, so each
 physical plan has exactly one auxiliary path and one label sequence.
 
-Each search walks the arcs out of a vertex once, at its first expansion,
-and computes the successors of an (edge, pair count) once, at the first arc
-over it that passes the path and budget checks: the edge cost and, per
-table step, the log-throughput, the budget charge and the arc record.  A
-candidate is tested against its node's pool on its raw (cost, phi credit,
-psi_hat, copy index) before any label, path tuple or heap key is built.
-They are exactly the values the label would carry, and the test reads
-nothing else, so testing before the build admits and kills the same labels
-as testing after it would; a rejected candidate just allocates nothing.
+Arc blocks.  The arcs out of a copy (u, i) into one neighbour w form a
+block, built once per search and (u, w): w's pair counts m in the order
+aux.out_arcs yields them (j ascending, so m descending), each with its edge
+cost, computed for those m only.  The copy takes the block's suffix with m
+<= i.  Its arcs share the path test, kmax, LB(w) and togo(w), so the block
+is tested once.  EdgeSpec keeps cost_of nondecreasing in m, and float + and
+max are monotone, so an arc's reach, max(parent's reach, cost + edge cost +
+togo(w)), does not rise along the block: the arcs the cost cap cuts are its
+first ones.  A scan back from the cheap end stops at the last arc cut, whose
+reach is the least cut, and only the arcs after it are walked, in block
+order.  So the same labels are pushed in the same order as by a walk of
+every arc, and capped and pruned count the same arcs.  The successors of an
+(edge, pair count) are computed once per search, at the first arc over it
+walked: per table step, the log-throughput, the budget charge and the arc
+record.  A candidate is tested against its node's pool on its raw (cost,
+phi credit, psi_hat, copy index) before any label, path tuple or heap key
+is built.  They are exactly the values the label would carry, and the test
+reads nothing else, so testing before the build admits and kills the same
+labels as testing after it would; a rejected candidate just allocates
+nothing.
 
 Label pools.  Each original node, and the sink, has one pool: its alive
 labels in insertion order.  A label d dominates x when d.cost <= x.cost +
@@ -601,10 +612,13 @@ def _search(
     if R < 1:
         raise ValueError("R must be >= 1")
     net = aux.net
-    # per-search memos, shared by every pass: vertex -> the arcs out of it,
-    # as (head, pool key, copy, (str(v),), successor key, edge, m, psi_v,
-    # LB(v), edge cost, togo(v)); successor key (id(edge), m) -> ((k, entry,
-    # psi_e, (k-1)*delta_phi, arc), ...)
+    # per-search memos, shared by every pass: (u, w) -> the block of arcs
+    # from a copy of u into w, as (w, (str(w),), Q_w, edge, pair counts
+    # descending, their edge costs, psi_w, LB(w), togo(w), the edge's
+    # successor memo); vertex -> its nonempty slices, a block and the index
+    # where the slice starts; id(edge) -> {m: ((k, entry, psi_e,
+    # (k-1)*delta_phi, arc), ...)}, shared by the edge's two blocks
+    block_memo: dict = {}
     arc_memo: dict = {}
     succ_memo: dict = {}
     psi_floor = psi0 - _TOL
@@ -615,17 +629,30 @@ def _search(
     to_sink = _charge_to_sink(net, aux.s, aux.t, int(-phi_low / delta_phi), delta_phi, delta_f, mode)
     togo = _cost_to_sink(aux)
 
+    def block_of(u, w):
+        edge = net.edge(u, w)
+        q_w = net.node(w).qubits
+        ms = aux.pair_counts(u, w)
+        psi_w = 0.0 if w == aux.t else math.log(net.node(w).swap_prob)
+        return (
+            w, (str(w),), q_w, edge, ms, tuple(map(edge.cost_of, ms)), psi_w,
+            to_sink.get(w, _INF), togo.get(w, _INF), succ_memo.setdefault(id(edge), {}),
+        )
+
     def arcs_of(vertex):
+        u, i = vertex
         arcs = []
-        for head, m, edge in aux.out_arcs(vertex):
-            if edge is None:
-                arcs.append((head, head, 0, None, None, None, 0, None, None, None, None))
-            else:
-                v, j = head
-                psi_v = 0.0 if v == aux.t else math.log(net.node(v).swap_prob)
-                lb = to_sink.get(v, _INF)
-                g = togo.get(v, _INF)
-                arcs.append((head, v, j, (str(v),), (id(edge), m), edge, m, psi_v, lb, edge.cost_of(m), g))
+        for w in net.neighbors(u):
+            if w == aux.s:
+                continue
+            block = block_memo.get((u, w))
+            if block is None:
+                block = block_memo[u, w] = block_of(u, w)
+            # (u, i) takes the suffix with m <= i (m descends along the block)
+            ms = block[4]
+            start = sum(m > i for m in ms)
+            if start < len(ms):
+                arcs.append((*block, start))
         return arcs
 
     def successors(edge, m):
@@ -673,100 +700,114 @@ def _search(
                     break
                 continue
             expanded_at[vertex] = expanded_at.get(vertex, 0) + 1
-            arcs = arc_memo.get(vertex)
-            if arcs is None:
-                arcs = arc_memo[vertex] = arcs_of(vertex)
             cost, phi_credit, psi_hat, psi_b = lab.cost, lab.phi_credit, lab.psi_hat, lab.psi_b
             reach0 = lab.reach
             path = lab.path
             depth = len(path)
+            if vertex[0] == aux.t:
+                # the one arc out of a sink copy: a zero-cost hop into the sink
+                sink = VIRTUAL_SINK
+                pool = pools.setdefault(sink, [])
+                beaten = _scan(pool, cost, phi_credit, psi_hat, 0, R)
+                if beaten is None:
+                    rejected += 1
+                    continue
+                new = _Label(cost, phi_credit, psi_b, psi_hat, path, lab.pkey, sink, 0, lab, None, reach0)
+                killed += _admit(pool, new, beaten, R)
+                heapq.heappush(heap, (cost, depth - 1, new.pkey, next(counter), new))
+                pushed_at[sink] = pushed_at.get(sink, 0) + 1
+                if len(pool) >= R and cap < _INF:
+                    # from now on the pass returns R results (see the
+                    # module docstring); an infinite cap never drops
+                    cap = min(cap, sorted(e.cost for e in pool)[R - 1])
+                    limit = cap + _MARGIN * (1 + cap)
+                continue
             kmax = int(math.floor((phi_credit - phi0) / delta_phi + 1e-9)) + 1
+            if kmax < 1:
+                continue
+            arcs = arc_memo.get(vertex)
+            if arcs is None:
+                arcs = arc_memo[vertex] = arcs_of(vertex)
             # a step k into v with k - 1 + LB(v) > kroom - 1 cannot reach t (see
             # the module docstring); phi_credit >= phi_floor, so int() floors
             kroom = int((phi_credit - phi_low) / delta_phi) + 1
-            for head, key, j, pkey_v, succ_key, edge, m, psi_v, lb, edge_cost, g in arcs:
-                if edge is None:
-                    # zero-cost virtual hop into the sink
-                    pool = pools.get(key)
-                    if pool is None:
-                        pool = pools[key] = []
-                    beaten = _scan(pool, cost, phi_credit, psi_hat, 0, R)
-                    if beaten is None:
-                        rejected += 1
-                        continue
-                    new = _Label(cost, phi_credit, psi_b, psi_hat, path, lab.pkey, head, 0, lab, None, reach0)
-                    killed += _admit(pool, new, beaten, R)
-                    heapq.heappush(heap, (cost, depth - 1, new.pkey, next(counter), new))
-                    pushed_at[head] = pushed_at.get(head, 0) + 1
-                    if len(pool) >= R and cap < _INF:
-                        # from now on the pass returns R results (see the
-                        # module docstring); an infinite cap never drops
-                        cap = min(cap, sorted(e.cost for e in pool)[R - 1])
-                        limit = cap + _MARGIN * (1 + cap)
-                    continue
-                if kmax < 1 or key in path:
+            for key, pkey_v, q_v, edge, ms, costs, psi_v, lb, g, esteps, start in arcs:
+                if key in path:
                     continue
                 kcap = kroom - lb
                 if kcap < kmax:
-                    pruned += 1
+                    pruned += len(ms) - start
                     if kcap < 1:
                         continue
                 else:
                     kcap = kmax
-                cost2 = cost + edge_cost
-                reach = cost2 + g
-                if reach < reach0:
-                    reach = reach0
-                if reach > limit:
-                    capped += 1
-                    if reach < least_cut:
-                        least_cut = reach
-                    continue
-                reaches.append(reach)
-                steps = succ_memo.get(succ_key)
-                if steps is None:
-                    steps = succ_memo[succ_key] = successors(edge, m)
+                # reaches do not rise along a block, so the arcs the cap cuts
+                # are its first ones: scan back from the cheap end to the
+                # last one cut, the least reach cut
+                first = len(ms)
+                while first > start:
+                    reach = cost + costs[first - 1] + g
+                    if reach < reach0:
+                        reach = reach0
+                    if reach > limit:
+                        capped += first - start
+                        if reach < least_cut:
+                            least_cut = reach
+                        break
+                    first -= 1
                 psi_base = psi_v + psi_hat
                 pool = pools.get(key)
-                for k, entry, psi_e, phi_charge, arc in steps:
-                    if k > kcap:
-                        break
-                    # _ceil_to_grid of the path log-throughput, inlined; psi_base is the
-                    # first partial sum of psi_v + psi_hat + psi_e - psi_b, so each value
-                    # is the float that summing left to right gives
-                    if psi_b == _INF:
-                        psi_hat2 = math.ceil((psi_v + psi_e) / delta_psi - 1e-9) * delta_psi
-                    elif psi_e <= psi_b:
-                        psi_hat2 = math.ceil((psi_base + psi_e - psi_b) / delta_psi - 1e-9) * delta_psi
-                    else:
-                        psi_hat2 = math.ceil(psi_base / delta_psi - 1e-9) * delta_psi
-                    if psi_hat2 < psi_floor:
-                        continue
-                    phi_credit2 = phi_credit - phi_charge
-                    if phi_credit2 < phi_floor:
-                        continue
-                    if pool is None:
-                        pool = pools[key] = []
-                    beaten = _scan(pool, cost2, phi_credit2, psi_hat2, j, R)
-                    if beaten is None:
-                        rejected += 1
-                        continue
-                    new = _Label(
-                        cost2,
-                        phi_credit2,
-                        psi_b if psi_b < psi_e else psi_e,
-                        psi_hat2,
-                        path + (key,),
-                        lab.pkey + pkey_v,
-                        head,
-                        j,
-                        lab,
-                        arc,
-                        reach,
-                    )
-                    killed += _admit(pool, new, beaten, R)
-                    heapq.heappush(heap, (cost2, depth, new.pkey, next(counter), new))
-                    pushed_at[head] = pushed_at.get(head, 0) + 1
+                for a in range(first, len(ms)):
+                    m = ms[a]
+                    cost2 = cost + costs[a]
+                    reach = cost2 + g
+                    if reach < reach0:
+                        reach = reach0
+                    reaches.append(reach)
+                    steps = esteps.get(m)
+                    if steps is None:
+                        steps = esteps[m] = successors(edge, m)
+                    j = q_v - m
+                    for k, entry, psi_e, phi_charge, arc in steps:
+                        if k > kcap:
+                            break
+                        # _ceil_to_grid of the path log-throughput, inlined; psi_base is the
+                        # first partial sum of psi_v + psi_hat + psi_e - psi_b, so each value
+                        # is the float that summing left to right gives
+                        if psi_b == _INF:
+                            psi_hat2 = math.ceil((psi_v + psi_e) / delta_psi - 1e-9) * delta_psi
+                        elif psi_e <= psi_b:
+                            psi_hat2 = math.ceil((psi_base + psi_e - psi_b) / delta_psi - 1e-9) * delta_psi
+                        else:
+                            psi_hat2 = math.ceil(psi_base / delta_psi - 1e-9) * delta_psi
+                        if psi_hat2 < psi_floor:
+                            continue
+                        phi_credit2 = phi_credit - phi_charge
+                        if phi_credit2 < phi_floor:
+                            continue
+                        if pool is None:
+                            pool = pools[key] = []
+                        beaten = _scan(pool, cost2, phi_credit2, psi_hat2, j, R)
+                        if beaten is None:
+                            rejected += 1
+                            continue
+                        head = (key, j)
+                        new = _Label(
+                            cost2,
+                            phi_credit2,
+                            psi_b if psi_b < psi_e else psi_e,
+                            psi_hat2,
+                            path + (key,),
+                            lab.pkey + pkey_v,
+                            head,
+                            j,
+                            lab,
+                            arc,
+                            reach,
+                        )
+                        killed += _admit(pool, new, beaten, R)
+                        heapq.heappush(heap, (cost2, depth, new.pkey, next(counter), new))
+                        pushed_at[head] = pushed_at.get(head, 0) + 1
 
         pushed_all += sum(pushed_at.values())
         if not capped:

@@ -18,6 +18,9 @@ from .multiflow import FlowRequest
 from .network import EdgeSpec, NodeSpec, QuantumNetwork, _integer, _number
 
 _MAX_RETRIES = 64
+# the least share of fidelity draws a spec may keep: _truncated_normal then
+# rejects all of its 100,000 draws with probability below e^-100
+_MIN_ACCEPTANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,17 @@ class TopologySpec:
         if not 0.8 <= self.fidelity_lo < self.fidelity_hi <= 1.0:
             # keep the sampled range inside what the experiments assume
             raise ValueError("fidelity range must sit within [0.8, 1.0]")
+        if self.fidelity_sigma > 0:
+            mu, sigma = self.fidelity_mu, self.fidelity_sigma
+            mass = (
+                math.erf((self.fidelity_hi - mu) / (sigma * math.sqrt(2)))
+                - math.erf((self.fidelity_lo - mu) / (sigma * math.sqrt(2)))
+            ) / 2
+            if mass < _MIN_ACCEPTANCE:
+                raise ValueError(
+                    f"fidelity_mu {mu!r} and fidelity_sigma {sigma!r} leave {mass:.3g} of the normal "
+                    f"in [{self.fidelity_lo!r}, {self.fidelity_hi!r}], below the floor {_MIN_ACCEPTANCE:g}"
+                )
 
 
 # the JSON values each TopologySpec annotation accepts

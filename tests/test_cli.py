@@ -356,6 +356,25 @@ def test_route_checks_step_flags_exits_2(capsys, tmp_path, flag, value):
     assert not out.exists()
 
 
+def test_route_rejects_costs_summing_to_inf_exits_2(capsys, tmp_path):
+    # each edge's cost at capacity is finite (2 pairs cost 1.6e308), but a
+    # path over all three would cost inf
+    nodes = [{"id": n, "qubits": 4} for n in "svut"]
+    edges = [
+        {"u": u, "v": v, "capacity": 2, "fidelity": 0.97, "weight": 8e307} for u, v in ("sv", "vu", "ut")
+    ]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"nodes": nodes, "edges": edges}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    code, stdout, err = run_cli(
+        capsys, "route", "--net", str(path), "--src", "s", "--dst", "t", "--f0", "0.8", "--q0", "0.2",
+        "--out", str(out),
+    )
+    assert code == 2 and stdout == ""
+    assert "costs at capacity sum to inf" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_multiflow_output_fields(capsys, grid_net, tmp_path):
     _, net_path = grid_net
     flows = tmp_path / "flows.json"
@@ -816,11 +835,13 @@ def test_topo_gen_rejects_bad_spec_exits_2(capsys, tmp_path):
         ({"kind": "waxman", "n": 6, "beta_w": 0}, "beta_w must be > 0"),
         ({"kind": "waxman", "n": 6, "alpha": math.nan}, "alpha must be finite"),
         ({"kind": "grid", "rows": 2, "cols": 2, "qubit_allowance": -3}, "qubit_allowance must be >= 1"),
+        ({"kind": "grid", "rows": 2, "cols": 2, "fidelity_mu": 0.0}, "fidelity_mu 0.0 and fidelity_sigma 0.05"),
     ],
-    ids=["beta_w-0", "alpha-nan", "qubit_allowance-neg"],
+    ids=["beta_w-0", "alpha-nan", "qubit_allowance-neg", "fidelity_mu-0"],
 )
 def test_topo_gen_checks_spec_parameters_exits_2(capsys, tmp_path, fields, name):
-    # beta_w 0 used to end in a traceback, allowance -3 in 1-qubit nodes
+    # beta_w 0 used to end in a traceback, allowance -3 in 1-qubit nodes, and
+    # fidelity_mu 0 in a RuntimeError after 100,000 rejected fidelity draws
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(fields), encoding="utf-8")
     out = tmp_path / "net.json"

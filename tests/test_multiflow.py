@@ -4,15 +4,18 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from entroute import multiflow
 from entroute.multiflow import (
+    FlowProgram,
     FlowRequest,
     _evaluate,
     _judge,
-    _select,
     _trial_draws,
     build_program,
     flow_candidates,
@@ -131,12 +134,66 @@ def test_lp_no_conflict_selects_everything():
         assert row == pytest.approx(1.0, abs=1e-9)
 
 
+def _select(xrow, u: float) -> Optional[int]:
+    """The rounding rule by definition: the index whose cumulative
+    interval contains u, else None; the oracle of randomized_round's
+    bisect over cached interval ends."""
+    acc = 0.0
+    for i, xi in enumerate(xrow):
+        acc += xi
+        if u < acc:
+            return i
+    return None
+
+
 def test_select_intervals():
     assert _select([0.3, 0.2], 0.25) == 0
     assert _select([0.3, 0.2], 0.45) == 1
     assert _select([0.3, 0.2], 0.5) is None
     assert _select([0.0, 0.5], 0.0) == 1
     assert _select([], 0.7) is None
+
+
+def _bare_program(pool_sizes) -> FlowProgram:
+    """A program with no node or link rows, pool_sizes[k] candidates for
+    flow k: every selection fits, so only the picks matter."""
+    flows = [FlowRequest(k, "s", "t", 0.8, 1.0) for k in range(len(pool_sizes))]
+    offsets = list(itertools.accumulate(pool_sizes, initial=0))
+    columns = [(k, i) for k, n in enumerate(pool_sizes) for i in range(n)]
+    empty = np.zeros(0)
+    return FlowProgram(
+        flows, [[None] * n for n in pool_sizes], 1.0, [], [], columns, offsets,
+        np.zeros((0, len(columns))), np.ones(len(columns)), empty, empty,
+    )
+
+
+_x_entries = st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 0.5]), st.floats(0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_x_entries, max_size=5), min_size=1, max_size=4), st.data())
+def test_round_picks_what_select_picks(rows, data):
+    """For nonnegative x, the bisect over each flow's cached interval ends
+    picks what _select's walk picks, zeros (empty intervals) and draws
+    exactly at an interval end included."""
+    prog = _bare_program([len(row) for row in rows])
+    x = np.array([v for row in rows for v in row], dtype=float)
+    # u anywhere in [0, 1), or exactly at one of _select's own running sums
+    ats = [st.sampled_from([0.0, *itertools.accumulate(row)]) for row in rows]
+    draws = [data.draw(st.one_of(st.floats(0, 1, exclude_max=True), at)) for at in ats]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multiflow, "_trial_draws", lambda seed, trial, n: draws[:n])
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            sel = randomized_round(prog, x, 0, 0)
+            assert sel.chosen == [_select(row, u) for row, u in zip(rows, draws)]
+
+
+@pytest.mark.parametrize("bad", [-0.25, -1e-300, math.nan])
+def test_round_rejects_negative_or_nan_x(bad):
+    prog = _bare_program([2, 1])
+    with pytest.raises(ValueError, match="x >= 0"):
+        randomized_round(prog, np.array([0.5, bad, 0.5]), 0, 0)
+    assert randomized_round(prog, np.array([0.5, 0.0, -0.0]), 0, 0).feasible
 
 
 def test_round_determinism_and_substreams():

@@ -94,6 +94,15 @@ def test_from_json_rejects_non_finite_costs(cost, message):
         QuantumNetwork.from_json(json.loads(text))
 
 
+def test_network_rejects_costs_summing_past_the_float_range():
+    # every path cost is then finite: a path costs at most that sum
+    nodes = [NodeSpec(n, 4) for n in "abcd"]
+    heavy = [EdgeSpec(u, v, 2, 0.9, ("weighted", 4e307)) for u, v in ("ab", "bc")]
+    assert QuantumNetwork(nodes, heavy).edges == heavy  # 1.6e308 in all
+    with pytest.raises(ValueError, match="costs at capacity sum to inf"):
+        QuantumNetwork(nodes, heavy + [EdgeSpec("c", "d", 1, 0.9, ("table", (2e307,)))])
+
+
 def test_json_round_trip(tmp_path):
     net = QuantumNetwork(
         [NodeSpec("a", 2, 0.9), NodeSpec("b", 3)],

@@ -1,5 +1,7 @@
+import hashlib
 import heapq
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -1111,6 +1113,79 @@ def test_cost_cap_keeps_instance_46():
     assert (stats["passes"], stats["cap"]) == (2, 3.0) and stats["capped"] > 0
 
 
+# The 30 candidate searches of perfbench's multiflow-mc instances 0-9, as
+# recorded from the search that built and scanned every arc one at a time:
+# per search (capped, pruned, cap, passes, pushed_all_passes, pushed,
+# expanded, rejected, killed, dead_pops), and a digest of each search's
+# plans and per-vertex pushes, expansions and alive labels, in order.
+_MULTIFLOW_MC_COUNTS = [
+    (520, 39, 3.0, 2, 40, 34, 18, 13, 5, 1),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (520, 39, 3.0, 2, 34, 30, 17, 6, 5, 1),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (482, 39, 3.0, 2, 42, 36, 15, 2, 14, 3),
+    (520, 78, 3.0, 2, 35, 31, 17, 9, 5, 1),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (520, 0, 3.0, 2, 39, 33, 18, 13, 5, 1),
+    (76, 0, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (520, 78, 3.0, 2, 35, 31, 17, 0, 6, 1),
+    (520, 78, 3.0, 2, 30, 28, 16, 2, 3, 0),
+    (482, 0, 3.0, 2, 34, 28, 16, 11, 5, 1),
+    (76, 0, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (520, 78, 3.0, 2, 46, 40, 18, 7, 8, 1),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (76, 39, 2.0, 2, 8, 6, 4, 0, 0, 0),
+    (520, 39, 3.0, 2, 28, 26, 16, 3, 3, 0),
+]
+_MULTIFLOW_MC_DIGEST = "83c69c57840e91bf"
+
+
+def test_long_blocks_keep_every_count():
+    """On 39-qubit copies an arc block into one neighbour holds up to 38
+    arcs, most of them cut by the cost cap or capped by the phi bound
+    (test_search_matches_former_search draws at most three arcs per
+    block).  Each search still counts the same capped and pruned arcs,
+    passes, pushes, expansions, rejections and kills, and finds the same
+    plans, as the search that scanned every arc."""
+    from entroute.multiflow import _PSI_FLOOR
+
+    keys = (
+        "capped", "pruned", "cap", "passes", "pushed_all_passes", "pushed", "expanded", "rejected", "killed",
+        "dead_pops",
+    )
+    counts, rest = [], []
+    for seed in range(10):
+        spec = topology.TopologySpec(kind="grid", rows=2, cols=2, capacity=39, qubit_allowance=39, seed=seed)
+        net = topology.generate(spec)
+        for flow in topology.sample_flows(net, 3, seed=seed + 1, f0=0.8, r_k=3):
+            aux = build_aux_graph(net, flow.source, flow.destination)
+            phi0 = pseudo_fidelity(flow.f0)
+            deltas = discretization_steps(aux, phi0, _PSI_FLOOR, 0.2)
+            stats: dict = {}
+            plans = k_paths(aux, phi0, _PSI_FLOOR, deltas, flow.r_k, stats=stats)
+            counts.append(tuple(stats[k] for k in keys))
+            per_vertex = ("pushed_per_vertex", "expanded_per_vertex", "alive_per_vertex")
+            rest.append([
+                [[p.nodes, p.pair_counts, repr(p.cost), repr(p.phi_hat), repr(p.psi_hat)] for p in plans],
+                *([[repr(v), n] for v, n in stats[k].items()] for k in per_vertex),
+            ])
+    assert counts == _MULTIFLOW_MC_COUNTS
+    assert hashlib.sha256(json.dumps(rest).encode()).hexdigest()[:16] == _MULTIFLOW_MC_DIGEST
+
+
 def test_cost_cap_lets_through_every_arc_up_to_the_cap():
     """Queries whose cheapest path meets the thresholds: the first pass, at
     togo(s), keeps every arc that reaches no higher, so it returns that
@@ -1124,22 +1199,24 @@ def test_cost_cap_lets_through_every_arc_up_to_the_cap():
 
 
 def test_cost_cap_deepens_past_an_infinite_cost():
-    """The only feasible path has three edges whose finite costs sum past
-    the float range: the cap cuts it (its reach is inf) and the search
-    reruns uncapped, as the former search returns it."""
-    nodes = [NodeSpec(n, 3) for n in "svuta"]
-    big = ("weighted", 8e307)  # 2 pairs cost 1.6e308, three edges inf
-    edges = [
-        EdgeSpec("s", "v", 2, 0.97, big), EdgeSpec("v", "u", 2, 0.97, big),
-        EdgeSpec("u", "t", 2, 0.97, big), EdgeSpec("s", "a", 1, 0.6), EdgeSpec("a", "t", 1, 0.6),
-    ]
+    """The only feasible plan takes two pairs over an edge that costs more
+    than half the float range at one pair.  The first pass, capped at the
+    cheap infeasible path, cuts that edge; the second, at its one-pair
+    cost, cuts it at two pairs.  Doubling that cap overflows, so the third
+    pass runs uncapped (cap inf) and returns the plan, as the former search
+    does.  (A network whose costs at capacity sum past the float range is
+    rejected, so no path cost, and no reach, is infinite.)"""
+    nodes = [NodeSpec(n, 2) for n in "sat"]
+    big = ("table", (9e307, 1.7e308))  # 2 * 9e307 overflows
+    edges = [EdgeSpec("s", "t", 2, 0.78, big), EdgeSpec("s", "a", 1, 0.6), EdgeSpec("a", "t", 1, 0.6)]
     aux = build_aux_graph(QuantumNetwork(nodes, edges), "s", "t")
     args = (aux, pseudo_fidelity(0.8), math.log(0.2), 0.01, 0.01, 1, 1e-4, 1e-4)
     stats: dict = {}
     got = routing._search(*args, stats)
     want = _oracle_search(*args, None)
     assert [(lab.path, lab.cost) for lab in got] == [(lab.path, lab.cost) for lab in want]
-    assert got[0].cost == math.inf and (stats["passes"], stats["cap"]) == (2, math.inf)
+    assert got[0].path == ("s", "t") and got[0].cost == 1.7e308
+    assert (stats["passes"], stats["cap"]) == (3, math.inf)
 
 
 def test_certificate_needs_a_gap_above_the_results():

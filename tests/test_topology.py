@@ -102,6 +102,8 @@ def test_spec_validation():
         ("fidelity_sigma", -0.01, "fidelity_sigma must be >= 0"),
         ("fidelity_mu", math.nan, "fidelity_mu must be finite"),
         ("fidelity_mu", -math.inf, "fidelity_mu must be finite"),
+        ("fidelity_mu", 0.0, "fidelity_mu 0.0 and fidelity_sigma 0.05 leave 0 "),
+        ("fidelity_mu", 0.64, "leave 0.000687 of the normal in"),  # 3.2 sigma below the range
         ("swap_prob", math.nan, "swap_prob must be finite"),
         ("qubit_allowance", 0, "qubit_allowance must be >= 1"),
         ("qubit_allowance", -3, "qubit_allowance must be >= 1"),
@@ -117,6 +119,20 @@ def test_spec_accepts_the_closed_bounds():
     for field, value in (("alpha", 1.0), ("fidelity_sigma", 0.0), ("qubit_allowance", 1)):
         net = generate(TopologySpec(kind="waxman", n=6, beta_w=1.0, seed=1, **{field: value}))
         assert len(net.reachable(0)) == 6
+
+
+def test_spec_bounds_the_share_of_fidelity_draws_kept():
+    """A spec whose normal puts less than 1e-3 of its mass in [fidelity_lo,
+    fidelity_hi] is rejected before any draw; one just above the floor
+    generates, each fidelity in range."""
+    for mu, sigma, kept in ((0.77, 0.01, True), (0.768, 0.01, False), (1.03, 0.01, True), (1.1, 0.03, False)):
+        fields = {"kind": "grid", "rows": 2, "cols": 2, "fidelity_mu": mu, "fidelity_sigma": sigma}
+        if kept:
+            net = generate(spec_from_json(fields))
+            assert all(0.8 <= e.fidelity <= 1.0 for e in net.edges)
+        else:
+            with pytest.raises(ValueError, match="below the floor 0.001"):
+                spec_from_json(fields)
 
 
 def test_spec_from_json_defaults():
