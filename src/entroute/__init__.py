@@ -16,7 +16,6 @@ Layers, bottom up:
 __version__ = "0.1.0"
 
 from .pair_algebra import (
-    bitflip_purified_fidelity,
     inverse_pseudo_fidelity,
     pseudo_fidelity,
     purification_success_prob,
@@ -31,5 +30,4 @@ __all__ = [
     "swap_fidelity",
     "pseudo_fidelity",
     "inverse_pseudo_fidelity",
-    "bitflip_purified_fidelity",
 ]

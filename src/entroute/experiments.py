@@ -117,6 +117,8 @@ class ExperimentConfig:
                 )
         if self.scenario == "purify-compare":
             _pair_counts(self)  # raises on an empty range
+        if self.scenario == "multiflow":
+            _check_trial_seeds(self)
 
     def algorithm_list(self) -> tuple:
         return self.algorithms or _SCENARIOS[self.scenario].algorithms
@@ -125,6 +127,19 @@ class ExperimentConfig:
         if key not in _SCENARIOS[self.scenario].options:
             raise KeyError(f"{key!r} is not in the option table of {self.scenario}")
         return self.options.get(key, default)
+
+
+def _check_trial_seeds(cfg: ExperimentConfig) -> None:
+    """Raise ValueError unless the last multiflow trial's seed is below
+    2**64, as the rounding's Philox key needs: perturbed runs trial k on the
+    topology's seed (the config's unless it names one) + 1000 * (k + 1)."""
+    topology = cfg.topology or {}
+    key, seed = ("the topology's 'seed'", topology["seed"]) if "seed" in topology else ("'seed'", cfg.seed)
+    if seed + 1000 * cfg.trials >= 2**64:
+        raise ValueError(
+            f"{key} + 1000 * 'trials' must be below 2**64: the last trial runs on that seed; "
+            f"got {seed} + 1000 * {cfg.trials}"
+        )
 
 
 def _algorithm_known(scenario: str, name: str) -> bool:
@@ -529,7 +544,10 @@ _SCENARIOS = {
             "flows": _COUNT,
             "flow_fidelity": _FIDELITY,
             "epsilon": (lambda v: _number(v) and 0 < v < 0.5, "in (0, 0.5)"),
-            "delta": (lambda v: _number(v) and 0 < v < 1, "in (0, 1)"),
+            "delta": (
+                lambda v: _number(v) and 0 < v < 1 and 1 / v < math.inf,
+                "in (0, 1) with a finite reciprocal",
+            ),
             "r_k": _COUNT,
             "weight_band": (
                 lambda v: _pair(v, _integer) and v[0] >= 0,

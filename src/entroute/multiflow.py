@@ -270,8 +270,9 @@ def multiflow_solve(
     the feasible selection of maximal weight (earliest trial on ties)."""
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 0.5)")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    # a subnormal delta has an infinite 1/delta, and the trial count with it
+    if not (0.0 < delta < 1.0 and 1.0 / delta < math.inf):
+        raise ValueError(f"delta={delta!r} must lie in (0, 1) and have a finite reciprocal")
     candidates = [flow_candidates(net, fl, epsilon, deltaq=deltaq) for fl in flows]
     prog = build_program(flows, candidates, net, 1.0 - epsilon)
     x, lp_obj = solve_lp(prog)

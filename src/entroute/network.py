@@ -154,9 +154,6 @@ class QuantumNetwork:
     def edge(self, u, v) -> EdgeSpec:
         return self._adj[u][v]
 
-    def has_edge(self, u, v) -> bool:
-        return u in self._adj and v in self._adj[u]
-
     def neighbors(self, v) -> list:
         return list(self._adj[v])
 

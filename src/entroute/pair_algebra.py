@@ -92,15 +92,3 @@ def inverse_pseudo_fidelity(phi: float) -> float:
     if phi > _DOMAIN_TOL:
         raise ValueError(f"pseudo-fidelity must be <= 0, got {phi!r}")
     return 0.25 * (1.0 + 3.0 * math.exp(min(phi, 0.0)))
-
-
-def bitflip_purified_fidelity(f1: float, f2: float) -> float:
-    """Purification map of the bit-flip channel; associative, unlike the
-    Werner map.  Kept for the associativity demonstration."""
-    if not (0.0 < f1 <= 1.0 + _DOMAIN_TOL and 0.0 < f2 <= 1.0 + _DOMAIN_TOL):
-        raise ValueError("bit-flip fidelities must lie in (0, 1]")
-    num = f1 * f2
-    den = f1 * f2 + (1.0 - f1) * (1.0 - f2)
-    if den == 0.0:
-        raise ValueError("degenerate bit-flip inputs")
-    return num / den

@@ -99,14 +99,6 @@ def tree_to_json(tree):
     return _fold(tree, "L", lambda left, right: [left, right])
 
 
-def tree_from_json(obj):
-    if obj == "L":
-        return LEAF
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return (tree_from_json(obj[0]), tree_from_json(obj[1]))
-    raise ValueError(f"bad tree JSON: {obj!r}")
-
-
 def _check_budget(n: int, f_e: float) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -169,15 +161,9 @@ def _best_schedules(n: int, f_e: float):
         yield best, pick
 
 
-def gamma_table(n: int, f_e: float) -> list[float]:
-    """Best achievable fidelity per leaf budget; entry i (1-based) is the
-    maximum over all trees with at most i leaves.  Index 0 is NaN padding."""
-    return [math.nan] + [f for f, _ in _best_schedules(n, f_e)]
-
-
 def max_fidelity_schedule(n: int, f_e: float) -> tuple[object, float]:
-    """Tree attaining gamma_table(n, f_e)[n], i.e. the best fidelity with at
-    most n pairs."""
+    """Tree attaining the best fidelity of any tree with at most n pairs,
+    and that fidelity."""
     *_, (f, tree) = _best_schedules(n, f_e)
     return tree, f
 

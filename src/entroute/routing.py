@@ -21,7 +21,7 @@ physical plan has exactly one auxiliary path and one label sequence.
 
 Arc blocks.  The arcs out of a copy (u, i) into one neighbour w form a
 block, built once per search and (u, w): w's pair counts m in the order
-aux.out_arcs yields them (j ascending, so m descending), each with its edge
+aux.pair_counts gives them (j ascending, so m descending), each with its edge
 cost, computed for those m only.  The copy takes the block's suffix with m
 <= i.  Its arcs share the path test, kmax, LB(w) and togo(w), so the block
 is tested once.  EdgeSpec keeps cost_of nondecreasing in m, and float + and
@@ -820,20 +820,16 @@ def _search(
         cap = _INF  # rerun uncapped
 
     if stats is not None:
-        per_vertex: dict = {}
+        alive: dict = {}
         for pool in pools.values():
             for e in pool:
-                per_vertex.setdefault(e.vertex, []).append(e)
+                alive[e.vertex] = alive.get(e.vertex, 0) + 1
         stats["pushed"] = sum(pushed_at.values())
         stats["pushed_all_passes"] = pushed_all
         stats["expanded"] = sum(expanded_at.values())
         stats["pushed_per_vertex"] = pushed_at
         stats["expanded_per_vertex"] = expanded_at
-        stats["alive_per_vertex"] = {v: len(ls) for v, ls in per_vertex.items()}
-        stats["labels"] = {
-            v: [(e.cost, e.phi_credit, e.psi_b, e.psi_hat, e.path) for e in ls]
-            for v, ls in per_vertex.items()
-        }
+        stats["alive_per_vertex"] = alive
         stats["rejected"] = rejected
         stats["killed"] = killed
         stats["dead_pops"] = dead_pops

@@ -168,22 +168,6 @@ def swap_purify_swap(chain: RepeaterChain, h: int) -> StrategyOutcome:
 _VIOLATION_TOL = 1e-12
 
 
-def lemma1_delta(a: float, b: float, c: float, d: float) -> float:
-    """Fidelity advantage of purify-and-swap over swap-and-purify on the
-    two-hop, two-pairs-per-hop instance (a,b | c,d)."""
-    return swap_fidelity([purified_fidelity(a, b), purified_fidelity(c, d)]) - purified_fidelity(
-        swap_fidelity([a, c]), swap_fidelity([b, d])
-    )
-
-
-def success_margin(a: float, b: float, c: float, d: float, p_s: float = 0.818) -> float:
-    """purify-and-swap success minus swap-and-purify success, with one
-    factor of p_s divided out."""
-    return purification_success_prob(a, b) * purification_success_prob(
-        c, d
-    ) - p_s * purification_success_prob(swap_fidelity([a, c]), swap_fidelity([b, d]))
-
-
 # the finest grid step a scan accepts: a step of 1e-10 would ask for a
 # 5e9-point axis, and 1e-320 overflows the point count
 _MIN_STEP = 0.001
@@ -204,14 +188,15 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 def _swap_block(f1, f2):
     """swap_fidelity's operation order on arrays, so that a delta built on
-    it equals lemma1_delta bit for bit."""
+    it equals, bit for bit, the one built from swap_fidelity and
+    purified_fidelity a point at a time."""
     w = 1.0 * ((4.0 * f1 - 1.0) / 3.0) * ((4.0 * f2 - 1.0) / 3.0)
     return 0.25 * (1.0 + 3.0 * w)
 
 
 def _delta_block(a, b, c, d, swap):
     # verify's lemma1 report uses _swap2_raw, whose order its pinned min_delta
-    # depends on; the scan CSV uses _swap_block to match lemma1_delta
+    # depends on; the scan CSV uses _swap_block to match swap_fidelity
     pas = swap(_purified_fidelity_raw(a, b), _purified_fidelity_raw(c, d))
     sap = _purified_fidelity_raw(swap(a, c), swap(b, d))
     return pas - sap
@@ -286,8 +271,9 @@ def lemma1_scan(step: float, regions: Iterable[str] = ("lemma1", "low", "success
 
 def scan_points(region: str, step: float):
     """Per-point rows (a, b, c, d, delta, winner) for CSV export, one
-    a-slice of the region at a time; delta equals lemma1_delta.  step
-    must lie in [0.001, 0.1]."""
+    a-slice of the region at a time; delta is purify-and-swap's fidelity
+    minus swap-and-purify's on the instance (a,b | c,d), as swap_fidelity
+    and purified_fidelity compute it.  step must lie in [0.001, 0.1]."""
     for *axes, deltas in _blocks(region, step, partial(_delta_block, swap=_swap_block)):
         a_vals, b_vals, c_vals, d_vals = (x.ravel().tolist() for x in axes)
         # one d-row of Python floats at a time: converting whole slices, or

@@ -179,7 +179,7 @@ def _waxman(spec: TopologySpec) -> QuantumNetwork:
         net = _build(spec, ids, pairs, rng)
         if len(net.reachable(0)) == spec.n:
             return net
-    raise RuntimeError(
+    raise ValueError(
         f"no connected draw within {_MAX_RETRIES} sub-seeds of {spec.seed}"
     )
 

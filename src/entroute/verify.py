@@ -41,10 +41,6 @@ class Report:
     status: str
     lines: list = field(default_factory=list)
 
-    @property
-    def exit_code(self) -> int:
-        return _EXIT[self.status]
-
     def text(self) -> str:
         head = f"suite {self.suite}: {self.status.upper()}"
         return "\n".join([head] + [f"  {l}" for l in self.lines]) + "\n"

@@ -9,13 +9,15 @@ from pathlib import Path
 import pytest
 
 from entroute.cli import main, scan_points
+from entroute.experiments import config_from_json
 from entroute.network import QuantumNetwork
 from entroute.pair_algebra import (
     purification_success_prob,
     purified_fidelity,
     pseudo_fidelity,
 )
-from entroute.strategies import lemma1_delta
+from entroute.topology import TopologySpec, perturbed
+from oracles import lemma1_delta
 
 
 def run_cli(capsys, *argv):
@@ -471,6 +473,21 @@ def test_multiflow_checks_seed_exits_2(capsys, tmp_path, monkeypatch, source, va
     assert not out.exists()
 
 
+def test_multiflow_checks_subnormal_delta_exits_2(capsys, grid_net, tmp_path):
+    # 1/1e-310 is inf, and the trial count ceil(ln(1/delta)/ln 3) overflowed
+    _, net_path = grid_net
+    path = tmp_path / "flows.json"
+    path.write_text(json.dumps([_FLOW]), encoding="utf-8")
+    out = tmp_path / "out.json"
+    code, stdout, err = run_cli(
+        capsys, "multiflow", "--net", str(net_path), "--flows", str(path), "--delta", "1e-310",
+        "--out", str(out),
+    )
+    assert code == 2 and stdout == ""
+    assert "delta=1e-310 must lie in (0, 1) and have a finite reciprocal" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_multiflow_accepts_the_largest_seed(capsys, grid_net, tmp_path):
     _, net_path = grid_net
     path = tmp_path / "flows.json"
@@ -566,6 +583,40 @@ def test_experiment_rejects_bad_seed_exits_2(capsys, tmp_path, scenario, seed):
     assert code == 2 and out == ""
     assert f"'seed' must be an integer in [0, 2**64), got {seed}" in err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "config, env, key",
+    [
+        ({"trials": 1, "seed": 2**64 - 1}, None, "'seed'"),
+        ({"trials": 3, "seed": 2**64 - 3000}, None, "'seed'"),
+        ({"trials": 1}, str(2**64 - 1), "'seed'"),
+        ({"trials": 1, "topology": {"kind": "grid", "rows": 2, "cols": 2, "seed": 2**64 - 1}}, None,
+         "the topology's 'seed'"),
+    ],
+    ids=["seed", "trials", "ENTROUTE_SEED", "topology-seed"],
+)
+def test_experiment_rejects_multiflow_seed_past_64_bits_exits_2(
+    capsys, tmp_path, monkeypatch, config, env, key
+):
+    # trial k runs on seed + 1000 * (k + 1), which the rounding's Philox key
+    # rejected in every trial: the run exited 0 with error rows only
+    if env is None:
+        monkeypatch.delenv("ENTROUTE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("ENTROUTE_SEED", env)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "multiflow", **config}), encoding="utf-8")
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "experiment", "run", "--config", str(cfg), "--out", str(outdir))
+    assert code == 2 and out == ""
+    assert f"{key} + 1000 * 'trials' must be below 2**64" in err
+    assert not outdir.exists()
+
+
+def test_multiflow_config_takes_the_last_seed_below_64_bits():
+    cfg = config_from_json({"scenario": "multiflow", "trials": 3, "seed": 2**64 - 3001})
+    assert perturbed(TopologySpec(kind="grid", rows=2, cols=2, seed=cfg.seed), 2).seed == 2**64 - 1
 
 
 def test_experiment_run_writes_outputs(capsys, tmp_path):
@@ -737,6 +788,8 @@ def test_experiment_rejects_bad_sps_exits_2(capsys, tmp_path, alg):
         ("route-compare", "dpsi", 1e-320),
         # the summary's nested tree lists would overflow json.dumps' recursion
         ("purify-compare", "pairs_max", 513),
+        # 1/delta is inf, and so was the trial count ceil(ln(1/delta)/ln 3)
+        ("multiflow", "delta", 1e-310),
     ],
 )
 def test_experiment_rejects_bad_option_value_exits_2(capsys, tmp_path, scenario, option, value):
@@ -836,12 +889,14 @@ def test_topo_gen_rejects_bad_spec_exits_2(capsys, tmp_path):
         ({"kind": "waxman", "n": 6, "alpha": math.nan}, "alpha must be finite"),
         ({"kind": "grid", "rows": 2, "cols": 2, "qubit_allowance": -3}, "qubit_allowance must be >= 1"),
         ({"kind": "grid", "rows": 2, "cols": 2, "fidelity_mu": 0.0}, "fidelity_mu 0.0 and fidelity_sigma 0.05"),
+        ({"kind": "waxman", "n": 20, "alpha": 1e-9}, "no connected draw within 64 sub-seeds"),
     ],
-    ids=["beta_w-0", "alpha-nan", "qubit_allowance-neg", "fidelity_mu-0"],
+    ids=["beta_w-0", "alpha-nan", "qubit_allowance-neg", "fidelity_mu-0", "alpha-never-connects"],
 )
 def test_topo_gen_checks_spec_parameters_exits_2(capsys, tmp_path, fields, name):
-    # beta_w 0 used to end in a traceback, allowance -3 in 1-qubit nodes, and
-    # fidelity_mu 0 in a RuntimeError after 100,000 rejected fidelity draws
+    # beta_w 0 used to end in a traceback, allowance -3 in 1-qubit nodes,
+    # fidelity_mu 0 in a RuntimeError after 100,000 rejected fidelity draws,
+    # and alpha 1e-9 in a RuntimeError after 64 disconnected Waxman draws
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(fields), encoding="utf-8")
     out = tmp_path / "net.json"

@@ -9,7 +9,8 @@ from entroute.experiments import (
     run_experiment,
 )
 from entroute.pair_algebra import pseudo_fidelity, swap_fidelity
-from entroute.purification import evaluate_tree, tree_from_json
+from entroute.purification import evaluate_tree
+from oracles import tree_from_json
 
 
 def strip_runtime(csv_body: str) -> str:

@@ -3,13 +3,9 @@ import math
 
 import pytest
 
-from entroute.auxgraph import (
-    VIRTUAL_SINK,
-    VIRTUAL_SOURCE,
-    AuxiliaryGraph,
-    build_aux_graph,
-)
+from entroute.auxgraph import VIRTUAL_SINK, build_aux_graph
 from entroute.network import EdgeSpec, NodeSpec, QuantumNetwork
+from oracles import VIRTUAL_SOURCE, decode_path, encode_path, out_arcs
 
 
 def make_line(qubits=(2, 3, 3, 2), caps=(2, 2, 2), fids=(0.85, 0.97, 0.85)):
@@ -120,7 +116,7 @@ def test_adjacency():
     net = make_line()
     assert net.neighbors("v") == ["s", "u"]
     assert len(net.neighbors("t")) == 1
-    assert net.has_edge("u", "v") and not net.has_edge("s", "t")
+    assert "u" in net.neighbors("v") and "t" not in net.neighbors("s")
 
 
 def test_copy_index_ranges():
@@ -132,15 +128,15 @@ def test_copy_index_ranges():
 
 def test_example_instance_arcs():
     aux = build_aux_graph(make_line(), "s", "t")
-    arcs = list(aux.out_arcs(("s", 2)))
+    arcs = list(out_arcs(aux, ("s", 2)))
     # from s_2 both one- and two-pair allocations on (s,v) are reachable
     assert (("v", 1), 2, aux.net.edge("s", "v")) in arcs
     assert (("v", 2), 1, aux.net.edge("s", "v")) in arcs
     # from s_1 only the single-pair copy
-    heads = [h for h, m, _ in aux.out_arcs(("s", 1))]
+    heads = [h for h, m, _ in out_arcs(aux, ("s", 1))]
     assert ("v", 2) in heads and ("v", 1) not in heads
     # sink copies flow to the virtual sink only
-    assert list(aux.out_arcs(("t", 0))) == [(VIRTUAL_SINK, 0, None)]
+    assert list(out_arcs(aux, ("t", 0))) == [(VIRTUAL_SINK, 0, None)]
 
 
 def test_example_instance_bijection():
@@ -153,12 +149,12 @@ def test_example_instance_bijection():
         ("t", 0),
         VIRTUAL_SINK,
     ]
-    encoded = aux.encode_path(["s", "v", "u", "t"], [2, 1, 2])
+    encoded = encode_path(aux, ["s", "v", "u", "t"], [2, 1, 2])
     assert encoded == expected
-    nodes, counts = aux.decode_path(expected)
+    nodes, counts = decode_path(aux, expected)
     assert nodes == ["s", "v", "u", "t"]
     assert counts == [2, 1, 2]
-    assert aux.encode_path(nodes, counts) == expected
+    assert encode_path(aux, nodes, counts) == expected
 
 
 def test_single_edge_graph():
@@ -166,7 +162,7 @@ def test_single_edge_graph():
         [NodeSpec("s", 1), NodeSpec("t", 1)], [EdgeSpec("s", "t", 1, 0.9)]
     )
     aux = build_aux_graph(net, "s", "t")
-    arcs = list(aux.out_arcs(("s", 1)))
+    arcs = list(out_arcs(aux, ("s", 1)))
     assert arcs == [(("t", 0), 1, net.edge("s", "t"))]
 
 
@@ -175,20 +171,20 @@ def test_two_qubit_relay_forces_single_pairs():
     aux = build_aux_graph(net, "s", "u")
     assert aux.copy_indices("v") == (1,)
     for i in aux.copy_indices("s"):
-        for head, m, _ in aux.out_arcs(("s", i)):
+        for head, m, _ in out_arcs(aux, ("s", i)):
             assert m == 1  # only copy v_1 exists, so Q_v - j = 1
 
 
 def test_encode_rejects_bad_plans():
     aux = build_aux_graph(make_line(), "s", "t")
     with pytest.raises(ValueError):
-        aux.encode_path(["s", "v", "t"], [1, 1])  # no such edge
+        encode_path(aux, ["s", "v", "t"], [1, 1])  # no such edge
     with pytest.raises(ValueError):
-        aux.encode_path(["s", "v", "u", "t"], [2, 3, 1])  # exceeds v's leftover
+        encode_path(aux, ["s", "v", "u", "t"], [2, 3, 1])  # exceeds v's leftover
     with pytest.raises(ValueError):
-        aux.encode_path(["s", "v", "u", "t"], [3, 1, 1])  # above Q_s
+        encode_path(aux, ["s", "v", "u", "t"], [3, 1, 1])  # above Q_s
     with pytest.raises(ValueError):
-        aux.decode_path([VIRTUAL_SOURCE, ("s", 1), VIRTUAL_SINK])
+        decode_path(aux, [VIRTUAL_SOURCE, ("s", 1), VIRTUAL_SINK])
     with pytest.raises(ValueError):
         build_aux_graph(make_line(), "s", "s")
 
@@ -199,7 +195,7 @@ def test_deltaq_coarsening():
     assert aux.copy_indices("s") == (2, 4)
     assert aux.copy_indices("v") == (2, 4)
     assert aux.copy_indices("t") == (0, 2)
-    for head, m, _ in aux.out_arcs(("s", 4)):
+    for head, m, _ in out_arcs(aux, ("s", 4)):
         assert m % 2 == 0  # allocations come in deltaq chunks
     with pytest.raises(ValueError):
-        aux.encode_path(["s", "v", "u", "t"], [2, 1, 2])  # m=1 not on the grid
+        encode_path(aux, ["s", "v", "u", "t"], [2, 1, 2])  # m=1 not on the grid

@@ -3,8 +3,9 @@
 A change that keeps the results keeps these digests: the `verify --suite
 all` report, the CSV body (without the runtime_ms column) and
 summary.json of two small `experiment run` configs, the candidate
-plans of six flows contending for one small grid, and the `strategy scan`
-CSV of two regions.  A change meant to alter a result updates the digest
+plans of six flows contending for one small grid, the `strategy scan`
+CSV of two regions, and the `route` plan and label statistics of the
+README's grid query.  A change meant to alter a result updates the digest
 here and says why.
 """
 
@@ -101,3 +102,17 @@ def test_contended_candidates_are_pinned():
     assert [len(c) for c in cands] == [0, 3, 0, 3, 3, 3]
     body = json.dumps([[p.to_json() for p in c] for c in cands])
     assert _sha256(body.encode()) == "43afa92b754a374e78f44dff3682cc6bf8fdcc3066e9ed5fe1b4ea4f201612ac"
+
+
+def test_route_outputs_are_pinned(capsys, tmp_path, monkeypatch):
+    # the README query: 5x5 grid, capacity 15, seed 0, 0 -> 24 at f0 = 0.8
+    monkeypatch.delenv("ENTROUTE_SEED", raising=False)
+    spec, net = tmp_path / "spec.json", tmp_path / "net.json"
+    spec.write_text(json.dumps({"kind": "grid", "rows": 5, "cols": 5, "capacity": 15, "seed": 0}))
+    assert main(["topo", "gen", "--spec", str(spec), "--out", str(net)]) == 0
+    plan, stats = tmp_path / "route.json", tmp_path / "labels.csv"
+    args = ["route", "--net", str(net), "--src", "0", "--dst", "24", "--f0", "0.8"]
+    assert main(args + ["--out", str(plan), "--stats-out", str(stats)]) == 0
+    capsys.readouterr()
+    assert _sha256(plan.read_bytes()) == "1c0581d1f94ceb9f49ce57f444711d078ba0830f9885e30b4fed5bf8760780ef"
+    assert _sha256(stats.read_bytes()) == "dc98dd8cca2016a21eab64afafa60ab9d754c76d76890cf292fb6ef3e5e4e8d2"

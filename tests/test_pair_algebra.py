@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entroute.pair_algebra import (
-    bitflip_purified_fidelity,
     inverse_pseudo_fidelity,
     pseudo_fidelity,
     purification_success_prob,
@@ -52,8 +51,6 @@ def test_domain_rejection():
         pseudo_fidelity(0.25)
     with pytest.raises(ValueError):
         inverse_pseudo_fidelity(0.5)
-    with pytest.raises(ValueError):
-        bitflip_purified_fidelity(0.0, 0.5)
 
 
 def test_swap_hand_values():
@@ -122,16 +119,8 @@ def test_diminishing_returns():
     assert np.all(np.diff(after) < 0)
 
 
-def test_bitflip_hand_values():
-    assert bitflip_purified_fidelity(1.0, 0.9) == pytest.approx(1.0, abs=1e-12)
-    assert bitflip_purified_fidelity(0.75, 0.75) == pytest.approx(0.9, abs=1e-12)
-
-
-def test_bitflip_associative_werner_not():
+def test_werner_map_not_associative():
     a, b, c = 0.7, 0.8, 0.9
-    left = bitflip_purified_fidelity(bitflip_purified_fidelity(a, b), c)
-    right = bitflip_purified_fidelity(a, bitflip_purified_fidelity(b, c))
-    assert left == pytest.approx(right, abs=1e-12)
     wl = purified_fidelity(purified_fidelity(a, b), c)
     wr = purified_fidelity(a, purified_fidelity(b, c))
     assert abs(wl - wr) > 1e-6  # witness triple: the Werner map is not associative

@@ -13,18 +13,17 @@ from entroute.purification import (
     brute_force_optimal,
     candidate_frontier,
     evaluate_tree,
-    gamma_table,
     leaf_count,
     max_fidelity_schedule,
     min_leaves,
     pumping_schedule,
     schedule,
     symmetric_schedule,
-    tree_from_json,
     tree_success_prob,
     tree_to_json,
     tree_to_text,
 )
+from oracles import gamma_table, tree_from_json
 
 
 @lru_cache(maxsize=None)

@@ -36,6 +36,7 @@ from entroute.routing import (
     k_paths,
     min_cost_path,
 )
+from oracles import encode_path, out_arcs
 
 
 def line_net(qubits=(2, 3, 3, 2), caps=(2, 2, 2), fids=(0.85, 0.97, 0.85)):
@@ -402,7 +403,7 @@ def test_example_instance_plan():
     assert plan.trees[1] == LEAF
     assert plan.throughput == pytest.approx(purification_success_prob(0.85, 0.85))
     # the plan encodes onto the auxiliary graph it came from
-    aux.encode_path(plan.nodes, plan.pair_counts)
+    encode_path(aux, plan.nodes, plan.pair_counts)
 
 
 def test_infeasible_returns_none():
@@ -632,13 +633,12 @@ def test_label_invariants():
     aux = build_aux_graph(net, s, t)
     phi0, psi0 = pseudo_fidelity(f0), math.log(0.5)
     dphi, dpsi = 0.01, 0.01
-    stats = {}
-    min_cost_path(aux, phi0, psi0, dphi, dpsi, stats=stats)
+    _, stats, pushed, _ = _logged_search(aux, phi0, psi0, dphi, dpsi, 1, 1e-4, 1e-4)
     psi_max = max(math.log(e.capacity) for e in net.edges)
     bound = (math.ceil(abs(phi0) / dphi) + 1) * (
         math.ceil((psi_max + dpsi - psi0) / dpsi) + 2
     )
-    for vertex, labels in stats["labels"].items():
+    for vertex, labels in _label_stats(pushed)["labels"].items():
         assert len(labels) <= bound
         for i, a in enumerate(labels):
             for b in labels[i + 1 :]:
@@ -789,7 +789,7 @@ def _oracle_search(
                 break
             continue
         expanded += lab.parent is None or keep(lab)
-        for head, m, edge in aux.out_arcs(lab.vertex):
+        for head, m, edge in out_arcs(aux, lab.vertex):
             if edge is None:
                 # zero-cost virtual hop into the sink
                 push(
@@ -1062,7 +1062,7 @@ def test_cost_to_sink_is_least_path_cost():
         uneven += any(fewest[e.u] != fewest[e.v] for e in net.edges)
         for v in net.nodes:
             for j in aux.copy_indices(v):
-                for head, m, edge in aux.out_arcs((v, j)):
+                for head, m, edge in out_arcs(aux, (v, j)):
                     assert edge is None or m >= min(fewest[edge.u], fewest[edge.v]), n
         want = {}
         for v in net.nodes:

@@ -14,15 +14,14 @@ from entroute.pair_algebra import (
 from entroute.strategies import (
     RepeaterChain,
     _blocks,
-    lemma1_delta,
     lemma1_scan,
     optimal_policy_fidelity,
     purify_and_swap,
     scan_points,
-    success_margin,
     swap_and_purify,
     swap_purify_swap,
 )
+from oracles import lemma1_delta, success_margin
 
 
 def test_single_hop_single_pair():

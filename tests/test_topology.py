@@ -74,7 +74,7 @@ def test_waxman_fidelity_mean_near_mu():
 def test_waxman_vanishing_alpha_exhausts_retries():
     # alpha 0 is rejected by the spec; at 1e-12 no draw has an edge
     spec = TopologySpec(kind="waxman", n=6, alpha=1e-12, seed=0)
-    with pytest.raises(RuntimeError, match="sub-seeds"):
+    with pytest.raises(ValueError, match="sub-seeds"):
         generate(spec)
 
 

@@ -16,9 +16,9 @@ from entroute.verify import _suite_route_oracle
 def test_report_text_shape():
     r = Report("demo", "pass", ["a=1", "b=2"])
     assert r.text() == "suite demo: PASS\n  a=1\n  b=2\n"
-    assert Report("demo", "pass").exit_code == 0
-    assert Report("demo", "fail").exit_code == 1
-    assert Report("demo", "skip").exit_code == 3
+    assert render([Report("demo", "pass")])[1] == 0
+    assert render([Report("demo", "fail")])[1] == 1
+    assert render([Report("demo", "skip")])[1] == 3
 
 
 def test_render_worst_code_wins():
@@ -77,7 +77,7 @@ def test_route_oracle_small_batch():
 def test_route_suite_skip_path():
     rep = _suite_route_oracle(0, count=10, max_attempts=1)
     assert rep.status == "skip"
-    assert rep.exit_code == 3
+    assert render([rep])[1] == 3
     assert rep.lines[-1] == "screen exhausted the attempt budget"
 
 
