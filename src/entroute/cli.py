@@ -323,7 +323,10 @@ def _cmd_experiment_run(args) -> int:
     cfg = config_from_json(_load_json(args.config))
     seed = _env_seed()
     if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
+        # it replaces a seed the topology names too (one that names none
+        # takes cfg.seed, the same value)
+        topology = None if cfg.topology is None else {**cfg.topology, "seed": seed}
+        cfg = dataclasses.replace(cfg, seed=seed, topology=topology)
     outdir = args.out or cfg.output or "."
     result = run_experiment(cfg)
     csv_path, json_path = result.write(outdir)

@@ -117,7 +117,7 @@ class ExperimentConfig:
                 )
         if self.scenario == "purify-compare":
             _pair_counts(self)  # raises on an empty range
-        if self.scenario == "multiflow":
+        if self.scenario in ("route-compare", "multiflow"):
             _check_trial_seeds(self)
 
     def algorithm_list(self) -> tuple:
@@ -130,9 +130,10 @@ class ExperimentConfig:
 
 
 def _check_trial_seeds(cfg: ExperimentConfig) -> None:
-    """Raise ValueError unless the last multiflow trial's seed is below
-    2**64, as the rounding's Philox key needs: perturbed runs trial k on the
-    topology's seed (the config's unless it names one) + 1000 * (k + 1)."""
+    """Raise ValueError unless the last trial's seed is below 2**64, as
+    every seed must be (the rounding's Philox key takes no larger one):
+    route-compare and multiflow run trial k on the topology's seed (the
+    config's unless it names one) + 1000 * (k + 1), by perturbed."""
     topology = cfg.topology or {}
     key, seed = ("the topology's 'seed'", topology["seed"]) if "seed" in topology else ("'seed'", cfg.seed)
     if seed + 1000 * cfg.trials >= 2**64:

@@ -13,12 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .pair_algebra import (
-    _purification_success_raw,
-    _purified_fidelity_raw,
-    purification_success_prob,
-    purified_fidelity,
-)
+from .pair_algebra import purification_success_prob, purified_fidelity
 
 # A tree is either the LEAF sentinel or a (left, right) tuple of trees.
 LEAF = "L"
@@ -214,57 +209,79 @@ def _merge_frontier(
     leaves, in merge order (unsorted).
 
     Rounds are semi-naive: each round merges, in (i1 <= i2) order, only the
-    pairs of its snapshot in which at least one entry (by identity) was not
-    in the previous round's snapshot, and the loop stops when a snapshot
-    holds no new entry (or after bound rounds).  This gives the same list as
+    pairs of its snapshot in which at least one entry was not in the
+    previous round's snapshot, and the loop stops when a snapshot holds no
+    new entry (or after bound rounds).  This gives the same list as
     re-merging every pair each round: an old-by-old pair was merged in the
     previous round, where its candidate was kept or rejected by a
     dominator; an entry leaves the list only when a newcomer dominates it,
     so a dominator of that candidate is always present, the candidate
     would be rejected again, and a rejected insert changes nothing.
 
-    A candidate is computed from the raw maps and tested for dominance
-    before any entry is built.  The checked maps only add a domain check
-    to the same expressions, and every f_hat lies in [f_e, 1] up to the
-    grid rounding (the merge map is increasing in both arguments and
-    fixes 0.5 and 1), inside the checked domain [0.25, 1]; so the floats
-    are the same and the checks could never fire.  The test reads only
-    (b, f_hat, xi_hat), so a rejected candidate just allocates nothing.
+    Entries are (b, f_hat, xi_hat, tree, round) tuples until the end,
+    round being the round that admitted the entry (-1 for the leaf).  An
+    entry was in the previous snapshot exactly when it was admitted two or
+    more rounds back; kept candidates are appended and removals keep
+    order, so those old entries are the snapshot's first `old`.  A partner
+    whose leaves do not fit the bound is passed over before any other
+    work, and a candidate is computed from the raw maps, their operands in
+    the same order (10.0*f1 once per entry, then *f2), and tested for
+    dominance before any entry is built.  The checked maps only add a
+    domain check to the same expressions, and every f_hat lies in [f_e,
+    1] up to the grid rounding (the merge map is increasing in both
+    arguments and fixes 0.5 and 1), inside the checked domain [0.25, 1];
+    so the floats are the same and the checks could never fire.
 
     When trace is a list, every merged pair's candidate is appended to it
     as (entry, kept), then ("final", entries).
     """
-    entries: list[ScheduleEntry] = [ScheduleEntry(1, f_e, 1.0, LEAF)]
-    snapshot: list[ScheduleEntry] = []
-    for _ in range(bound):
-        prev = {id(e) for e in snapshot}
-        snapshot = list(entries)
-        # kept candidates are appended and removals keep order, so the
-        # survivors of the previous snapshot are the first `old` entries
-        old = sum(id(e) in prev for e in snapshot)
+    entries: list = [(1, f_e, 1.0, LEAF, -1)]
+    for r in range(bound):
+        snapshot = entries[:]
+        old = sum(e[4] < r - 1 for e in snapshot)
         if old == len(snapshot):
             break
-        for i1, l1 in enumerate(snapshot):
-            b1, f1, xi1 = l1.b, l1.f_hat, l1.xi_hat
-            for l2 in snapshot[max(i1, old) :]:
-                b3 = b1 + l2.b
-                if b3 > bound:
+        new = snapshot[old:]
+        for i1, (b1, f1, xi1, t1, _) in enumerate(snapshot):
+            fit = bound - b1
+            # the raw maps' subterms in l1 alone, for every partner
+            f10, f8, f2x, p8 = 10.0 * f1, 8.0 * f1, 2.0 * f1, (8.0 / 9.0) * f1
+            for l2 in new if i1 <= old else snapshot[i1:]:
+                if l2[0] > fit:
                     continue
-                f2 = l2.f_hat
-                # _ceil_to_grid of the checked maps, inlined
-                f3 = min(math.ceil(_purified_fidelity_raw(f1, f2) / delta_f - 1e-9) * delta_f, 1.0)
-                xi3 = _purification_success_raw(f1, f2) * min(xi1, l2.xi_hat)
-                xi3 = min(math.ceil(xi3 / delta_xi - 1e-9) * delta_xi, 1.0)
-                kept = not _dominated(entries, b3, f3, xi3)
-                if kept or trace is not None:
-                    cand = ScheduleEntry(b3, f3, xi3, (l1.tree, l2.tree))
-                    if kept:
-                        _admit(entries, cand)
-                    if trace is not None:
-                        trace.append((cand, kept))
+                b2, f2, xi2, t2, _ = l2
+                b3 = b1 + b2
+                # min(_ceil_to_grid(...), 1.0) of _purified_fidelity_raw and
+                # of _purification_success_raw times min(xi1, xi2), the
+                # min()s written out
+                f3 = (f10 * f2 - f1 - f2 + 1.0) / (f8 * f2 - f2x - 2.0 * f2 + 5.0)
+                f3 = math.ceil(f3 / delta_f - 1e-9) * delta_f
+                if f3 > 1.0:
+                    f3 = 1.0
+                xi3 = (p8 * f2 - (2.0 / 9.0) * (f1 + f2) + 5.0 / 9.0) * (xi2 if xi2 < xi1 else xi1)
+                xi3 = math.ceil(xi3 / delta_xi - 1e-9) * delta_xi
+                if xi3 > 1.0:
+                    xi3 = 1.0
+                # _dominated, then _admit
+                f_low, xi_low = f3 - _GRID_TOL, xi3 - _GRID_TOL
+                for e in reversed(entries):
+                    if e[0] <= b3 and e[1] >= f_low and e[2] >= xi_low:
+                        kept = False
+                        break
+                else:
+                    kept = True
+                    entries = [
+                        e
+                        for e in entries
+                        if not (b3 <= e[0] and f3 >= e[1] - _GRID_TOL and xi3 >= e[2] - _GRID_TOL)
+                    ]
+                    entries.append((b3, f3, xi3, (t1, t2), r))
+                if trace is not None:
+                    trace.append((ScheduleEntry(b3, f3, xi3, (t1, t2)), kept))
+    final = [ScheduleEntry(b, f, xi, tree) for b, f, xi, tree, _ in entries]
     if trace is not None:
-        trace.append(("final", list(entries)))
-    return entries
+        trace.append(("final", list(final)))
+    return final
 
 
 def _prefer(e: ScheduleEntry, best: Optional[ScheduleEntry]) -> bool:

@@ -163,14 +163,12 @@ from .auxgraph import VIRTUAL_SINK, AuxiliaryGraph, build_aux_graph
 from .network import QuantumNetwork
 from .pair_algebra import (
     _purified_fidelity_raw,
-    inverse_pseudo_fidelity,
     pseudo_fidelity,
     swap_fidelity,
 )
 from .purification import (
     _GRID_TOL,
     _pareto_sets,
-    _prefer,
     candidate_frontier,
     evaluate_tree,
     pumping_frontier,
@@ -193,6 +191,9 @@ FRONTS_CACHE_SIZE = 256
 # one of the edges' own fidelity floats: one entry per network and schedule
 # mode (delta_phi is not in the key)
 CEILINGS_CACHE_SIZE = 256
+# _first_k is keyed by (f_hat, delta_phi); a route-compare pass of 96
+# queries, in one process, asks for 2,957 distinct keys
+FIRST_K_CACHE_SIZE = 4096
 
 # _charge_to_sink batches the phi ceilings of a network of E edges and
 # largest budget B (_ceilings) when E*(B + 29) > _BATCH_SIZE in optimal
@@ -223,12 +224,21 @@ def _frontier(budget: int, f_e: float, delta_f: float, delta_xi: float, mode: st
     raise ValueError(f"unknown schedule mode {mode!r}")
 
 
+@lru_cache(maxsize=FIRST_K_CACHE_SIZE)
 def _first_k(f_hat: float, delta_phi: float) -> int:
     """Least k >= 1 whose threshold f_hat meets by best_entry's test, by
-    unit steps from the closed-form estimate (the test is monotone in k)."""
+    unit steps from the closed-form estimate (the test is monotone in k).
+
+    The threshold of k is inverse_pseudo_fidelity(-k * delta_phi) by that
+    function's float expression without its domain check, which -k *
+    delta_phi < 0 always passes, so every k is the one the checked call
+    gives.  Memoized: f_hat values are delta_f-grid multiples that many
+    edges and frontiers share (a route-compare pass of 96 queries asks for
+    15,861 first k of 2,957 distinct arguments).
+    """
 
     def meets(k):
-        return not f_hat < inverse_pseudo_fidelity(-k * delta_phi) - _GRID_TOL
+        return not f_hat < 0.25 * (1.0 + 3.0 * math.exp(min(-k * delta_phi, 0.0))) - _GRID_TOL
 
     k = max(1, math.ceil(-pseudo_fidelity(f_hat) / delta_phi))
     while k > 1 and meets(k - 1):
@@ -242,10 +252,13 @@ def _first_k(f_hat: float, delta_phi: float) -> int:
 def _first_k_order(
     budget: int, f_e: float, delta_phi: float, delta_f: float, delta_xi: float, mode: str
 ) -> tuple:
-    """The (first k, entry) pairs of _frontier(budget, ...), ascending in
-    first k (ties in frontier order)."""
+    """The (first k, ratio xi_hat/b, entry) triples of _frontier(budget,
+    ...), ascending in first k (ties in frontier order).  The ratio is
+    entry.ratio(), computed once here for every table the order serves."""
     entries = _frontier(budget, f_e, delta_f, delta_xi, mode)
-    return tuple(sorted(((_first_k(e.f_hat, delta_phi), e) for e in entries), key=itemgetter(0)))
+    return tuple(
+        sorted(((_first_k(e.f_hat, delta_phi), e.xi_hat / e.b, e) for e in entries), key=itemgetter(0))
+    )
 
 
 @lru_cache(maxsize=FRONTIER_CACHE_SIZE)
@@ -433,7 +446,8 @@ def edge_throughput_table(
     dominate the other).  The entries with b <= pair_budget are the
     frontier of pair_budget (see _frontier), so every budget >= pair_budget
     gives the same staircase.  The cost depends on the frontier size, not
-    on delta_phi.
+    on delta_phi; the sweep reads each entry's ratio from the first-k
+    order, which computes it once for every table it serves.
     """
     if pair_budget < 1:
         raise ValueError("pair_budget must be >= 1")
@@ -444,16 +458,21 @@ def edge_throughput_table(
     order = _first_k_order(budget, f_e, delta_phi, delta_f, delta_xi, mode)
     steps: list = []
     best = None
+    best_ratio = last_ratio = -_INF
     for k, group in itertools.groupby(order, key=itemgetter(0)):
-        for _, e in group:
-            if e.b <= pair_budget and _prefer(e, best):
-                best = e
-        if best is None:
-            continue
-        if not steps or best.ratio() > steps[-1][1].ratio() + _GRID_TOL:
+        for _, ratio, e in group:
+            # best_entry's rule (purification._prefer), on the carried ratios
+            if e.b <= pair_budget and (
+                ratio > best_ratio + _GRID_TOL
+                or abs(ratio - best_ratio) <= _GRID_TOL
+                and (e.b < best.b or (e.b == best.b and e.f_hat > best.f_hat + _GRID_TOL))
+            ):
+                best, best_ratio = e, ratio
+        if best_ratio > last_ratio + _GRID_TOL:
             steps.append((k, best))
-        if best.b == 1:
-            break
+            last_ratio = best_ratio
+            if best.b == 1:
+                break
     return tuple(steps)
 
 

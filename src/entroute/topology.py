@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .multiflow import FlowRequest
-from .network import EdgeSpec, NodeSpec, QuantumNetwork, _integer, _number
+from .network import EdgeSpec, NodeSpec, QuantumNetwork, _integer, _number, _seed
 
 _MAX_RETRIES = 64
 # the least share of fidelity draws a spec may keep: _truncated_normal then
@@ -101,6 +101,8 @@ def spec_from_json(d: dict) -> TopologySpec:
                 f"unknown topology field {key!r}; known fields: {', '.join(annotations)}"
             )
         test, wanted = _JSON_TYPES[annotations[key]]
+        if key == "seed":  # the range of every seed source
+            test, wanted = _seed, "an integer in [0, 2**64)"
         if not test(value):
             raise ValueError(f"topology field {key!r} must be {wanted}, got {value!r}")
     return TopologySpec(**d)

@@ -1,13 +1,31 @@
 """Oracles the tests check src/entroute against, written from the
 definitions: the auxiliary graph's arcs and its path bijection, the
-purification tree JSON reader, the gamma table, and lemma 1's delta and
-success margin.  No entry point of the package needs them, so they live
-here rather than in src/.
+purification tree JSON reader, the gamma table, lemma 1's delta and
+success margin, and the former forms of two fast paths, the frontier
+merge loop and the first-k search.  No entry point of the package needs
+them, so they live here rather than in src/.
 """
 
+import math
+
 from entroute.auxgraph import VIRTUAL_SINK
-from entroute.pair_algebra import purification_success_prob, purified_fidelity, swap_fidelity
-from entroute.purification import LEAF, _best_schedules
+from entroute.pair_algebra import (
+    _purification_success_raw,
+    _purified_fidelity_raw,
+    inverse_pseudo_fidelity,
+    pseudo_fidelity,
+    purification_success_prob,
+    purified_fidelity,
+    swap_fidelity,
+)
+from entroute.purification import (
+    _GRID_TOL,
+    LEAF,
+    ScheduleEntry,
+    _admit,
+    _best_schedules,
+    _dominated,
+)
 
 # the auxiliary graph's virtual source; the search starts at the top source
 # copy instead
@@ -120,3 +138,49 @@ def success_margin(a: float, b: float, c: float, d: float, p_s: float = 0.818) -
     return purification_success_prob(a, b) * purification_success_prob(
         c, d
     ) - p_s * purification_success_prob(swap_fidelity([a, c]), swap_fidelity([b, d]))
+
+
+def merge_frontier(bound: int, f_e: float, delta_f: float, delta_xi: float) -> list:
+    """purification._merge_frontier in its former form: ScheduleEntry
+    objects throughout, each round's old entries found by the ids of the
+    previous snapshot, every partner of the snapshot visited and the pairs
+    that overflow bound skipped, and _dominated and _admit called per
+    candidate."""
+    entries = [ScheduleEntry(1, f_e, 1.0, LEAF)]
+    snapshot = []
+    for _ in range(bound):
+        prev = {id(e) for e in snapshot}
+        snapshot = list(entries)
+        old = sum(id(e) in prev for e in snapshot)
+        if old == len(snapshot):
+            break
+        for i1, l1 in enumerate(snapshot):
+            b1, f1, xi1 = l1.b, l1.f_hat, l1.xi_hat
+            for l2 in snapshot[max(i1, old) :]:
+                b3 = b1 + l2.b
+                if b3 > bound:
+                    continue
+                f2 = l2.f_hat
+                f3 = min(math.ceil(_purified_fidelity_raw(f1, f2) / delta_f - 1e-9) * delta_f, 1.0)
+                xi3 = _purification_success_raw(f1, f2) * min(xi1, l2.xi_hat)
+                xi3 = min(math.ceil(xi3 / delta_xi - 1e-9) * delta_xi, 1.0)
+                if not _dominated(entries, b3, f3, xi3):
+                    _admit(entries, ScheduleEntry(b3, f3, xi3, (l1.tree, l2.tree)))
+    return entries
+
+
+def first_k(f_hat: float, delta_phi: float) -> int:
+    """routing._first_k in its former form, unmemoized and through the
+    checked maps: the least k >= 1 with f_hat >=
+    inverse_pseudo_fidelity(-k * delta_phi) - _GRID_TOL, by unit steps
+    from the closed-form estimate."""
+
+    def meets(k):
+        return not f_hat < inverse_pseudo_fidelity(-k * delta_phi) - _GRID_TOL
+
+    k = max(1, math.ceil(-pseudo_fidelity(f_hat) / delta_phi))
+    while k > 1 and meets(k - 1):
+        k -= 1
+    while not meets(k):
+        k += 1
+    return k

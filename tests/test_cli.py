@@ -614,6 +614,73 @@ def test_experiment_rejects_multiflow_seed_past_64_bits_exits_2(
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"trials": 3, "seed": 2**64 - 3000}, "'seed'"),
+        ({"trials": 1, "topology": {"kind": "grid", "rows": 2, "cols": 2, "seed": 2**64 - 1}},
+         "the topology's 'seed'"),
+    ],
+    ids=["seed", "topology-seed"],
+)
+def test_experiment_rejects_route_compare_seed_past_64_bits_exits_2(capsys, tmp_path, config, key):
+    # route-compare draws its trials from perturbed as multiflow does
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "route-compare", **config}), encoding="utf-8")
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "experiment", "run", "--config", str(cfg), "--out", str(outdir))
+    assert code == 2 and out == ""
+    assert f"{key} + 1000 * 'trials' must be below 2**64" in err
+    assert not outdir.exists()
+    config_from_json({"scenario": "route-compare", "trials": 3, "seed": 2**64 - 3001})
+
+
+@pytest.mark.parametrize("seed", [-5000, 2**64, 1.5])
+@pytest.mark.parametrize("scenario", ["route-compare", "multiflow", "strategy-compare"])
+def test_experiment_rejects_bad_topology_seed_exits_2(capsys, tmp_path, monkeypatch, scenario, seed):
+    # -5000 wrote error rows only (numpy rejected trial 0's seed -4000)
+    monkeypatch.delenv("ENTROUTE_SEED", raising=False)
+    topology = {"kind": "grid", "rows": 2, "cols": 2, "seed": seed}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario, "trials": 1, "topology": topology}), encoding="utf-8")
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "experiment", "run", "--config", str(cfg), "--out", str(outdir))
+    assert code == 2 and out == ""
+    assert f"topology field 'seed' must be an integer in [0, 2**64), got {seed}" in err
+    assert not outdir.exists()
+
+
+def _experiment_body(capsys, tmp_path, config, name) -> str:
+    """The CSV body experiment run writes for config, runtime_ms left out."""
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    outdir = tmp_path / name
+    code, _, err = run_cli(capsys, "experiment", "run", "--config", str(cfg), "--out", str(outdir))
+    assert code == 0, err
+    lines = (outdir / "results.csv").read_text(encoding="utf-8").splitlines()
+    return "\n".join(line.rsplit(",", 1)[0] for line in lines)
+
+
+@pytest.mark.parametrize("scenario", ["route-compare", "multiflow"])
+def test_env_seed_replaces_the_topology_seed_of_an_experiment(capsys, tmp_path, monkeypatch, scenario):
+    """Under ENTROUTE_SEED=s a config whose topology names seed 5 runs as
+    the config naming s in both places, so two env seeds give two bodies
+    (the topology's seed used to win, and both bodies were the same)."""
+    topology = {"kind": "grid", "rows": 3, "cols": 3, "capacity": 5}
+    config = {"scenario": scenario, "trials": 2, "thresholds": [0.8], "dphi": [0.02]}
+    if scenario == "multiflow":
+        config = {"scenario": scenario, "trials": 2, "flows": 2}
+    bodies = []
+    for s in (1, 2):
+        monkeypatch.setenv("ENTROUTE_SEED", str(s))
+        got = _experiment_body(capsys, tmp_path, {**config, "topology": {**topology, "seed": 5}}, f"env{s}")
+        monkeypatch.delenv("ENTROUTE_SEED")
+        want = {**config, "seed": s, "topology": {**topology, "seed": s}}
+        assert got == _experiment_body(capsys, tmp_path, want, f"named{s}")
+        bodies.append(got)
+    assert bodies[0] != bodies[1]
+
+
 def test_multiflow_config_takes_the_last_seed_below_64_bits():
     cfg = config_from_json({"scenario": "multiflow", "trials": 3, "seed": 2**64 - 3001})
     assert perturbed(TopologySpec(kind="grid", rows=2, cols=2, seed=cfg.seed), 2).seed == 2**64 - 1

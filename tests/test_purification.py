@@ -23,7 +23,7 @@ from entroute.purification import (
     tree_to_json,
     tree_to_text,
 )
-from oracles import gamma_table, tree_from_json
+from oracles import gamma_table, merge_frontier, tree_from_json
 
 
 @lru_cache(maxsize=None)
@@ -456,6 +456,21 @@ def test_schedule_trace_matches_former_merge_loop(f_e, n, grid, reach):
     oracle = []
     _former_merge_frontier(bound, f_e, *grid, oracle)
     assert _trace_keys(trace) == _trace_keys(oracle)
+
+
+def _bits(entries):
+    return [(e.b, e.f_hat.hex(), e.xi_hat.hex(), e.tree) for e in entries]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.5, 1.0), st.integers(1, 40), st.sampled_from(_GRIDS))
+def test_candidate_frontier_bit_equal_to_former_merge_loop(f_e, n, grid):
+    """The untraced merge loop (tuple entries, round stamps, partners that
+    fit only, the raw maps written out) builds the former loop's frontier:
+    the same entries, float bits and trees, in the same order."""
+    want = merge_frontier(n, f_e, *grid)
+    want.sort(key=lambda e: (e.f_hat, -e.xi_hat, e.b))
+    assert _bits(candidate_frontier(n, f_e, *grid)) == _bits(want)
 
 
 def _quadratic_success_prob(tree, f_e):

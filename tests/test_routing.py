@@ -36,7 +36,7 @@ from entroute.routing import (
     k_paths,
     min_cost_path,
 )
-from oracles import encode_path, out_arcs
+from oracles import encode_path, first_k, out_arcs
 
 
 def line_net(qubits=(2, 3, 3, 2), caps=(2, 2, 2), fids=(0.85, 0.97, 0.85)):
@@ -233,6 +233,38 @@ def test_table_steps_match_per_k_scan(m, f_e, delta_phi, grid, mode, kmax):
             assert want.ratio() <= got.ratio() + _GRID_TOL
     if steps and steps[-1][0] <= kmax:
         assert steps[-1][1].b == 1
+
+
+_DELTA_PHI = st.one_of(st.sampled_from([1e-4, 1e-3, 0.005, 0.01, 0.02, 0.1, 0.5]), st.floats(1e-4, 0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1e-4, 1e-3, 1e-2]), st.floats(0.0, 1.0), _DELTA_PHI)
+def test_first_k_matches_unit_step_search_on_grid(delta_f, u, delta_phi):
+    """On f_hat a delta_f-grid multiple in [0.5, 1], as every frontier
+    entry's is, the memo and its miss path give the former search's k."""
+    lo, hi = math.ceil(0.5 / delta_f), round(1.0 / delta_f)
+    f_hat = (lo + round(u * (hi - lo))) * delta_f
+    want = first_k(f_hat, delta_phi)
+    assert routing._first_k.__wrapped__(f_hat, delta_phi) == want
+    assert routing._first_k(f_hat, delta_phi) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0), _DELTA_PHI, st.sampled_from([-1, 0, 1]), st.booleans())
+def test_first_k_matches_unit_step_search_at_a_threshold(u, delta_phi, side, tol):
+    """At f_hat exactly a threshold T_k = inverse_pseudo_fidelity(-k *
+    delta_phi) in [0.5, 1], or exactly _GRID_TOL below it, where the
+    test's tolerance decides, or an ulp either side of either."""
+    k = 1 + round(u * max(0, math.floor(math.log(3.0) / delta_phi) - 1))
+    f_hat = inverse_pseudo_fidelity(-k * delta_phi) - (_GRID_TOL if tol else 0.0)
+    if side:
+        f_hat = math.nextafter(f_hat, side * math.inf)
+    want = first_k(f_hat, delta_phi)
+    assert routing._first_k.__wrapped__(f_hat, delta_phi) == want
+    assert routing._first_k(f_hat, delta_phi) == want
+    if side == 0:
+        assert want <= k
 
 
 def _per_k_staircase(pair_budget, f_e, delta_phi, delta_f=1e-4, delta_xi=1e-4, mode="optimal"):
@@ -1301,11 +1333,12 @@ def test_frontier_cache_serves_smaller_budgets():
     assert routing._frontier(5, f_e, *grid, "optimal") is small
     # one first-k order per (budget, delta_phi), shared by every pair count
     order = routing._first_k_order(12, f_e, 0.01, *grid, "optimal")
-    assert [e for _, e in order] == sorted(big, key=lambda e: routing._first_k(e.f_hat, 0.01))
+    assert [e for _, _, e in order] == sorted(big, key=lambda e: routing._first_k(e.f_hat, 0.01))
+    assert all(k == routing._first_k(e.f_hat, 0.01) and ratio == e.ratio() for k, ratio, e in order)
     assert routing._first_k_order(12, f_e, 0.01, *grid, "optimal") is order
     # another delta_phi sorts the same build
     other = routing._first_k_order(12, f_e, 0.02, *grid, "optimal")
-    assert {id(e) for _, e in other} == {id(e) for e in big}
+    assert {id(e) for _, _, e in other} == {id(e) for e in big}
     for m in (1, 5, 12):
         steps = edge_throughput_table(12, m, f_e, 0.01, *grid, "optimal")
         assert all(any(e is x for x in big) for _, e in steps)
@@ -1500,6 +1533,7 @@ def test_routing_caches_stay_bounded():
         (routing._frontier, routing.FRONTIER_CACHE_SIZE),
         (routing._first_k_order, routing.FRONTIER_CACHE_SIZE),
         (routing._least_charge, routing.FRONTIER_CACHE_SIZE),
+        (routing._first_k, routing.FIRST_K_CACHE_SIZE),
         (routing._ceilings, routing.CEILINGS_CACHE_SIZE),
         (routing._fronts, routing.FRONTS_CACHE_SIZE),
     ):
