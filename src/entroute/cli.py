@@ -152,38 +152,29 @@ def _parse_chain(text: str) -> RepeaterChain:
 _SCAN_BLOCK_ROWS = 1024
 
 
-class _CoordText(dict):
-    """Grid coordinate -> its ``.6g`` text, formatted on first lookup.  Scan
-    coordinates are >= 0.5, so no key is -0.0, which would share 0.0's
-    entry."""
-
-    def __missing__(self, x):
-        text = self[x] = f"{x:.6g}"
-        return text
-
-
-def _write_scan(fh, rows) -> None:
-    """The scan CSV from (a, b, c, d, delta, winner) rows.  No field needs
-    quoting (numbers, nan/inf, pas/sap/tie), so joined lines are the bytes
-    csv.writer would write."""
-    text = _CoordText()
+def _write_scan(fh, lines) -> None:
+    """The scan CSV: its header, then scan_points' data lines, joined and
+    written _SCAN_BLOCK_ROWS at a time.  No field needs quoting (numbers,
+    nan/inf, pas/sap/tie), so these are the bytes csv.writer would write."""
     fh.write("a,b,c,d,delta,winner\n")
-    while lines := [
-        f"{text[a]},{text[b]},{text[c]},{text[d]},{delta:.12g},{winner}\n"
-        for a, b, c, d, delta, winner in itertools.islice(rows, _SCAN_BLOCK_ROWS)
-    ]:
-        fh.write("".join(lines))
+    while block := "".join(itertools.islice(lines, _SCAN_BLOCK_ROWS)):
+        fh.write(block)
 
 
 def _cmd_strategy(args) -> int:
     if args.mode == "scan":
-        points = scan_points(args.region, args.step)
-        first = next(points)  # checks the step before --out is created
+        for flag, value in (("--chain", args.chain), ("--policy", args.policy), ("--h", args.h)):
+            if value is not None:
+                raise ValueError(f"{flag} does not apply to strategy scan")
+        lines = scan_points(args.region, args.step)
+        first = next(lines)  # checks the step before --out is created
         with _opened(args.out) as fh:
-            _write_scan(fh, itertools.chain((first,), points))
+            _write_scan(fh, itertools.chain((first,), lines))
         return 0
     if args.chain is None or args.policy is None:
         raise ValueError("--chain and --policy are required")
+    if args.h is not None and args.policy != "sps":
+        raise ValueError(f"--h applies only to --policy sps, not {args.policy}")
     chain = _parse_chain(args.chain)
     if args.policy == "pas":
         out = purify_and_swap(chain)
@@ -198,7 +189,7 @@ def _cmd_strategy(args) -> int:
         "success_prob": out.success_prob,
     }
     if args.policy == "sps":
-        record["h"] = chain.length if args.h is None else args.h
+        record["h"] = h
     _emit_json(record, args.out)
     return 0
 
@@ -368,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("mode", nargs="?", choices=("scan",), default=None)
     s.add_argument("--chain", help='hop fidelities as JSON, e.g. [[0.8,0.8],[0.9]]')
     s.add_argument("--policy", choices=("pas", "sap", "sps"))
-    s.add_argument("--h", type=int)
+    s.add_argument("--h", type=int, help="swap span of --policy sps (default: the chain length)")
     s.add_argument("--step", type=float, default=0.01)
     s.add_argument("--region", choices=("lemma1", "low"), default="lemma1")
     s.add_argument("--out")

@@ -270,19 +270,22 @@ def lemma1_scan(step: float, regions: Iterable[str] = ("lemma1", "low", "success
 
 
 def scan_points(region: str, step: float):
-    """Per-point rows (a, b, c, d, delta, winner) for CSV export, one
-    a-slice of the region at a time; delta is purify-and-swap's fidelity
-    minus swap-and-purify's on the instance (a,b | c,d), as swap_fidelity
-    and purified_fidelity compute it.  step must lie in [0.001, 0.1]."""
+    """The scan CSV's data lines, each "a,b,c,d,delta,winner" and a line
+    break, one a-slice of the region at a time; delta is purify-and-swap's
+    fidelity minus swap-and-purify's on the instance (a,b | c,d), as
+    swap_fidelity and purified_fidelity compute it.  Coordinates are written
+    ``.6g``, delta ``.12g``, and the winner (pas, sap or tie) is the sign of
+    the unrounded delta.  step must lie in [0.001, 0.1]."""
     for *axes, deltas in _blocks(region, step, partial(_delta_block, swap=_swap_block)):
-        a_vals, b_vals, c_vals, d_vals = (x.ravel().tolist() for x in axes)
-        # one d-row of Python floats at a time: converting whole slices, or
-        # broadcast coordinate columns, raised the scan's peak RSS by 1-4 MB
-        rows = deltas.reshape(-1, len(d_vals))
-        for (a, b, c), row in zip(product(a_vals, b_vals, c_vals), rows):
-            for d, delta in zip(d_vals, row.tolist()):
-                winner = "pas" if delta > 0 else ("sap" if delta < 0 else "tie")
-                yield a, b, c, d, delta, winner
+        # coordinate texts once per slice, each (a, b, c) prefix once per
+        # d-row; deltas become Python floats a d-row at a time: converting
+        # whole slices raised the scan's peak RSS by 1-4 MB
+        a_txt, b_txt, c_txt, d_txt = ([f"{x:.6g}," for x in ax.ravel().tolist()] for ax in axes)
+        rows = deltas.reshape(-1, len(d_txt))
+        for abc, row in zip(product(a_txt, b_txt, c_txt), rows):
+            prefix = "".join(abc)
+            for d, delta in zip(d_txt, row.tolist()):
+                yield f"{prefix}{d}{delta:.12g},{'pas' if delta > 0 else 'sap' if delta < 0 else 'tie'}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import csv
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ from entroute.pair_algebra import (
     purified_fidelity,
     pseudo_fidelity,
 )
+from entroute.strategies import _blocks, _delta_block, _swap_block
 from entroute.topology import TopologySpec, perturbed
 from oracles import lemma1_delta
 
@@ -152,6 +156,16 @@ def test_strategy_policy_writes_out_file(capsys, tmp_path):
     assert json.loads(printed)["policy"] == "sap"
 
 
+def _scan_fields(region, step):
+    """The six formatted fields of each scan point, and the point, with the
+    deltas taken from the scan's own blocks."""
+    for a, b, c, d, deltas in _blocks(region, step, partial(_delta_block, swap=_swap_block)):
+        points = itertools.product(*(x.ravel().tolist() for x in (a, b, c, d)))
+        for point, delta in zip(points, deltas.ravel().tolist(), strict=True):
+            winner = "pas" if delta > 0 else "sap" if delta < 0 else "tie"
+            yield point, delta, [f"{x:.6g}" for x in point] + [f"{delta:.12g}", winner]
+
+
 def test_strategy_scan_csv(capsys, tmp_path):
     step = 0.05
     for region, ab, cd in (("lemma1", (0.5, 11), (0.7, 7)), ("low", (0.5, 5), (0.5, 5))):
@@ -160,19 +174,37 @@ def test_strategy_scan_csv(capsys, tmp_path):
             capsys, "strategy", "scan", "--step", str(step), "--region", region, "--out", str(out_path)
         )
         assert code == 0 and stdout == ""
-        lines = out_path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "a,b,c,d,delta,winner"
+        lines = out_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[0] == "a,b,c,d,delta,winner\n"
+        assert lines[1:] == list(scan_points(region, step))
         grid_ab = [ab[0] + step * i for i in range(ab[1])]
         grid_cd = [cd[0] + step * i for i in range(cd[1])]
         points = list(itertools.product(grid_ab, grid_ab, grid_cd, grid_cd))
-        rows = list(scan_points(region, step))
+        rows = list(_scan_fields(region, step))
         assert len(lines) - 1 == len(rows) == len(points)
-        for line, point, (a, b, c, d, delta, winner) in zip(lines[1:], points, rows):
-            assert (a, b, c, d) == point
+        for line, point, (scanned, delta, _) in zip(lines[1:], points, rows):
+            assert scanned == point
             # the vectorized scan reproduces the scalar closed form bit for bit
-            assert delta == lemma1_delta(a, b, c, d)
-            assert winner == ("pas" if delta > 0 else "sap" if delta < 0 else "tie")
-            assert line == f"{a:.6g},{b:.6g},{c:.6g},{d:.6g},{delta:.12g},{winner}"
+            assert delta == lemma1_delta(*point)
+            a, b, c, d = point
+            winner = "pas" if delta > 0 else "sap" if delta < 0 else "tie"
+            assert line == f"{a:.6g},{b:.6g},{c:.6g},{d:.6g},{delta:.12g},{winner}\n"
+
+
+@pytest.mark.parametrize("step", ["0.05", "0.07"])
+@pytest.mark.parametrize("region", ["lemma1", "low"])
+def test_strategy_scan_csv_matches_csv_writer(capsys, tmp_path, region, step):
+    # the scan joins its fields unquoted: the bytes are csv.writer's only
+    # because no field holds a comma, a quote or a line break
+    out_path = tmp_path / "scan.csv"
+    code, _, _ = run_cli(capsys, "strategy", "scan", "--step", step, "--region", region, "--out", str(out_path))
+    assert code == 0
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(("a", "b", "c", "d", "delta", "winner"))
+    writer.writerows(fields for *_, fields in _scan_fields(region, float(step)))
+    with open(out_path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == expected.getvalue()
 
 
 def test_strategy_scan_rejects_bad_step(capsys, tmp_path):
@@ -506,6 +538,25 @@ def test_strategy_rejects_bad_chain_exits_2(capsys, chain):
     code, out, err = run_cli(capsys, "strategy", "--chain", chain, "--policy", "pas")
     assert code == 2 and out == ""
     assert "--chain" in err
+
+
+@pytest.mark.parametrize("policy", ["pas", "sap"])
+def test_strategy_h_without_sps_exits_2(capsys, policy):
+    # --h is the swap span of swap-purify-swap; pas and sap have none
+    code, out, err = run_cli(capsys, "strategy", "--chain", "[[0.8], [0.9]]", "--policy", policy, "--h", "1")
+    assert code == 2 and out == ""
+    assert "--h" in err and policy in err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--chain", "[[0.8], [0.9]]"), ("--policy", "pas"), ("--h", "1")]
+)
+def test_strategy_scan_rejects_chain_flags_exits_2(capsys, tmp_path, flag, value):
+    out_path = tmp_path / "scan.csv"
+    code, out, err = run_cli(capsys, "strategy", "scan", "--step", "0.1", flag, value, "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert f"{flag} does not apply to strategy scan" in err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("baseline", ["symmetric", "pumping"])

@@ -163,9 +163,11 @@ def test_lemma1_scan_coarse():
 
 
 def test_scan_points_rows():
-    rows = list(scan_points("low", 0.1))
-    assert len(rows) == 3**4
-    assert all(r[5] == "pas" for r in rows)
+    lines = list(scan_points("low", 0.1))
+    assert len(lines) == 3**4
+    for line in lines:
+        *coords, delta, winner = line.removesuffix("\n").split(",")
+        assert len(coords) == 4 and float(delta) > 0 and winner == "pas"
     with pytest.raises(ValueError):
         next(scan_points("bogus", 0.1))
 
@@ -184,9 +186,13 @@ def test_scan_grid_stays_inside_its_region():
     bounds = {"lemma1": ((0.5, 1.0), (0.7, 1.0)), "low": ((0.5, 0.7), (0.5, 0.7))}
     for step in (0.03, 0.07, 0.08):
         for region, (ab, cd) in bounds.items():
-            for row in scan_points(region, step):
-                for x, (lo, hi) in zip(row[:4], (ab, ab, cd, cd)):
-                    assert lo - 1e-12 <= x <= hi + 1e-12, (region, step, row)
+            points = 0
+            for *axes, values in _blocks(region, step, lambda a, b, c, d: a + b + c + d):
+                for x, (lo, hi) in zip(axes, (ab, ab, cd, cd)):
+                    assert lo - 1e-12 <= x.min() and x.max() <= hi + 1e-12, (region, step, x)
+                points += values.size
+            # the lines scan_points writes cover these axes and no more
+            assert sum(1 for _ in scan_points(region, step)) == points
     assert lemma1_scan(0.08)["lemma1"]["violations"] == 0
 
 
