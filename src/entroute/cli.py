@@ -166,11 +166,14 @@ def _cmd_strategy(args) -> int:
         for flag, value in (("--chain", args.chain), ("--policy", args.policy), ("--h", args.h)):
             if value is not None:
                 raise ValueError(f"{flag} does not apply to strategy scan")
-        lines = scan_points(args.region, args.step)
+        lines = scan_points(args.region or "lemma1", 0.01 if args.step is None else args.step)
         first = next(lines)  # checks the step before --out is created
         with _opened(args.out) as fh:
             _write_scan(fh, itertools.chain((first,), lines))
         return 0
+    for flag, value in (("--step", args.step), ("--region", args.region)):
+        if value is not None:
+            raise ValueError(f"{flag} applies only to strategy scan")
     if args.chain is None or args.policy is None:
         raise ValueError("--chain and --policy are required")
     if args.h is not None and args.policy != "sps":
@@ -360,8 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--chain", help='hop fidelities as JSON, e.g. [[0.8,0.8],[0.9]]')
     s.add_argument("--policy", choices=("pas", "sap", "sps"))
     s.add_argument("--h", type=int, help="swap span of --policy sps (default: the chain length)")
-    s.add_argument("--step", type=float, default=0.01)
-    s.add_argument("--region", choices=("lemma1", "low"), default="lemma1")
+    s.add_argument("--step", type=float, help="grid step of strategy scan (default: 0.01)")
+    s.add_argument("--region", choices=("lemma1", "low"), help="region of strategy scan (default: lemma1)")
     s.add_argument("--out")
     s.set_defaults(fn=_cmd_strategy)
 

@@ -15,9 +15,9 @@ import math
 _DOMAIN_TOL = 1e-12
 
 
-def _check_fidelity(f: float, lo: float = 0.25) -> None:
-    if not (lo - _DOMAIN_TOL <= f <= 1.0 + _DOMAIN_TOL):
-        raise ValueError(f"fidelity {f!r} outside [{lo}, 1]")
+def _check_fidelity(f: float) -> None:
+    if not (0.25 - _DOMAIN_TOL <= f <= 1.0 + _DOMAIN_TOL):
+        raise ValueError(f"fidelity {f!r} outside [0.25, 1]")
 
 
 def _purified_fidelity_raw(f1, f2):

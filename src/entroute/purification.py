@@ -177,31 +177,6 @@ def _ceil_to_grid(x: float, delta: float) -> float:
     return math.ceil(x / delta - 1e-9) * delta
 
 
-def _dominated(entries: list[ScheduleEntry], b: int, f: float, xi: float) -> bool:
-    """Whether an entry with no more leaves and at least the fidelity and
-    yield (within _GRID_TOL) of the candidate (b, f, xi) is in entries."""
-    f -= _GRID_TOL
-    xi -= _GRID_TOL
-    # newest first: the outcome does not depend on the order, and late
-    # entries dominate most candidates, so the scan stops sooner
-    for e in reversed(entries):
-        if e.b <= b and e.f_hat >= f and e.xi_hat >= xi:
-            return True
-    return False
-
-
-def _admit(entries: list[ScheduleEntry], cand: ScheduleEntry) -> None:
-    """Append a candidate that passed _dominated, dropping the entries it
-    dominates."""
-    b, f, xi = cand.b, cand.f_hat, cand.xi_hat
-    entries[:] = [
-        e
-        for e in entries
-        if not (b <= e.b and f >= e.f_hat - _GRID_TOL and xi >= e.xi_hat - _GRID_TOL)
-    ]
-    entries.append(cand)
-
-
 def _merge_frontier(
     bound: int, f_e: float, delta_f: float, delta_xi: float, trace: Optional[list] = None
 ) -> list[ScheduleEntry]:
@@ -262,7 +237,8 @@ def _merge_frontier(
                 xi3 = math.ceil(xi3 / delta_xi - 1e-9) * delta_xi
                 if xi3 > 1.0:
                     xi3 = 1.0
-                # _dominated, then _admit
+                # the dominance test, then the admit, which drops what the
+                # candidate dominates
                 f_low, xi_low = f3 - _GRID_TOL, xi3 - _GRID_TOL
                 for e in reversed(entries):
                     if e[0] <= b3 and e[1] >= f_low and e[2] >= xi_low:
@@ -355,8 +331,11 @@ def pumping_frontier(
             purification_success_prob(cur.f_hat, f_e) * min(cur.xi_hat, 1.0), delta_xi
         )
         cur = ScheduleEntry(b, min(f3, 1.0), min(xi3, 1.0), (cur.tree, LEAF))
-        if not _dominated(entries, cur.b, cur.f_hat, cur.xi_hat):
-            _admit(entries, cur)
+        # cur has more leaves than every entry, so it dominates none of them
+        # and is dominated by one with at least its fidelity and yield
+        f_low, xi_low = cur.f_hat - _GRID_TOL, cur.xi_hat - _GRID_TOL
+        if not any(e.f_hat >= f_low and e.xi_hat >= xi_low for e in entries):
+            entries.append(cur)
     entries.sort(key=lambda e: (e.f_hat, -e.xi_hat, e.b))
     return entries
 

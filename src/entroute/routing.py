@@ -3,16 +3,17 @@
 Label-setting search over the auxiliary graph.  A label carries the path
 cost, a discretized pseudo-fidelity budget, the bottleneck edge
 log-throughput, and a discretized path log-throughput.  Per-edge
-purification options come from three memoized functions, each a pure
+purification options come from two memoized functions, each a pure
 function of its arguments: the purification frontier of an edge's
-fidelity, built at the least power of two >= the pair count m, or at the
-edge's budget min(capacity, Q_u, Q_v) if that is smaller; its entries in
-first-k order for one delta_phi; and per m a throughput table, an
-immutable staircase of (split index, schedule) steps swept from that
-order (any frontier budget >= m gives the same staircase).  The budgets
-depend on the edge and m alone, so every search over a network shares its
-frontiers and tables, and a search that reaches small pair counts only
-never builds the large frontiers.
+fidelity, and per pair count m a throughput table, the immutable
+staircase of finished search steps (split index, schedule, edge
+log-throughput, budget charge) swept from the frontier built at the least
+power of two >= m, or at the edge's budget min(capacity, Q_u, Q_v) if
+that is smaller.  The table depends on the edge and m alone, so every
+search over a network shares its frontiers and tables, and a search that
+reaches small pair counts only never builds the large frontiers.  The
+search reads the table of each arc it walks, and builds the arc record
+(m, k, edge, schedule) of a step only for a label it admits.
 
 The search starts from a single label at the top source copy.  Every
 intermediate copy index is fixed by the allocation into it (j = Q_v - m),
@@ -30,13 +31,11 @@ togo(w)), does not rise along the block: the arcs the cost cap cuts are its
 first ones.  A scan back from the cheap end stops at the last arc cut, whose
 reach is the least cut, and only the arcs after it are walked, in block
 order.  So the same labels are pushed in the same order as by a walk of
-every arc, and capped and pruned count the same arcs.  The successors of an
-(edge, pair count) are computed once per search, at the first arc over it
-walked: per table step, the log-throughput, the budget charge and the arc
-record.  A candidate is tested against its node's pool on its raw (cost,
-phi credit, psi_hat, copy index) before any label, path tuple or heap key
-is built.  They are exactly the values the label would carry, and the test
-reads nothing else, so testing before the build admits and kills the same
+every arc, and capped and pruned count the same arcs.  A candidate is
+tested against its node's pool on its raw (cost, phi credit, psi_hat, copy
+index) before any label, arc record, path tuple or heap key is built.
+They are exactly the values the label would carry, and the test reads
+nothing else, so testing before the build admits and kills the same
 labels as testing after it would; a rejected candidate just allocates
 nothing.
 
@@ -111,7 +110,7 @@ search.  Otherwise _certified looks for T >= top, the largest reach of the
 results, with no reach of an arc let through in (T, T + gap], gap = _TOL +
 rho(top), and every arc cut reaching above T + gap; it walks T up through
 reaches closer than gap.  If there is none, the search reruns with no cap.
-The passes share their arc and successor memos and both Dijkstras; stats=
+The passes share their arc memos and both Dijkstras; stats=
 describes the last one, except pushed_all_passes, which counts the labels
 every pass pushed.  (The phi bound already drops every arc into a
 node with no path to t that avoids s, so no arc the cap sees is a dead
@@ -154,7 +153,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -183,7 +181,7 @@ _ROUND = 1e-12
 
 # Bounds of the caches below.  They are keyed by float fidelities, so a
 # long-lived process would otherwise grow them without limit; one search
-# needs a frontier and a first-k order per edge and a table per (edge, m).
+# needs a few frontiers per edge and a table per (edge, m).
 FRONTIER_CACHE_SIZE = 1024
 TABLE_CACHE_SIZE = 8192
 FRONTS_CACHE_SIZE = 256
@@ -246,19 +244,6 @@ def _first_k(f_hat: float, delta_phi: float) -> int:
     while not meets(k):
         k += 1
     return k
-
-
-@lru_cache(maxsize=FRONTIER_CACHE_SIZE)
-def _first_k_order(
-    budget: int, f_e: float, delta_phi: float, delta_f: float, delta_xi: float, mode: str
-) -> tuple:
-    """The (first k, ratio xi_hat/b, entry) triples of _frontier(budget,
-    ...), ascending in first k (ties in frontier order).  The ratio is
-    entry.ratio(), computed once here for every table the order serves."""
-    entries = _frontier(budget, f_e, delta_f, delta_xi, mode)
-    return tuple(
-        sorted(((_first_k(e.f_hat, delta_phi), e.xi_hat / e.b, e) for e in entries), key=itemgetter(0))
-    )
 
 
 @lru_cache(maxsize=FRONTIER_CACHE_SIZE)
@@ -414,17 +399,18 @@ def _cost_to_sink(aux: AuxiliaryGraph) -> dict:
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def edge_throughput_table(
-    budget: int,
-    pair_budget: int,
+    edge_budget: int,
+    m: int,
     f_e: float,
     delta_phi: float,
     delta_f: float,
     delta_xi: float,
     mode: str,
 ) -> tuple:
-    """Throughput table of one (pair budget, elementary fidelity): the
-    staircase of (k, entry) steps worth expanding, ascending in k.  It is
-    read off the frontier built at budget, which must be >= pair_budget.
+    """Throughput table of an edge of fidelity f_e and budget edge_budget
+    (the most pairs any arc over it allocates) at pair count m: the
+    staircase of (k, entry, psi_e, charge) steps worth expanding, ascending
+    in k, psi_e being log(entry.ratio() * m) and charge (k - 1)*delta_phi.
 
     At split index k the edge must reach pseudo-fidelity -k*delta_phi and
     takes best_entry's pick at that threshold.  A step is kept when its
@@ -433,43 +419,45 @@ def edge_throughput_table(
     left).  The staircase ends at the raw pair (ratio 1, which no purified
     entry reaches).
 
-    An entry meets the threshold of k exactly when k is at least its
-    first k (the test is monotone in k), so the pick can change only at
-    some entry's first k.  One sweep over the first-k order, over the
-    entries with b <= pair_budget, keeps a running pick by best_entry's
-    rule and closes a step candidate at the end of each first-k group.
-    That is best_entry's pick over the whole qualifying set, because the
-    rule's pick does not depend on the order it meets the entries in:
-    yields are multiples of delta_xi, so ratios within _GRID_TOL of each
-    other are equal (distinct ones differ by about delta_xi/b^2 or more),
-    and a frontier holds no two entries with equal b and ratio (one would
-    dominate the other).  The entries with b <= pair_budget are the
-    frontier of pair_budget (see _frontier), so every budget >= pair_budget
-    gives the same staircase.  The cost depends on the frontier size, not
-    on delta_phi; the sweep reads each entry's ratio from the first-k
-    order, which computes it once for every table it serves.
+    The frontier is built at the least power of two >= m, or at
+    edge_budget if that is smaller (see the module docstring); its entries
+    with b <= m are the frontier of m (see _frontier), so any size >= m
+    gives the same staircase.  An entry meets the threshold of k exactly
+    when k is at least its first k (the test is monotone in k), so the pick
+    can change only at some entry's first k.  The frontier is sorted by
+    f_hat ascending and a larger f_hat has a first k no larger, so swept in
+    reverse its entries come in first-k order.  The sweep, over the entries
+    with b <= m, keeps a running pick by best_entry's rule and closes a
+    step candidate at the end of each first-k group.  That is best_entry's
+    pick over the whole qualifying set, because the rule's pick does not
+    depend on the order it meets the entries in: yields are multiples of
+    delta_xi, so ratios within _GRID_TOL of each other are equal (distinct
+    ones differ by about delta_xi/b^2 or more), and a frontier holds no two
+    entries with equal b and ratio (one would dominate the other).
     """
-    if pair_budget < 1:
-        raise ValueError("pair_budget must be >= 1")
-    if budget < pair_budget:
-        raise ValueError(f"budget {budget} is below pair_budget {pair_budget}")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if edge_budget < m:
+        raise ValueError(f"edge_budget {edge_budget} is below m {m}")
     if delta_phi <= 0:
         raise ValueError("delta_phi must be positive")
-    order = _first_k_order(budget, f_e, delta_phi, delta_f, delta_xi, mode)
+    frontier = _frontier(min(edge_budget, 1 << (m - 1).bit_length()), f_e, delta_f, delta_xi, mode)
     steps: list = []
     best = None
     best_ratio = last_ratio = -_INF
-    for k, group in itertools.groupby(order, key=itemgetter(0)):
-        for _, ratio, e in group:
-            # best_entry's rule (purification._prefer), on the carried ratios
-            if e.b <= pair_budget and (
-                ratio > best_ratio + _GRID_TOL
-                or abs(ratio - best_ratio) <= _GRID_TOL
+    for k, group in itertools.groupby(reversed(frontier), key=lambda e: _first_k(e.f_hat, delta_phi)):
+        for e in group:
+            if e.b > m:
+                continue
+            # best_entry's rule (purification._prefer)
+            ratio = e.ratio()
+            if ratio > best_ratio + _GRID_TOL or (
+                abs(ratio - best_ratio) <= _GRID_TOL
                 and (e.b < best.b or (e.b == best.b and e.f_hat > best.f_hat + _GRID_TOL))
             ):
                 best, best_ratio = e, ratio
         if best_ratio > last_ratio + _GRID_TOL:
-            steps.append((k, best))
+            steps.append((k, best, math.log(best_ratio * m), (k - 1) * delta_phi))
             last_ratio = best_ratio
             if best.b == 1:
                 break
@@ -632,14 +620,12 @@ def _search(
         raise ValueError("R must be >= 1")
     net = aux.net
     # per-search memos, shared by every pass: (u, w) -> the block of arcs
-    # from a copy of u into w, as (w, (str(w),), Q_w, edge, pair counts
-    # descending, their edge costs, psi_w, LB(w), togo(w), the edge's
-    # successor memo); vertex -> its nonempty slices, a block and the index
-    # where the slice starts; id(edge) -> {m: ((k, entry, psi_e,
-    # (k-1)*delta_phi, arc), ...)}, shared by the edge's two blocks
+    # from a copy of u into w, as (w, (str(w),), Q_w, edge, the edge's
+    # budget, pair counts descending, their edge costs, psi_w, LB(w),
+    # togo(w)); vertex -> its nonempty slices, a block and the index where
+    # the slice starts
     block_memo: dict = {}
     arc_memo: dict = {}
-    succ_memo: dict = {}
     psi_floor = psi0 - _TOL
     phi_floor = phi0 - 1e-9
     phi_low = phi0 - 2e-9
@@ -651,11 +637,13 @@ def _search(
     def block_of(u, w):
         edge = net.edge(u, w)
         q_w = net.node(w).qubits
+        # every arc over the edge allocates m <= min(capacity, Q_u, Q_w)
+        budget = min(edge.capacity, net.node(u).qubits, q_w)
         ms = aux.pair_counts(u, w)
         psi_w = 0.0 if w == aux.t else math.log(net.node(w).swap_prob)
         return (
-            w, (str(w),), q_w, edge, ms, tuple(map(edge.cost_of, ms)), psi_w,
-            to_sink.get(w, _INF), togo.get(w, _INF), succ_memo.setdefault(id(edge), {}),
+            w, (str(w),), q_w, edge, budget, ms, tuple(map(edge.cost_of, ms)), psi_w,
+            to_sink.get(w, _INF), togo.get(w, _INF),
         )
 
     def arcs_of(vertex):
@@ -668,24 +656,11 @@ def _search(
             if block is None:
                 block = block_memo[u, w] = block_of(u, w)
             # (u, i) takes the suffix with m <= i (m descends along the block)
-            ms = block[4]
+            ms = block[5]
             start = sum(m > i for m in ms)
             if start < len(ms):
                 arcs.append((*block, start))
         return arcs
-
-    def successors(edge, m):
-        # every arc over the edge allocates m <= min(capacity, Q_tail, Q_head);
-        # the frontier is built at the least power of two >= m below that
-        # budget (any budget >= m gives the same staircase), so all searches
-        # share it and small pair counts never build the large frontiers
-        budget = min(edge.capacity, net.node(edge.u).qubits, net.node(edge.v).qubits)
-        budget = min(budget, 1 << (m - 1).bit_length())
-        steps = edge_throughput_table(budget, m, edge.fidelity, delta_phi, delta_f, delta_xi, mode)
-        return tuple(
-            (k, entry, math.log(entry.ratio() * m), (k - 1) * delta_phi, (m, k, edge, entry))
-            for k, entry in steps
-        )
 
     cap = togo.get(aux.s, _INF)  # no first arc reaches less
     source_copies = aux.copy_indices(aux.s)
@@ -750,7 +725,7 @@ def _search(
             # a step k into v with k - 1 + LB(v) > kroom - 1 cannot reach t (see
             # the module docstring); phi_credit >= phi_floor, so int() floors
             kroom = int((phi_credit - phi_low) / delta_phi) + 1
-            for key, pkey_v, q_v, edge, ms, costs, psi_v, lb, g, esteps, start in arcs:
+            for key, pkey_v, q_v, edge, budget, ms, costs, psi_v, lb, g, start in arcs:
                 if key in path:
                     continue
                 kcap = kroom - lb
@@ -783,11 +758,11 @@ def _search(
                     if reach < reach0:
                         reach = reach0
                     reaches.append(reach)
-                    steps = esteps.get(m)
-                    if steps is None:
-                        steps = esteps[m] = successors(edge, m)
+                    steps = edge_throughput_table(
+                        budget, m, edge.fidelity, delta_phi, delta_f, delta_xi, mode
+                    )
                     j = q_v - m
-                    for k, entry, psi_e, phi_charge, arc in steps:
+                    for k, entry, psi_e, phi_charge in steps:
                         if k > kcap:
                             break
                         # _ceil_to_grid of the path log-throughput, inlined; psi_base is the
@@ -821,7 +796,7 @@ def _search(
                             head,
                             j,
                             lab,
-                            arc,
+                            (m, k, edge, entry),
                             reach,
                         )
                         killed += _admit(pool, new, beaten, R)

@@ -37,13 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
-from typing import Iterable
 
 import numpy as np
 
 from .pair_algebra import (
     _check_fidelity,
-    _purification_success_raw,
     _purified_fidelity_raw,
     _swap2_raw,
     purification_success_prob,
@@ -176,7 +174,6 @@ _MIN_STEP = 0.001
 _REGIONS = {
     "lemma1": ((0.5, 1.0), (0.7, 1.0)),
     "low": ((0.5, 0.7), (0.5, 0.7)),
-    "success": ((0.7, 1.0), (0.7, 1.0)),
 }
 
 
@@ -200,12 +197,6 @@ def _delta_block(a, b, c, d, swap):
     pas = swap(_purified_fidelity_raw(a, b), _purified_fidelity_raw(c, d))
     sap = _purified_fidelity_raw(swap(a, c), swap(b, d))
     return pas - sap
-
-
-def _margin_block(a, b, c, d, p_s):
-    return _purification_success_raw(a, b) * _purification_success_raw(
-        c, d
-    ) - p_s * _purification_success_raw(_swap2_raw(a, c), _swap2_raw(b, d))
 
 
 def _blocks(region: str, step: float, block_fn):
@@ -236,36 +227,24 @@ def _scan_region(region: str, step: float, block_fn):
     return points, nonpos, viol, lo
 
 
-def lemma1_scan(step: float, regions: Iterable[str] = ("lemma1", "low", "success"), p_s: float = 0.818) -> dict:
+def lemma1_scan(step: float) -> dict:
     """Grid scans of the purify-first advantage over the regions of
     _REGIONS; step must lie in [0.001, 0.1].
 
     - 'lemma1': counts fidelity violations (delta below -1e-12; exact-zero
       boundary ties are not violations).
     - 'low': counts strict purify-and-swap wins.
-    - 'success': success-probability margin at p_s.
     """
     delta = partial(_delta_block, swap=_swap2_raw)
-    report: dict = {"step": step}
-    if "lemma1" in regions:
-        points, _, viol, lo = _scan_region("lemma1", step, delta)
-        report["lemma1"] = {"points": points, "violations": viol, "min_delta": lo}
-    if "low" in regions:
-        points, nonpos, _, lo = _scan_region("low", step, delta)
-        report["low"] = {
-            "points": points,
-            "wins": points - nonpos,
-            "win_fraction": (points - nonpos) / points,
-            "min_delta": lo,
-        }
-    if "success" in regions:
-        points, nonpos, _, lo = _scan_region("success", step, partial(_margin_block, p_s=p_s))
-        report["success"] = {
-            "points": points,
-            "nonpositive": nonpos,
-            "min_margin": lo,
-            "p_s": p_s,
-        }
+    points, _, viol, lo = _scan_region("lemma1", step, delta)
+    report: dict = {"step": step, "lemma1": {"points": points, "violations": viol, "min_delta": lo}}
+    points, nonpos, _, lo = _scan_region("low", step, delta)
+    report["low"] = {
+        "points": points,
+        "wins": points - nonpos,
+        "win_fraction": (points - nonpos) / points,
+        "min_delta": lo,
+    }
     return report
 
 

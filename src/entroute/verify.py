@@ -77,7 +77,7 @@ def run_suite(name: str, seed: int = 0) -> list:
 
 
 def _suite_lemma1(seed: int, step: float = 0.01) -> Report:
-    r = lemma1_scan(step, regions=("lemma1", "low"))
+    r = lemma1_scan(step)
     lines = [
         f"step={step:g}",
         f"points={r['lemma1']['points']}",

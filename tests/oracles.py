@@ -1,12 +1,15 @@
 """Oracles the tests check src/entroute against, written from the
 definitions: the auxiliary graph's arcs and its path bijection, the
 purification tree JSON reader, the gamma table, lemma 1's delta and
-success margin, and the former forms of two fast paths, the frontier
-merge loop and the first-k search.  No entry point of the package needs
-them, so they live here rather than in src/.
+success margin, and the former forms of four fast paths: the frontier
+merge loop, the pumping chain loop, the first-k search and the search's
+throughput steps.  No entry point of the package needs them, so they live
+here rather than in src/.
 """
 
+import itertools
 import math
+from operator import itemgetter
 
 from entroute.auxgraph import VIRTUAL_SINK
 from entroute.pair_algebra import (
@@ -22,10 +25,10 @@ from entroute.purification import (
     _GRID_TOL,
     LEAF,
     ScheduleEntry,
-    _admit,
     _best_schedules,
-    _dominated,
+    _ceil_to_grid,
 )
+from entroute.routing import _first_k, _frontier
 
 # the auxiliary graph's virtual source; the search starts at the top source
 # copy instead
@@ -140,6 +143,29 @@ def success_margin(a: float, b: float, c: float, d: float, p_s: float = 0.818) -
     ) - p_s * purification_success_prob(swap_fidelity([a, c]), swap_fidelity([b, d]))
 
 
+def _dominated(entries: list, b: int, f: float, xi: float) -> bool:
+    """Whether an entry with no more leaves and at least the fidelity and
+    yield (within _GRID_TOL) of the candidate (b, f, xi) is in entries."""
+    f -= _GRID_TOL
+    xi -= _GRID_TOL
+    for e in reversed(entries):
+        if e.b <= b and e.f_hat >= f and e.xi_hat >= xi:
+            return True
+    return False
+
+
+def _admit(entries: list, cand: ScheduleEntry) -> None:
+    """Append a candidate that passed _dominated, dropping the entries it
+    dominates."""
+    b, f, xi = cand.b, cand.f_hat, cand.xi_hat
+    entries[:] = [
+        e
+        for e in entries
+        if not (b <= e.b and f >= e.f_hat - _GRID_TOL and xi >= e.xi_hat - _GRID_TOL)
+    ]
+    entries.append(cand)
+
+
 def merge_frontier(bound: int, f_e: float, delta_f: float, delta_xi: float) -> list:
     """purification._merge_frontier in its former form: ScheduleEntry
     objects throughout, each round's old entries found by the ids of the
@@ -184,3 +210,54 @@ def first_k(f_hat: float, delta_phi: float) -> int:
     while not meets(k):
         k += 1
     return k
+
+
+def pumping_frontier_former(n: int, f_e: float, delta_f: float, delta_xi: float) -> list:
+    """purification.pumping_frontier in its former form: each chain entry
+    tested by _dominated and kept by _admit, which may drop entries."""
+    cur = ScheduleEntry(1, f_e, 1.0, LEAF)
+    entries = [cur]
+    for b in range(2, n + 1):
+        f3 = _ceil_to_grid(purified_fidelity(cur.f_hat, f_e), delta_f)
+        xi3 = _ceil_to_grid(purification_success_prob(cur.f_hat, f_e) * min(cur.xi_hat, 1.0), delta_xi)
+        cur = ScheduleEntry(b, min(f3, 1.0), min(xi3, 1.0), (cur.tree, LEAF))
+        if not _dominated(entries, cur.b, cur.f_hat, cur.xi_hat):
+            _admit(entries, cur)
+    entries.sort(key=lambda e: (e.f_hat, -e.xi_hat, e.b))
+    return entries
+
+
+def first_k_order(budget: int, f_e: float, delta_phi: float, delta_f: float, delta_xi: float, mode: str):
+    """routing's former first-k order: the (first k, ratio xi_hat/b, entry)
+    triples of the frontier built at budget, sorted by first k (ties in
+    frontier order)."""
+    entries = _frontier(budget, f_e, delta_f, delta_xi, mode)
+    return sorted(((_first_k(e.f_hat, delta_phi), e.xi_hat / e.b, e) for e in entries), key=itemgetter(0))
+
+
+def throughput_steps(
+    edge_budget: int, m: int, f_e: float, delta_phi: float, delta_f: float, delta_xi: float, mode: str
+) -> tuple:
+    """The search's former successors of an edge at pair count m, less the
+    arc record: the frontier built at the least power of two >= m capped
+    at edge_budget, its table swept over first_k_order, and per step (k,
+    entry, log(entry.ratio() * m), (k - 1) * delta_phi)."""
+    budget = min(edge_budget, 1 << (m - 1).bit_length())
+    steps = []
+    best = None
+    best_ratio = last_ratio = -math.inf
+    order = first_k_order(budget, f_e, delta_phi, delta_f, delta_xi, mode)
+    for k, group in itertools.groupby(order, key=itemgetter(0)):
+        for _, ratio, e in group:
+            if e.b <= m and (
+                ratio > best_ratio + _GRID_TOL
+                or abs(ratio - best_ratio) <= _GRID_TOL
+                and (e.b < best.b or (e.b == best.b and e.f_hat > best.f_hat + _GRID_TOL))
+            ):
+                best, best_ratio = e, ratio
+        if best_ratio > last_ratio + _GRID_TOL:
+            steps.append((k, best))
+            last_ratio = best_ratio
+            if best.b == 1:
+                break
+    return tuple((k, e, math.log(e.ratio() * m), (k - 1) * delta_phi) for k, e in steps)

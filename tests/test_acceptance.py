@@ -55,13 +55,13 @@ def test_criterion_01_algebra_fixed_points():
 
 def test_criterion_02_advantage_region_scan():
     t0 = time.perf_counter()
-    r = lemma1_scan(0.01, regions=("lemma1", "low"))
+    r = lemma1_scan(0.01)
     elapsed = time.perf_counter() - t0
     assert r["lemma1"]["violations"] == 0
     assert r["low"]["win_fraction"] == 1.0
     assert elapsed < 60.0
     if os.environ.get("ENTROUTE_FINE_SCAN"):  # long-running opt-in
-        fine = lemma1_scan(0.001, regions=("lemma1", "low"))
+        fine = lemma1_scan(0.001)
         assert fine["lemma1"]["violations"] == 0
         assert fine["low"]["win_fraction"] == 1.0
     print(

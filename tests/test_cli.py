@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from entroute import cli
 from entroute.cli import main, scan_points
 from entroute.experiments import config_from_json
 from entroute.network import QuantumNetwork
@@ -557,6 +558,28 @@ def test_strategy_scan_rejects_chain_flags_exits_2(capsys, tmp_path, flag, value
     assert code == 2 and out == ""
     assert f"{flag} does not apply to strategy scan" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--step", "7"), ("--step", "0.01"), ("--region", "low")])
+def test_strategy_policy_rejects_scan_flags_exits_2(capsys, tmp_path, flag, value):
+    # --step and --region shape the scan only; a policy run must not ignore them
+    out_path = tmp_path / "pas.json"
+    code, out, err = run_cli(
+        capsys, "strategy", "--chain", "[[0.8], [0.9]]", "--policy", "pas", flag, value, "--out", str(out_path)
+    )
+    assert code == 2 and out == ""
+    assert f"{flag} applies only to strategy scan" in err
+    assert not out_path.exists()
+
+
+def test_strategy_scan_defaults_step_and_region(capsys, tmp_path, monkeypatch):
+    asked = []
+    monkeypatch.setattr(cli, "scan_points", lambda region, step: asked.append((region, step)) or iter(["x\n"]))
+    out_path = tmp_path / "scan.csv"
+    assert run_cli(capsys, "strategy", "scan", "--out", str(out_path))[0] == 0
+    assert run_cli(capsys, "strategy", "scan", "--region", "low", "--out", str(out_path))[0] == 0
+    assert run_cli(capsys, "strategy", "scan", "--step", "0.05", "--out", str(out_path))[0] == 0
+    assert asked == [("lemma1", 0.01), ("low", 0.01), ("lemma1", 0.05)]
 
 
 @pytest.mark.parametrize("baseline", ["symmetric", "pumping"])

@@ -16,6 +16,7 @@ from entroute.purification import (
     leaf_count,
     max_fidelity_schedule,
     min_leaves,
+    pumping_frontier,
     pumping_schedule,
     schedule,
     symmetric_schedule,
@@ -23,7 +24,7 @@ from entroute.purification import (
     tree_to_json,
     tree_to_text,
 )
-from oracles import gamma_table, merge_frontier, tree_from_json
+from oracles import gamma_table, merge_frontier, pumping_frontier_former, tree_from_json
 
 
 @lru_cache(maxsize=None)
@@ -471,6 +472,14 @@ def test_candidate_frontier_bit_equal_to_former_merge_loop(f_e, n, grid):
     want = merge_frontier(n, f_e, *grid)
     want.sort(key=lambda e: (e.f_hat, -e.xi_hat, e.b))
     assert _bits(candidate_frontier(n, f_e, *grid)) == _bits(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.5, 1.0), st.integers(1, 64), st.sampled_from(_GRIDS))
+def test_pumping_frontier_bit_equal_to_former_loop(f_e, n, grid):
+    """Appending each chain entry after one dominance test builds the
+    frontier the former _dominated and _admit loop built, bit for bit."""
+    assert _bits(pumping_frontier(n, f_e, *grid)) == _bits(pumping_frontier_former(n, f_e, *grid))
 
 
 def _quadratic_success_prob(tree, f_e):

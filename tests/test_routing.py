@@ -36,7 +36,7 @@ from entroute.routing import (
     k_paths,
     min_cost_path,
 )
-from oracles import encode_path, first_k, out_arcs
+from oracles import encode_path, first_k, out_arcs, throughput_steps
 
 
 def line_net(qubits=(2, 3, 3, 2), caps=(2, 2, 2), fids=(0.85, 0.97, 0.85)):
@@ -77,7 +77,7 @@ def entry_at(steps, k):
     """Entry of the last step with k' <= k: the table's pick at split
     index k, or None when no schedule meets that threshold."""
     found = None
-    for k2, e in steps:
+    for k2, e, _, _ in steps:
         if k2 > k:
             break
         found = e
@@ -136,7 +136,7 @@ def test_frontier_covers_exact_pareto():
 
 def test_table_breakpoints_monotone():
     steps = table(3, 0.8, 0.002)
-    ks = [k for k, _ in steps if k <= 400]
+    ks = [k for k, _, _, _ in steps if k <= 400]
     assert ks == sorted(ks)
     ratios = [entry_at(steps, k).ratio() for k in ks]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
@@ -220,8 +220,8 @@ def test_table_steps_match_per_k_scan(m, f_e, delta_phi, grid, mode, kmax):
     entries, compared by value."""
     steps = table(m, f_e, delta_phi, *grid, mode)
     oracle = LazyThroughputTable(m, f_e, delta_phi, *grid, mode)
-    assert [k for k, _ in steps if k <= kmax] == oracle.breakpoints(kmax)
-    for k, e in steps:
+    assert [k for k, _, _, _ in steps if k <= kmax] == oracle.breakpoints(kmax)
+    for k, e, _, _ in steps:
         if k <= kmax:
             assert _entry_key(e) == _entry_key(oracle.entry(k))
     for k in range(1, kmax + 1):
@@ -300,7 +300,29 @@ def test_sweep_staircase_matches_per_k_best_entry(f_e, budgets, delta_phis, grid
         for delta_phi in delta_phis:
             got = edge_throughput_table(budget, m, f_e, delta_phi, *grid, mode)
             want = _per_k_staircase(m, f_e, delta_phi, *grid, mode)
-            assert [(k, _entry_key(e)) for k, e in got] == [(k, _entry_key(e)) for k, e in want]
+            assert [(k, _entry_key(e)) for k, e, _, _ in got] == [(k, _entry_key(e)) for k, e in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(0, 30),
+    st.floats(0.5, 1.0),
+    st.one_of(st.sampled_from([1e-12, 0.001, 0.005, 0.01, 0.02]), st.floats(1e-4, 0.05)),
+    st.sampled_from([(1e-4, 1e-4), (1e-3, 1e-3), (1e-2, 1e-3), (1e-3, 1e-2)]),
+    st.sampled_from(["optimal", "pumping"]),
+)
+def test_table_steps_match_former_first_k_order_sweep(m, extra, f_e, delta_phi, grid, mode):
+    """The table of an edge of any budget >= m, swept over its frontier in
+    reverse, gives the former successors step for step: the same k and
+    entry objects, and psi_e and charge equal to the floats of the former
+    expressions."""
+    edge_budget = m + extra
+    got = edge_throughput_table(edge_budget, m, f_e, delta_phi, *grid, mode)
+    want = throughput_steps(edge_budget, m, f_e, delta_phi, *grid, mode)
+    assert len(got) == len(want) > 0
+    for (k, e, psi_e, charge), (k0, e0, psi_e0, charge0) in zip(got, want):
+        assert k == k0 and e is e0 and psi_e == psi_e0 and charge == charge0
 
 
 @settings(max_examples=80, deadline=None)
@@ -313,9 +335,9 @@ def test_sweep_staircase_matches_per_k_best_entry(f_e, budgets, delta_phis, grid
 )
 def test_least_charge_bounds_every_step(budget, f_e, delta_phi, grid, mode):
     """The charge built without a frontier is no more than that of the
-    edge's cheapest step: the first k of its full-budget first-k order."""
+    edge's cheapest step: the least first k of its full-budget frontier."""
     cheap = routing._least_charge(budget, f_e, delta_phi, grid[0], mode)
-    k_min = routing._first_k_order(budget, f_e, delta_phi, *grid, mode)[0][0]
+    k_min = min(routing._first_k(e.f_hat, delta_phi) for e in routing._frontier(budget, f_e, *grid, mode))
     assert 0 <= cheap <= k_min - 1
 
 
@@ -368,9 +390,9 @@ def test_charge_to_sink_same_on_both_sides_of_the_size_rule(monkeypatch, spec, b
 
 
 def test_table_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="below pair_budget"):
+    with pytest.raises(ValueError, match="edge_budget 4 is below m 5"):
         edge_throughput_table(4, 5, 0.8, 0.01, 1e-4, 1e-4, "optimal")
-    with pytest.raises(ValueError, match="pair_budget"):
+    with pytest.raises(ValueError, match="m must be >= 1"):
         edge_throughput_table(4, 0, 0.8, 0.01, 1e-4, 1e-4, "optimal")
     with pytest.raises(ValueError, match="delta_phi"):
         edge_throughput_table(4, 4, 0.8, 0.0, 1e-4, 1e-4, "optimal")
@@ -387,7 +409,7 @@ def test_table_tiny_step_completes():
     # each step is where the per-k pick first improves, to the exact k
     oracle = LazyThroughputTable(39, 0.55, 1e-12)
     prev = None
-    for k, e in steps:
+    for k, e, _, _ in steps:
         assert _entry_key(oracle.entry(k)) == _entry_key(e)
         assert _entry_key(oracle.entry(k - 1)) == _entry_key(prev)
         prev = e
@@ -839,7 +861,7 @@ def _oracle_search(
                 budget, m, edge.fidelity, delta_phi, delta_f, delta_xi, mode
             )
             psi_v = 0.0 if v == aux.t else math.log(net.node(v).swap_prob)
-            for k, entry in steps:
+            for k, entry, _, _ in steps:
                 if k > kmax:
                     break
                 psi_e = math.log(entry.ratio() * m)
@@ -1331,17 +1353,13 @@ def test_frontier_cache_serves_smaller_budgets():
     assert routing._frontier(12, f_e, *grid, "optimal") is big
     assert routing._frontier(20, f_e, *grid, "optimal") == tuple(candidate_frontier(20, f_e, *grid))
     assert routing._frontier(5, f_e, *grid, "optimal") is small
-    # one first-k order per (budget, delta_phi), shared by every pair count
-    order = routing._first_k_order(12, f_e, 0.01, *grid, "optimal")
-    assert [e for _, _, e in order] == sorted(big, key=lambda e: routing._first_k(e.f_hat, 0.01))
-    assert all(k == routing._first_k(e.f_hat, 0.01) and ratio == e.ratio() for k, ratio, e in order)
-    assert routing._first_k_order(12, f_e, 0.01, *grid, "optimal") is order
-    # another delta_phi sorts the same build
-    other = routing._first_k_order(12, f_e, 0.02, *grid, "optimal")
-    assert {id(e) for _, _, e in other} == {id(e) for e in big}
-    for m in (1, 5, 12):
-        steps = edge_throughput_table(12, m, f_e, 0.01, *grid, "optimal")
-        assert all(any(e is x for x in big) for _, e in steps)
+    # a table of an edge of budget 12 reads the frontier built at the least
+    # power of two >= m, or at 12 if that is smaller
+    for m, size in ((1, 1), (2, 2), (3, 4), (5, 8), (8, 8), (9, 12), (12, 12)):
+        front = routing._frontier(size, f_e, *grid, "optimal")
+        for delta_phi in (0.01, 0.02):
+            steps = edge_throughput_table(12, m, f_e, delta_phi, *grid, "optimal")
+            assert steps and all(any(e is x for x in front) for _, e, _, _ in steps)
     with pytest.raises(ValueError):
         routing._frontier(3, f_e, *grid, "greedy")
 
@@ -1520,23 +1538,18 @@ def test_k_paths_plans_are_distinct():
 
 
 def test_routing_caches_stay_bounded():
-    n = max(routing.TABLE_CACHE_SIZE, routing.FRONTIER_CACHE_SIZE, routing.FRONTS_CACHE_SIZE) + 500
+    bounds = {v for name, v in vars(routing).items() if name.endswith("_CACHE_SIZE")}
+    n = max(bounds) + 500
     for i in range(n):
         f_e = 0.6 + 0.3 * i / n
         routing.edge_throughput_table(1, 1, f_e, 0.01, 1e-4, 1e-4, "optimal")
         routing._least_charge(1, f_e, 0.01, 1e-4, "optimal")
         routing._ceilings((1,), (f_e,), 1e-4, "optimal")
         routing._fronts(1, f_e)
-    # every cache saw more keys than it may hold: each is full, not over
-    for cache, bound in (
-        (routing.edge_throughput_table, routing.TABLE_CACHE_SIZE),
-        (routing._frontier, routing.FRONTIER_CACHE_SIZE),
-        (routing._first_k_order, routing.FRONTIER_CACHE_SIZE),
-        (routing._least_charge, routing.FRONTIER_CACHE_SIZE),
-        (routing._first_k, routing.FIRST_K_CACHE_SIZE),
-        (routing._ceilings, routing.CEILINGS_CACHE_SIZE),
-        (routing._fronts, routing.FRONTS_CACHE_SIZE),
-    ):
+    # every cache of the module saw more keys than it may hold: each is
+    # bounded, and full, not over
+    caches = {name: fn for name, fn in vars(routing).items() if hasattr(fn, "cache_info")}
+    assert {"edge_throughput_table", "_frontier", "_first_k"} <= caches.keys()
+    for name, cache in caches.items():
         info = cache.cache_info()
-        assert info.maxsize == bound
-        assert info.currsize == bound
+        assert info.maxsize in bounds and info.currsize == info.maxsize, (name, info)

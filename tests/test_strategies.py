@@ -14,6 +14,7 @@ from entroute.pair_algebra import (
 from entroute.strategies import (
     RepeaterChain,
     _blocks,
+    _grid,
     lemma1_scan,
     optimal_policy_fidelity,
     purify_and_swap,
@@ -94,6 +95,11 @@ def test_success_margin_frozen():
     assert m == pytest.approx(4e-4, abs=5e-5)
     assert purification_success_prob(0.7, 0.7) == pytest.approx(0.68, abs=1e-12)
     assert swap_fidelity([0.7, 0.7]) == pytest.approx(0.52, abs=1e-12)
+    # purify-and-swap also succeeds more often over (a, b, c, d) in
+    # [0.7, 1]^4 at step 0.05 for p_s = 0.818
+    axis = _grid(0.7, 1.0, 0.05).tolist()
+    assert len(axis) == 7
+    assert min(success_margin(*x, p_s=0.818) for x in itertools.product(axis, repeat=4)) > 0
 
 
 def test_success_comparison_at_07():
@@ -156,7 +162,6 @@ def test_lemma1_scan_coarse():
     assert report["lemma1"]["violations"] == 0
     assert report["low"]["win_fraction"] == 1.0
     assert report["low"]["min_delta"] > 0
-    assert report["success"]["min_margin"] > 0
     for step in (0.5, 0.0009, 1e-320):
         with pytest.raises(ValueError, match=r"step must lie in \[0.001, 0.1\]"):
             lemma1_scan(step)
