@@ -1,19 +1,20 @@
 """Fidelity- and throughput-constrained min-cost entanglement paths.
 
 Label-setting search over the auxiliary graph.  A label carries the path
-cost, a discretized pseudo-fidelity budget, the bottleneck edge
-log-throughput, and a discretized path log-throughput.  Per-edge
+cost, the bottleneck edge log-throughput, and two whole step counts: the
+delta_phi steps of pseudo-fidelity budget charged (phi_units) and the
+discretized path log-throughput over delta_psi (psi_units).  Per-edge
 purification options come from two memoized functions, each a pure
 function of its arguments: the purification frontier of an edge's
 fidelity, and per pair count m a throughput table, the immutable
 staircase of finished search steps (split index, schedule, edge
-log-throughput, budget charge) swept from the frontier built at the least
-power of two >= m, or at the edge's budget min(capacity, Q_u, Q_v) if
-that is smaller.  The table depends on the edge and m alone, so every
-search over a network shares its frontiers and tables, and a search that
-reaches small pair counts only never builds the large frontiers.  The
-search reads the table of each arc it walks, and builds the arc record
-(m, k, edge, schedule) of a step only for a label it admits.
+log-throughput) swept from the frontier built at the least power of two
+>= m, or at the edge's budget min(capacity, Q_u, Q_v) if that is smaller.
+The table depends on the edge and m alone, so every search over a network
+shares its frontiers and tables, and a search that reaches small pair
+counts only never builds the large frontiers.  The search reads the table
+of each arc it walks, and builds the arc record (m, k, edge, schedule) of
+a step only for a label it admits.
 
 The search starts from a single label at the top source copy.  Every
 intermediate copy index is fixed by the allocation into it (j = Q_v - m),
@@ -32,7 +33,7 @@ first ones.  A scan back from the cheap end stops at the last arc cut, whose
 reach is the least cut, and only the arcs after it are walked, in block
 order.  So the same labels are pushed in the same order as by a walk of
 every arc, and capped and pruned count the same arcs.  A candidate is
-tested against its node's pool on its raw (cost, phi credit, psi_hat, copy
+tested against its node's pool on its raw (cost, phi_units, psi_units, copy
 index) before any label, arc record, path tuple or heap key is built.
 They are exactly the values the label would carry, and the test reads
 nothing else, so testing before the build admits and kills the same
@@ -41,9 +42,9 @@ nothing.
 
 Label pools.  Each original node, and the sink, has one pool: its alive
 labels in insertion order.  A label d dominates x when d.cost <= x.cost +
-_TOL, d.phi_credit >= x.phi_credit - _TOL and d.psi_hat >= x.psi_hat -
-_TOL, and it counts against x at a copy index at least x's (a higher copy
-reaches every arc a lower one does, at identical terms).  Under relaxed
+_TOL, d.phi_units <= x.phi_units and d.psi_units >= x.psi_units, and it
+counts against x at a copy index at least x's (a higher copy reaches
+every arc a lower one does, at identical terms).  Under relaxed
 dominance R, a candidate is admitted unless R pool labels count against
 it, and a pool label dies once R do.  A killed label leaves its pool at
 once; it keeps an alive flag only because the heap deletes lazily.
@@ -58,25 +59,22 @@ at its first label.  stats= reports the scans that rejected, the kills and
 the dead labels popped.
 
 The phi lower bound.  Before the search, one Dijkstra from t over the
-physical network (_charge_to_sink) gives LB(v) in units of delta_phi: no
-path the search can extend a label along from v to t charges less than
-LB(v)*delta_phi.  A label with phi credit c takes a step k into v only when
-k - 1 + LB(v) <= floor((c - phi0 + 2e-9)/delta_phi).  Steps ascend in k, so
-this caps each arc's k below kmax at no cost per step; stats= counts the
-arcs whose cap it lowers as pruned.  A dropped step cannot reach the sink:
-its completions would end with credit below phi0 - 2e-9, up to float
-rounding (~1e-14), and the floor is phi0 - 1e-9.  Call a label at v safe
-when its credit is at least LB(v)*delta_phi + phi0 - 1e-9 - 1e-13.  A
-label that can complete is safe, and a safe label is never dropped.  The
-parent of a safe label is safe (LB(u) is at most the edge's charge plus
-LB(v)), and so is every label that dominates a safe one: credits are sums
-of multiples of delta_phi, so a credit at least another's - _TOL lies on
-the same multiple or a higher one (for delta_phi > 2*_TOL), and no chain
-of dominators loses more than float rounding.  The admission and kill of
-a safe label depend only on the labels that dominate it.  So the safe
-labels are admitted, killed and popped, in the same relative order, as
-without the bound.  Sink labels are safe, so the sink pops and plans are
-unchanged.
+physical network (_charge_to_sink) gives LB(v) in delta_phi steps: no path
+the search can extend a label along from v to t charges less than LB(v)
+steps.  A label meets phi0 when it carries at most room = floor(-phi0 /
+delta_phi + 1e-9) steps, so one with u steps takes a step k (charged k -
+1) into v only when k <= kmax - LB(v), kmax = room - u + 1.  Steps ascend
+in k, so this caps each arc's k at no cost per step; stats= counts the
+arcs whose cap it lowers (LB(v) > 0) as pruned.  A dropped step carries u
++ k - 1 + LB(v) > room steps with its least completion, so it cannot reach
+the sink.  Call a label at v safe when u + LB(v) <= room.  A label that can
+complete is safe, and a safe label is never dropped.  The parent of a safe
+label is safe (LB(u) is at most the edge's charge plus LB(v)), and so is
+every label that dominates one: it carries no more steps.  The admission
+and kill of a safe label depend only on the labels that dominate it.  So
+the safe labels are admitted, killed and popped, in the same relative
+order, as without the bound.  Sink labels are safe, so the sink pops and
+plans are unchanged.
 
 Each edge is charged _least_charge: the first k, less one, of a ceiling on
 the f_hat of its frontier.  Each ceiling is a recursion over the edge's
@@ -139,8 +137,8 @@ that differ by more than about 1e-9 relative, some thousand gaps above the
 results, so T = top usually certifies a pass.
 
 Budget accounting: an edge expanded at split index k demands per-edge
-pseudo-fidelity -k*delta_phi but is charged only (k-1)*delta_phi against
-the label's budget.  The round-down credit keeps the label of an exactly
+pseudo-fidelity -k*delta_phi but is charged only k - 1 steps against the
+label's budget.  The round-down credit keeps the label of an exactly
 feasible path alive (so cost never exceeds the true optimum) while
 retained labels still certify phi_hat >= phi0 - |path|*delta_phi.
 """
@@ -409,8 +407,8 @@ def edge_throughput_table(
 ) -> tuple:
     """Throughput table of an edge of fidelity f_e and budget edge_budget
     (the most pairs any arc over it allocates) at pair count m: the
-    staircase of (k, entry, psi_e, charge) steps worth expanding, ascending
-    in k, psi_e being log(entry.ratio() * m) and charge (k - 1)*delta_phi.
+    staircase of (k, entry, psi_e) steps worth expanding, ascending in k,
+    psi_e being log(entry.ratio() * m).
 
     At split index k the edge must reach pseudo-fidelity -k*delta_phi and
     takes best_entry's pick at that threshold.  A step is kept when its
@@ -457,7 +455,7 @@ def edge_throughput_table(
             ):
                 best, best_ratio = e, ratio
         if best_ratio > last_ratio + _GRID_TOL:
-            steps.append((k, best, math.log(best_ratio * m), (k - 1) * delta_phi))
+            steps.append((k, best, math.log(best_ratio * m)))
             last_ratio = best_ratio
             if best.b == 1:
                 break
@@ -499,15 +497,15 @@ class RoutePlan:
 
 class _Label:
     __slots__ = (
-        "cost", "phi_credit", "psi_b", "psi_hat", "path", "pkey", "vertex", "copy", "parent", "arc",
+        "cost", "phi_units", "psi_b", "psi_units", "path", "pkey", "vertex", "copy", "parent", "arc",
         "alive", "reach",
     )
 
-    def __init__(self, cost, phi_credit, psi_b, psi_hat, path, pkey, vertex, copy, parent, arc, reach=0.0):
+    def __init__(self, cost, phi_units, psi_b, psi_units, path, pkey, vertex, copy, parent, arc, reach=0.0):
         self.cost = cost
-        self.phi_credit = phi_credit
+        self.phi_units = phi_units  # delta_phi steps charged: the credit is -phi_units*delta_phi
         self.psi_b = psi_b
-        self.psi_hat = psi_hat
+        self.psi_units = psi_units  # psi_hat / delta_psi (unused at the root)
         self.path = path
         self.pkey = pkey  # heap tie-break: tuple(map(str, path))
         self.vertex = vertex
@@ -518,32 +516,25 @@ class _Label:
         self.reach = reach  # lower bound on the cost of every completion
 
 
-def _scan(pool: list, cost: float, phi_credit: float, psi_hat: float, copy: int, R: int):
+def _scan(pool: list, cost: float, phi_units: int, psi_units: int, copy: int, R: int):
     """One newest-first pass over a pool for a candidate's values.
 
     Returns None at the R-th label at copy index copy or higher that
-    dominates (cost, phi_credit, psi_hat).  Otherwise returns the labels at
-    copy index <= copy that the values dominate, in pool order.  Values
+    dominates (cost, phi_units, psi_units).  Otherwise returns the labels at
+    copy index <= copy that the values dominate, in pool order.  Costs
     equal within _TOL dominate both ways.
     """
     tol = _TOL
     cost_hi = cost + tol
-    phi_lo = phi_credit - tol
-    psi_lo = psi_hat - tol
     count = 0
     beaten = []
     for e in reversed(pool):
         e_cost = e.cost
-        if e_cost <= cost_hi and e.phi_credit >= phi_lo and e.psi_hat >= psi_lo and e.copy >= copy:
+        if e_cost <= cost_hi and e.phi_units <= phi_units and e.psi_units >= psi_units and e.copy >= copy:
             count += 1
             if count >= R:
                 return None
-        if (
-            cost <= e_cost + tol
-            and phi_credit >= e.phi_credit - tol
-            and psi_hat >= e.psi_hat - tol
-            and e.copy <= copy
-        ):
+        if cost <= e_cost + tol and phi_units <= e.phi_units and psi_units >= e.psi_units and e.copy <= copy:
             beaten.append(e)
     beaten.reverse()
     return beaten
@@ -562,15 +553,15 @@ def _admit(pool: list, lab: _Label, beaten: list, R: int) -> int:
     killed = 0
     for e in beaten:
         cost_hi = e.cost + _TOL
-        phi_lo = e.phi_credit - _TOL
-        psi_lo = e.psi_hat - _TOL
+        phi_units = e.phi_units
+        psi_units = e.psi_units
         copy = e.copy
         count = 0
         for x in reversed(pool):
             if (
                 x.cost <= cost_hi
-                and x.phi_credit >= phi_lo
-                and x.psi_hat >= psi_lo
+                and x.phi_units <= phi_units
+                and x.psi_units >= psi_units
                 and x.copy >= copy
                 and x is not e
             ):
@@ -594,6 +585,18 @@ def _certified(top: float, reaches: list, least_cut: float) -> bool:
             break
         top = r
     return least_cut > top + gap
+
+
+def _least_steps(lo: float, step: float):
+    """The least integer n with n*step >= lo in floats (monotone in n); the
+    quotient's ceiling is at most one off.  An infinite or nan quotient is
+    returned as is: n < inf always holds, n < -inf or nan never."""
+    n = lo / step
+    if math.isfinite(n):
+        n = math.ceil(n)
+        n -= (n - 1) * step >= lo
+        n += n * step < lo
+    return n
 
 
 def _search(
@@ -626,12 +629,13 @@ def _search(
     # the slice starts
     block_memo: dict = {}
     arc_memo: dict = {}
-    psi_floor = psi0 - _TOL
-    phi_floor = phi0 - 1e-9
-    phi_low = phi0 - 2e-9
-    # no label has more credit than the root's 0, so none can use an LB(v)
-    # above the root's room; such nodes are left out, as if unreachable
-    to_sink = _charge_to_sink(net, aux.s, aux.t, int(-phi_low / delta_phi), delta_phi, delta_f, mode)
+    # a label meets phi0 while it carries at most room delta_phi steps, and
+    # psi0 while its psi_hat is at least psi_min delta_psi steps
+    room = math.floor(-phi0 / delta_phi + 1e-9)
+    psi_min = _least_steps(psi0 - _TOL, delta_psi)
+    # no label carries fewer steps than the root's 0, so none can use an
+    # LB(v) above room; such nodes are left out, as if unreachable
+    to_sink = _charge_to_sink(net, aux.s, aux.t, room, delta_phi, delta_f, mode)
     togo = _cost_to_sink(aux)
 
     def block_of(u, w):
@@ -677,7 +681,7 @@ def _search(
         limit = cap + _MARGIN * (1 + cap)
         if source_copies:
             top = max(source_copies)
-            root = _Label(0.0, 0.0, _INF, _INF, (aux.s,), (str(aux.s),), (aux.s, top), top, None, None)
+            root = _Label(0.0, 0, _INF, 0, (aux.s,), (str(aux.s),), (aux.s, top), top, None, None)
             pools[aux.s] = [root]
             heapq.heappush(heap, (0.0, 0, root.pkey, next(counter), root))
 
@@ -694,7 +698,7 @@ def _search(
                     break
                 continue
             expanded_at[vertex] = expanded_at.get(vertex, 0) + 1
-            cost, phi_credit, psi_hat, psi_b = lab.cost, lab.phi_credit, lab.psi_hat, lab.psi_b
+            cost, phi_units, psi_units, psi_b = lab.cost, lab.phi_units, lab.psi_units, lab.psi_b
             reach0 = lab.reach
             path = lab.path
             depth = len(path)
@@ -702,11 +706,11 @@ def _search(
                 # the one arc out of a sink copy: a zero-cost hop into the sink
                 sink = VIRTUAL_SINK
                 pool = pools.setdefault(sink, [])
-                beaten = _scan(pool, cost, phi_credit, psi_hat, 0, R)
+                beaten = _scan(pool, cost, phi_units, psi_units, 0, R)
                 if beaten is None:
                     rejected += 1
                     continue
-                new = _Label(cost, phi_credit, psi_b, psi_hat, path, lab.pkey, sink, 0, lab, None, reach0)
+                new = _Label(cost, phi_units, psi_b, psi_units, path, lab.pkey, sink, 0, lab, None, reach0)
                 killed += _admit(pool, new, beaten, R)
                 heapq.heappush(heap, (cost, depth - 1, new.pkey, next(counter), new))
                 pushed_at[sink] = pushed_at.get(sink, 0) + 1
@@ -716,25 +720,18 @@ def _search(
                     cap = min(cap, sorted(e.cost for e in pool)[R - 1])
                     limit = cap + _MARGIN * (1 + cap)
                 continue
-            kmax = int(math.floor((phi_credit - phi0) / delta_phi + 1e-9)) + 1
-            if kmax < 1:
-                continue
+            kmax = room - phi_units + 1  # k <= kmax keeps phi_units + k - 1 <= room
             arcs = arc_memo.get(vertex)
             if arcs is None:
                 arcs = arc_memo[vertex] = arcs_of(vertex)
-            # a step k into v with k - 1 + LB(v) > kroom - 1 cannot reach t (see
-            # the module docstring); phi_credit >= phi_floor, so int() floors
-            kroom = int((phi_credit - phi_low) / delta_phi) + 1
             for key, pkey_v, q_v, edge, budget, ms, costs, psi_v, lb, g, start in arcs:
                 if key in path:
                     continue
-                kcap = kroom - lb
+                kcap = kmax - lb  # a larger k cannot reach t (see the module docstring)
                 if kcap < kmax:
                     pruned += len(ms) - start
                     if kcap < 1:
                         continue
-                else:
-                    kcap = kmax
                 # reaches do not rise along a block, so the arcs the cap cuts
                 # are its first ones: scan back from the cheap end to the
                 # last one cut, the least reach cut
@@ -749,7 +746,7 @@ def _search(
                             least_cut = reach
                         break
                     first -= 1
-                psi_base = psi_v + psi_hat
+                psi_base = psi_v + psi_units * delta_psi
                 pool = pools.get(key)
                 for a in range(first, len(ms)):
                     m = ms[a]
@@ -762,35 +759,33 @@ def _search(
                         budget, m, edge.fidelity, delta_phi, delta_f, delta_xi, mode
                     )
                     j = q_v - m
-                    for k, entry, psi_e, phi_charge in steps:
+                    for k, entry, psi_e in steps:
                         if k > kcap:
                             break
-                        # _ceil_to_grid of the path log-throughput, inlined; psi_base is the
-                        # first partial sum of psi_v + psi_hat + psi_e - psi_b, so each value
-                        # is the float that summing left to right gives
+                        # the path log-throughput in delta_psi steps, rounded up; psi_base
+                        # is the first partial sum of psi_v + psi_hat + psi_e - psi_b, so
+                        # each value is the float that summing left to right gives
                         if psi_b == _INF:
-                            psi_hat2 = math.ceil((psi_v + psi_e) / delta_psi - 1e-9) * delta_psi
+                            psi_units2 = math.ceil((psi_v + psi_e) / delta_psi - 1e-9)
                         elif psi_e <= psi_b:
-                            psi_hat2 = math.ceil((psi_base + psi_e - psi_b) / delta_psi - 1e-9) * delta_psi
+                            psi_units2 = math.ceil((psi_base + psi_e - psi_b) / delta_psi - 1e-9)
                         else:
-                            psi_hat2 = math.ceil(psi_base / delta_psi - 1e-9) * delta_psi
-                        if psi_hat2 < psi_floor:
+                            psi_units2 = math.ceil(psi_base / delta_psi - 1e-9)
+                        if psi_units2 < psi_min:
                             continue
-                        phi_credit2 = phi_credit - phi_charge
-                        if phi_credit2 < phi_floor:
-                            continue
+                        phi_units2 = phi_units + k - 1
                         if pool is None:
                             pool = pools[key] = []
-                        beaten = _scan(pool, cost2, phi_credit2, psi_hat2, j, R)
+                        beaten = _scan(pool, cost2, phi_units2, psi_units2, j, R)
                         if beaten is None:
                             rejected += 1
                             continue
                         head = (key, j)
                         new = _Label(
                             cost2,
-                            phi_credit2,
+                            phi_units2,
                             psi_b if psi_b < psi_e else psi_e,
-                            psi_hat2,
+                            psi_units2,
                             path + (key,),
                             lab.pkey + pkey_v,
                             head,
@@ -834,7 +829,9 @@ def _search(
     return results
 
 
-def _plan_from_label(aux: AuxiliaryGraph, lab: _Label, delta_phi: float) -> RoutePlan:
+def _plan_from_label(aux: AuxiliaryGraph, lab: _Label, delta_phi: float, delta_psi: float) -> RoutePlan:
+    """The plan of a sink label: phi_hat is 0.0 less (k - 1)*delta_phi per
+    arc in path order, less |arcs|*delta_phi, and psi_hat psi_units*delta_psi."""
     arcs = []
     cur = lab
     while cur is not None:
@@ -844,7 +841,9 @@ def _plan_from_label(aux: AuxiliaryGraph, lab: _Label, delta_phi: float) -> Rout
     arcs.reverse()
     nodes = list(lab.path)
     pair_counts, trees, fids, lams = [], [], [], []
-    for m, _, edge, entry in arcs:
+    phi_hat = 0.0
+    for m, k, edge, entry in arcs:
+        phi_hat -= (k - 1) * delta_phi
         f_exact, xi_exact = evaluate_tree(entry.tree, edge.fidelity)
         pair_counts.append(m)
         trees.append(entry.tree)
@@ -862,8 +861,8 @@ def _plan_from_label(aux: AuxiliaryGraph, lab: _Label, delta_phi: float) -> Rout
         fidelity=swap_fidelity(fids),
         throughput=min(lams) * p_prod,
         cost=lab.cost,
-        phi_hat=lab.phi_credit - len(arcs) * delta_phi,
-        psi_hat=lab.psi_hat,
+        phi_hat=phi_hat - len(arcs) * delta_phi,
+        psi_hat=lab.psi_units * delta_psi,
     )
 
 
@@ -888,7 +887,7 @@ def min_cost_path(
     found = _search(aux, phi0, psi0, delta_phi, delta_psi, 1, delta_f, delta_xi, stats, mode)
     if not found:
         return None
-    return _plan_from_label(aux, found[0], delta_phi)
+    return _plan_from_label(aux, found[0], delta_phi, delta_psi)
 
 
 def k_paths(
@@ -905,7 +904,7 @@ def k_paths(
     frontier grid."""
     delta_phi, delta_psi = deltas
     found = _search(aux, phi0, psi0, delta_phi, delta_psi, R, 1e-4, 1e-4, stats)
-    return [_plan_from_label(aux, lab, delta_phi) for lab in found]
+    return [_plan_from_label(aux, lab, delta_phi, delta_psi) for lab in found]
 
 
 def discretization_steps(aux: AuxiliaryGraph, phi0: float, psi0: float, eps: float):

@@ -241,7 +241,7 @@ def throughput_steps(
     """The search's former successors of an edge at pair count m, less the
     arc record: the frontier built at the least power of two >= m capped
     at edge_budget, its table swept over first_k_order, and per step (k,
-    entry, log(entry.ratio() * m), (k - 1) * delta_phi)."""
+    entry, log(entry.ratio() * m))."""
     budget = min(edge_budget, 1 << (m - 1).bit_length())
     steps = []
     best = None
@@ -260,4 +260,4 @@ def throughput_steps(
             last_ratio = best_ratio
             if best.b == 1:
                 break
-    return tuple((k, e, math.log(e.ratio() * m), (k - 1) * delta_phi) for k, e in steps)
+    return tuple((k, e, math.log(e.ratio() * m)) for k, e in steps)

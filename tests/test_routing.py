@@ -77,7 +77,7 @@ def entry_at(steps, k):
     """Entry of the last step with k' <= k: the table's pick at split
     index k, or None when no schedule meets that threshold."""
     found = None
-    for k2, e, _, _ in steps:
+    for k2, e, _ in steps:
         if k2 > k:
             break
         found = e
@@ -136,7 +136,7 @@ def test_frontier_covers_exact_pareto():
 
 def test_table_breakpoints_monotone():
     steps = table(3, 0.8, 0.002)
-    ks = [k for k, _, _, _ in steps if k <= 400]
+    ks = [k for k, _, _ in steps if k <= 400]
     assert ks == sorted(ks)
     ratios = [entry_at(steps, k).ratio() for k in ks]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
@@ -220,8 +220,8 @@ def test_table_steps_match_per_k_scan(m, f_e, delta_phi, grid, mode, kmax):
     entries, compared by value."""
     steps = table(m, f_e, delta_phi, *grid, mode)
     oracle = LazyThroughputTable(m, f_e, delta_phi, *grid, mode)
-    assert [k for k, _, _, _ in steps if k <= kmax] == oracle.breakpoints(kmax)
-    for k, e, _, _ in steps:
+    assert [k for k, _, _ in steps if k <= kmax] == oracle.breakpoints(kmax)
+    for k, e, _ in steps:
         if k <= kmax:
             assert _entry_key(e) == _entry_key(oracle.entry(k))
     for k in range(1, kmax + 1):
@@ -300,7 +300,7 @@ def test_sweep_staircase_matches_per_k_best_entry(f_e, budgets, delta_phis, grid
         for delta_phi in delta_phis:
             got = edge_throughput_table(budget, m, f_e, delta_phi, *grid, mode)
             want = _per_k_staircase(m, f_e, delta_phi, *grid, mode)
-            assert [(k, _entry_key(e)) for k, e, _, _ in got] == [(k, _entry_key(e)) for k, e in want]
+            assert [(k, _entry_key(e)) for k, e, _ in got] == [(k, _entry_key(e)) for k, e in want]
 
 
 @settings(max_examples=100, deadline=None)
@@ -315,14 +315,13 @@ def test_sweep_staircase_matches_per_k_best_entry(f_e, budgets, delta_phis, grid
 def test_table_steps_match_former_first_k_order_sweep(m, extra, f_e, delta_phi, grid, mode):
     """The table of an edge of any budget >= m, swept over its frontier in
     reverse, gives the former successors step for step: the same k and
-    entry objects, and psi_e and charge equal to the floats of the former
-    expressions."""
+    entry objects, and psi_e equal to the float of the former expression."""
     edge_budget = m + extra
     got = edge_throughput_table(edge_budget, m, f_e, delta_phi, *grid, mode)
     want = throughput_steps(edge_budget, m, f_e, delta_phi, *grid, mode)
     assert len(got) == len(want) > 0
-    for (k, e, psi_e, charge), (k0, e0, psi_e0, charge0) in zip(got, want):
-        assert k == k0 and e is e0 and psi_e == psi_e0 and charge == charge0
+    for (k, e, psi_e), (k0, e0, psi_e0) in zip(got, want):
+        assert k == k0 and e is e0 and psi_e == psi_e0
 
 
 @settings(max_examples=80, deadline=None)
@@ -409,7 +408,7 @@ def test_table_tiny_step_completes():
     # each step is where the per-k pick first improves, to the exact k
     oracle = LazyThroughputTable(39, 0.55, 1e-12)
     prev = None
-    for k, e, _, _ in steps:
+    for k, e, _ in steps:
         assert _entry_key(oracle.entry(k)) == _entry_key(e)
         assert _entry_key(oracle.entry(k - 1)) == _entry_key(prev)
         prev = e
@@ -692,7 +691,7 @@ def test_label_invariants():
     bound = (math.ceil(abs(phi0) / dphi) + 1) * (
         math.ceil((psi_max + dpsi - psi0) / dpsi) + 2
     )
-    for vertex, labels in _label_stats(pushed)["labels"].items():
+    for vertex, labels in _label_stats(pushed, (dphi, dpsi))["labels"].items():
         assert len(labels) <= bound
         for i, a in enumerate(labels):
             for b in labels[i + 1 :]:
@@ -861,7 +860,7 @@ def _oracle_search(
                 budget, m, edge.fidelity, delta_phi, delta_f, delta_xi, mode
             )
             psi_v = 0.0 if v == aux.t else math.log(net.node(v).swap_prob)
-            for k, entry, _, _ in steps:
+            for k, entry, _ in steps:
                 if k > kmax:
                     break
                 psi_e = math.log(entry.ratio() * m)
@@ -898,20 +897,44 @@ def _oracle_search(
     return results
 
 
-def _label_stats(labels) -> dict:
+def _label_stats(labels, deltas=None) -> dict:
     """alive_per_vertex and labels of stats= over the alive ones of labels,
-    grouped by vertex in the order given."""
+    grouped by vertex in the order given.  Labels are listed by the former
+    search's floats: _Labels (deltas given) by those their steps stand for."""
     per_vertex: dict = {}
     for e in labels:
         if e.alive:
             per_vertex.setdefault(e.vertex, []).append(e)
     return {
         "alive_per_vertex": {v: len(ls) for v, ls in per_vertex.items()},
-        "labels": {
-            v: [(e.cost, e.phi_credit, e.psi_b, e.psi_hat, e.path) for e in ls]
-            for v, ls in per_vertex.items()
-        },
+        "labels": {v: [_label_values(e, deltas) for e in ls] for v, ls in per_vertex.items()},
     }
+
+
+def _label_values(lab, deltas=None) -> tuple:
+    """(cost, phi credit, psi_b, psi_hat, path) of a former search's label,
+    or of a _Label when deltas = (delta_phi, delta_psi): its credit the
+    running float sum 0.0 less (k - 1)*delta_phi per arc in path order, its
+    psi_hat psi_units*delta_psi (the root's inf)."""
+    if deltas is None:
+        return (lab.cost, lab.phi_credit, lab.psi_b, lab.psi_hat, lab.path)
+    delta_phi, delta_psi = deltas
+    credit = 0.0
+    for _, k, _, _ in _arcs(lab):
+        credit -= (k - 1) * delta_phi
+    psi_hat = _INF if lab.parent is None else lab.psi_units * delta_psi
+    return (lab.cost, credit, lab.psi_b, psi_hat, lab.path)
+
+
+def _arcs(lab) -> list:
+    """The arc records (m, k, edge, entry) along a label's path, in path
+    order."""
+    arcs = []
+    while lab is not None:
+        if lab.arc is not None:
+            arcs.append(lab.arc)
+        lab = lab.parent
+    return arcs[::-1]
 
 
 def _reach(lab, togo) -> float:
@@ -1008,10 +1031,33 @@ _search_cases = st.one_of(
     ),
 )
 _steps = st.sampled_from([0.005, 0.01, 0.02])
+# -phi0/delta_phi at delta_phi = 0.01 lies 1e-7 below 31: in the band of 2e-9
+# / delta_phi below an integer where the former phi bound, floor((c - phi0 +
+# 2e-9)/delta_phi), let through one step more than room; those steps cannot
+# complete, and on _grid_case(3, (5, 15), 3, _F0_BAND) some are pushed there
+_F0_BAND = inverse_pseudo_fidelity(-(31 - 1e-7) * 0.01)
 
 
 def _plan_key(plan):
     return (plan.nodes, plan.pair_counts, plan.trees, plan.cost, plan.phi_hat, plan.psi_hat)
+
+
+def _oracle_plan_key(lab, delta_phi):
+    """_plan_key of the plan of a former search's sink label, built from
+    its float credit and psi_hat as the former _plan_from_label did."""
+    arcs = _arcs(lab)
+    return (
+        list(lab.path),
+        [m for m, _, _, _ in arcs],
+        [entry.tree for _, _, _, entry in arcs],
+        lab.cost,
+        lab.phi_credit - len(arcs) * delta_phi,
+        lab.psi_hat,
+    )
+
+
+def _plan_keys(aux, labels, delta_phi, delta_psi):
+    return [_plan_key(routing._plan_from_label(aux, lab, delta_phi, delta_psi)) for lab in labels]
 
 
 @settings(max_examples=80, deadline=None)
@@ -1020,23 +1066,24 @@ def _plan_key(plan):
 @example(_grid_case(3, (5, 15), 4, 0.8), 3, "optimal", 0.005, 0.005)
 @example(_grid_case(3, (5, 15), 3, 0.8), 3, "optimal", 0.005, 0.005)  # steps rejected, labels killed
 @example(_weighted_case(287, (0.1, 0.2, 0.3, 0.7)), 3, "optimal", 0.01, 0.01)  # a reach is its parent's
+@example(_grid_case(3, (5, 15), 3, _F0_BAND), 3, "optimal", 0.01, 0.01)
 def test_search_matches_former_search(case, R, mode, delta_phi, delta_psi):
     """Testing dominance on raw values before a label is built, the
-    per-search arc and successor memos, the phi lower bound and the cost
-    cap change no plan, and no admission, kill or heap pop of a label both
-    bounds keep: the plans equal the former search's, and the final pass's
-    pushes, expansions and alive labels (in pool order) among the labels
+    per-search arc and successor memos, the phi lower bound, the cost cap
+    and labels on integer grids change no plan, and no admission, kill or
+    heap pop of a label both bounds keep: the plans equal the former
+    search's, and the final pass's pushes, expansions and alive labels (in
+    pool order, by the floats the former search carried) among the labels
     whose reach is at most the results' (all of them when the search
     returns fewer than R plans) equal the former search's among the labels
     that also pass the phi bound.  That keeps a label whose step k into v
-    from a parent with credit c has k - 1 + LB(v) <= floor((c - phi0 +
-    2e-9)/delta_phi).  stats= describes that final pass."""
+    from a parent charged u steps has u + k - 1 + LB(v) <= room =
+    floor(-phi0/delta_phi + 1e-9).  stats= describes that final pass."""
     aux, f0 = case
     phi0 = pseudo_fidelity(f0)
     args = (aux, phi0, math.log(0.2), delta_phi, delta_psi, R, 1e-4, 1e-4)
-    phi_low = phi0 - 2e-9
-    limit = int(-phi_low / delta_phi)
-    to_sink = routing._charge_to_sink(aux.net, aux.s, aux.t, limit, delta_phi, 1e-4, mode)
+    room = math.floor(-phi0 / delta_phi + 1e-9)
+    to_sink = routing._charge_to_sink(aux.net, aux.s, aux.t, room, delta_phi, 1e-4, mode)
     togo = routing._cost_to_sink(aux)
 
     got, got_stats, pushed, expanded = _logged_search(*args, mode)
@@ -1050,20 +1097,22 @@ def test_search_matches_former_search(case, R, mode, delta_phi, delta_psi):
             return False
         if lab.vertex == VIRTUAL_SINK:
             return True
-        room = int((lab.parent.phi_credit - phi_low) / delta_phi)
-        return lab.arc[1] - 1 + to_sink.get(lab.vertex[0], math.inf) <= room
+        units = round(-lab.parent.phi_credit / delta_phi)
+        return units + lab.arc[1] - 1 + to_sink.get(lab.vertex[0], math.inf) <= room
 
     want_stats = {}
     want = _oracle_search(*args, want_stats, mode, keep)
-    assert [_plan_key(routing._plan_from_label(aux, lab, delta_phi)) for lab in got] == [
-        _plan_key(routing._plan_from_label(aux, lab, delta_phi)) for lab in want
-    ]
+    assert _plan_keys(aux, got, delta_phi, delta_psi) == [_oracle_plan_key(lab, delta_phi) for lab in want]
     assert all(lab.reach == _reach(lab, togo) for lab in pushed)
     # stats= counts the final pass
     assert got_stats["pushed"] == len(pushed[1:]) and got_stats["expanded"] == len(expanded)
-    assert got_stats["alive_per_vertex"] == _label_stats(pushed)["alive_per_vertex"]
+    assert got_stats["alive_per_vertex"] == _label_stats(pushed, (delta_phi, delta_psi))["alive_per_vertex"]
     kept = [lab for lab in pushed if low(lab)]
-    got_low = {"pushed": len(kept[1:]), "expanded": sum(map(low, expanded)), **_label_stats(kept)}
+    got_low = {
+        "pushed": len(kept[1:]),
+        "expanded": sum(map(low, expanded)),
+        **_label_stats(kept, (delta_phi, delta_psi)),
+    }
     for key in ("pushed", "expanded", "alive_per_vertex", "labels"):
         assert got_low[key] == want_stats[key], key
     assert list(got_low["labels"]) == list(want_stats["labels"])
@@ -1155,14 +1204,12 @@ def test_cost_cap_keeps_instance_46():
     at the third plan's cost, so a cap that cut an arc it should keep would
     end uncapped (cap inf) or in a third pass."""
     args = _instance_46()
-    aux, delta_phi = args[0], args[3]
+    aux, delta_phi, delta_psi = args[0], args[3], args[4]
     stats: dict = {}
     got = routing._search(*args, stats)
     want = _oracle_search(*args, None)
-    plans = [routing._plan_from_label(aux, lab, delta_phi) for lab in got]
-    assert [_plan_key(p) for p in plans] == [
-        _plan_key(routing._plan_from_label(aux, lab, delta_phi)) for lab in want
-    ]
+    plans = [routing._plan_from_label(aux, lab, delta_phi, delta_psi) for lab in got]
+    assert [_plan_key(p) for p in plans] == [_oracle_plan_key(lab, delta_phi) for lab in want]
     assert (plans[2].nodes, plans[2].pair_counts, plans[2].cost) == ([1, 0, 2], [2, 1], 3.0)
     assert (stats["passes"], stats["cap"]) == (2, 3.0) and stats["capped"] > 0
 
@@ -1289,16 +1336,42 @@ def test_certificate_needs_a_gap_above_the_results():
     assert routing._certified(5.0, chain[:3] + [c + gap for c in chain[3:]], 5.0 + 4 * gap)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from([1e-12, 1e-6, 0.005, 0.01, 0.02, 0.1]), st.floats(1e-12, 1.0)),
+    st.integers(-(10**6), 10**3),
+    st.sampled_from([0.0, _TOL, -_TOL, _TOL / 2]),
+)
+@example(1e-12, -390902, 0.0)  # the quotient's ceiling is one too low
+@example(0.01, -475503, _TOL)  # and one too high
+def test_least_steps_is_the_least_count_meeting_the_floor(step, n, shift):
+    """_least_steps(lo, step), psi_min's rule, is the least integer m with
+    m*step >= lo as floats compute the product, for floors at and within
+    a few _TOL of a grid point, where the float quotient's ceiling can be
+    one off."""
+    lo = n * step + shift - _TOL
+    m = routing._least_steps(lo, step)
+    assert m * step >= lo and not (m - 1) * step >= lo
+
+
+def test_least_steps_passes_an_infinite_quotient():
+    """A floor no grid count reaches, or one every count meets, in floats."""
+    assert routing._least_steps(math.inf, 0.01) == math.inf
+    assert routing._least_steps(1e300, 1e-300) == math.inf
+    assert routing._least_steps(-1e300, 1e-300) == -math.inf
+    assert math.isnan(routing._least_steps(math.nan, 0.01))
+
+
 def test_uncertified_pass_reruns_uncapped(monkeypatch):
     """A pass the certificate does not accept is rerun with no cap, which
     is the eager search: same plans, nothing cut."""
     args = _instance_46()
-    aux, delta_phi = args[0], args[3]
-    want = [_plan_key(routing._plan_from_label(aux, lab, delta_phi)) for lab in routing._search(*args, None)]
+    aux, delta_phi, delta_psi = args[0], args[3], args[4]
+    want = _plan_keys(aux, routing._search(*args, None), delta_phi, delta_psi)
     monkeypatch.setattr(routing, "_certified", lambda *a: False)
     stats: dict = {}
     got = routing._search(*args, stats)
-    assert [_plan_key(routing._plan_from_label(aux, lab, delta_phi)) for lab in got] == want
+    assert _plan_keys(aux, got, delta_phi, delta_psi) == want
     assert (stats["passes"], stats["cap"], stats["capped"]) == (3, math.inf, 0)
 
 
@@ -1359,7 +1432,7 @@ def test_frontier_cache_serves_smaller_budgets():
         front = routing._frontier(size, f_e, *grid, "optimal")
         for delta_phi in (0.01, 0.02):
             steps = edge_throughput_table(12, m, f_e, delta_phi, *grid, "optimal")
-            assert steps and all(any(e is x for x in front) for _, e, _, _ in steps)
+            assert steps and all(any(e is x for x in front) for _, e, _ in steps)
     with pytest.raises(ValueError):
         routing._frontier(3, f_e, *grid, "greedy")
 
@@ -1410,18 +1483,19 @@ _coarse_labels = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(_coarse_labels, st.integers(1, 3))
 def test_incremental_recount_matches_full_recount(stream, R):
-    """_scan and _admit admit and kill the labels the full recount does."""
+    """_scan and _admit, on grid steps, admit and kill the labels the full
+    recount does on their float twins."""
     oracle_pool, pool = [], []
     oracle_labels, labels = [], []
     for i, (cost, phi, psi, j) in enumerate(stream):
-        cost, phi, psi = float(cost), 0.01 * phi, 0.1 * psi
-        a = _OracleLabel(cost, phi, 0.0, psi, (i,), ("v", j), None, None)
-        beaten = routing._scan(pool, cost, phi, psi, j, R)
+        cost = float(cost)
+        a = _OracleLabel(cost, 0.01 * phi, 0.0, 0.1 * psi, (i,), ("v", j), None, None)
+        beaten = routing._scan(pool, cost, -phi, psi, j, R)
         admitted = beaten is not None
         assert admitted == _full_recount_insert(oracle_pool, a, R), i
         if admitted:
             # only admitted labels are built; compare them with their twins
-            b = routing._Label(cost, phi, 0.0, psi, (i,), (str(i),), ("v", j), j, None, None)
+            b = routing._Label(cost, -phi, 0.0, psi, (i,), (str(i),), ("v", j), j, None, None)
             routing._admit(pool, b, beaten, R)
             labels.append(b)
             oracle_labels.append(a)
@@ -1441,18 +1515,20 @@ def test_dominator_counts_stay_exact(stream, R):
     the recount of the others must no longer count it, or they die too."""
     pool, oracle_pool, pairs = [], [], []
     for i, (cost, phi, psi, j) in enumerate(stream):
-        cost, phi, psi = float(cost), 0.01 * phi, 0.1 * psi
-        twin = _OracleLabel(cost, phi, 0.0, psi, (i,), ("v", j), None, None)
-        beaten = routing._scan(pool, cost, phi, psi, j, R)
+        cost = float(cost)
+        twin = _OracleLabel(cost, 0.01 * phi, 0.0, 0.1 * psi, (i,), ("v", j), None, None)
+        beaten = routing._scan(pool, cost, -phi, psi, j, R)
         admitted = _full_recount_insert(oracle_pool, twin, R)
         assert (beaten is not None) == admitted, i
         if admitted:
-            b = routing._Label(cost, phi, 0.0, psi, (i,), (str(i),), ("v", j), j, None, None)
+            b = routing._Label(cost, -phi, 0.0, psi, (i,), (str(i),), ("v", j), j, None, None)
             routing._admit(pool, b, beaten, R)
             pairs.append((b, twin))
         assert [b.alive for b, _ in pairs] == [twin.alive for _, twin in pairs], i
+        twins = {id(b): twin for b, twin in pairs}
         for e in pool:
-            assert sum(x is not e and x.copy >= e.copy and _dominates(x, e) for x in pool) < R, i
+            count = sum(x is not e and x.copy >= e.copy and _dominates(twins[id(x)], twins[id(e)]) for x in pool)
+            assert count < R, i
 
 
 def test_search_counts_every_kill():
@@ -1505,18 +1581,27 @@ def test_search_counts_pushes_over_every_pass():
 
 
 def test_dominance_is_inclusive_at_the_tolerance():
-    """Values worse by exactly _TOL are still dominated, as by the former
-    _dominates: in the admission test and in the kill of _admit alike."""
-    cost, phi, psi = 2.0, -0.25, -0.5
-    worse = (cost + _TOL, phi - _TOL, psi - _TOL)
+    """A cost worse by exactly _TOL is still dominated, as by the former
+    _dominates: in the admission test and in the kill of _admit alike.
+    Grid steps compare exactly: labels one phi or one psi step apart, at
+    equal cost, never dominate each other both ways."""
+    cost, phi, psi = 2.0, 25, -50
     base = routing._Label(cost, phi, 0.0, psi, (0,), ("0",), ("v", 1), 1, None, None)
-    edge = routing._Label(worse[0], worse[1], 0.0, worse[2], (1,), ("1",), ("v", 2), 2, None, None)
-    assert _dominates(base, edge) and _dominates(edge, base)
+    edge = routing._Label(cost + _TOL, phi, 0.0, psi, (1,), ("1",), ("v", 2), 2, None, None)
     assert routing._scan([edge], cost, phi, psi, 1, 1) is None
-    assert routing._scan([base], *worse, 2, 1) is not None  # lower copy
+    assert routing._scan([base], cost + _TOL, phi, psi, 2, 1) is not None  # lower copy
     pool = [base]
-    routing._admit(pool, edge, routing._scan(pool, *worse, 2, 1), 1)
+    routing._admit(pool, edge, routing._scan(pool, cost + _TOL, phi, psi, 2, 1), 1)
     assert not base.alive and edge.alive
+    # one phi step more or one psi step less, at equal cost and copy, is
+    # dominated one way only: by the scan, and by the recount of _admit
+    for worse in ((phi + 1, psi), (phi, psi - 1)):
+        good = routing._Label(cost, phi, 0.0, psi, (0,), ("0",), ("v", 1), 1, None, None)
+        bad = routing._Label(cost, worse[0], 0.0, worse[1], (1,), ("1",), ("v", 1), 1, None, None)
+        assert routing._scan([good], cost, *worse, 1, 1) is None
+        assert routing._scan([bad], cost, phi, psi, 1, 1) == [bad]
+        assert routing._admit([good], bad, [good], 1) == 0 and good.alive
+        assert routing._admit([bad], good, [bad], 1) == 1 and not bad.alive
 
 
 def test_k_paths_plans_are_distinct():
