@@ -25,7 +25,7 @@ from contextlib import nullcontext
 from .auxgraph import build_aux_graph
 from .experiments import _COUNT, _FIDELITY, config_from_json, run_experiment
 from .multiflow import FlowRequest, multiflow_solve
-from .network import QuantumNetwork, _integer, _json_rows, _number, _seed
+from .network import QuantumNetwork, _check_fields, _integer, _json_rows, _number, _seed, _step
 from .pair_algebra import pseudo_fidelity
 from .purification import (
     SchedulerConfig,
@@ -90,6 +90,10 @@ def _load_json(path):
 def _cmd_purify(args) -> int:
     if not 0.5 <= args.fe <= 1.0:
         raise ValueError(f"--fe={args.fe!r} outside [0.5, 1]")
+    if args.baseline is not None:
+        for flag, given in (("--ftheta", args.ftheta is not None), ("--oracle", args.oracle)):
+            if given:
+                raise ValueError(f"{flag} does not apply to --baseline")
     if args.baseline == "symmetric":
         tree = symmetric_schedule(args.n)
     elif args.baseline == "pumping":
@@ -101,7 +105,7 @@ def _cmd_purify(args) -> int:
             tree = brute_force_optimal(args.n, args.fe, args.ftheta)
         else:
             for flag, step in (("--df", args.df), ("--dxi", args.dxi)):
-                if not (0.0 < step < 1.0 and 1.0 / step < math.inf):
+                if not (_step(step) and step < 1.0):
                     raise ValueError(f"{flag}={step!r} must lie in (0, 1) and have a finite reciprocal")
             ent = schedule(
                 SchedulerConfig(args.n, args.fe, args.ftheta, args.df, args.dxi)
@@ -128,23 +132,23 @@ def _cmd_purify(args) -> int:
 # strategy
 
 
+# the keys of a --chain object: its hops, each a non-empty list of pair
+# fidelities, and the swap success probability
+_CHAIN_KEYS = {
+    "hops": (
+        lambda v: isinstance(v, list) and all(isinstance(h, list) and h and all(map(_number, h)) for h in v),
+        "a list of non-empty lists of numbers",
+    ),
+    "swap_success": (_number, "a number"),
+}
+
+
 def _parse_chain(text: str) -> RepeaterChain:
-    """--chain: a JSON list of hops, each a non-empty list of pair
-    fidelities, or an object with such "hops" and a "swap_success"."""
+    """--chain: a JSON list of hops, or an object with "hops" and an
+    optional "swap_success"."""
     obj = json.loads(text)
-    fields = obj if isinstance(obj, dict) else {"hops": obj}
-    hops, swap_success = fields.get("hops"), fields.get("swap_success", 1.0)
-    if not (
-        fields.keys() <= {"hops", "swap_success"}
-        and isinstance(hops, list)
-        and all(isinstance(h, list) and h and all(map(_number, h)) for h in hops)
-        and _number(swap_success)
-    ):
-        raise ValueError(
-            "--chain must be a list of non-empty lists of numbers, or an object with "
-            f"such 'hops' and a number 'swap_success'; got {text}"
-        )
-    return RepeaterChain(hops, swap_success)
+    chain = _check_fields(obj if isinstance(obj, dict) else {"hops": obj}, _CHAIN_KEYS, ("hops",), "--chain")
+    return RepeaterChain(chain["hops"], chain.get("swap_success", 1.0))
 
 
 # rows joined per write: the scan CSV is written a bounded block at a time,
@@ -234,7 +238,7 @@ def _cmd_route(args) -> int:
     if not args.q0 > 0.0:
         raise ValueError(f"--q0={args.q0!r} must be > 0")
     for flag, step in (("--dphi", args.dphi), ("--dpsi", args.dpsi)):
-        if not (0.0 < step < math.inf and 1.0 / step < math.inf):
+        if not _step(step):
             raise ValueError(f"{flag}={step!r} must be a finite number > 0 with a finite reciprocal")
     net = QuantumNetwork.load(args.net)
     src, dst = _node_id(net, args.src), _node_id(net, args.dst)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .auxgraph import build_aux_graph
 from .multiflow import FlowRequest, multiflow_solve
-from .network import _integer, _number, _seed
+from .network import _check_fields, _integer, _number, _seed, _step
 from .pair_algebra import pseudo_fidelity
 from .purification import (
     evaluate_tree,
@@ -88,12 +88,7 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.scenario, str) or self.scenario not in _SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        for name, (test, wanted) in _FIELDS.items():
-            value = getattr(self, name)
-            if not test(value):
-                raise ValueError(f"{name!r} must be {wanted}, got {value!r}")
+        _check_fields({name: getattr(self, name) for name in _FIELDS}, _FIELDS, (), "config")
         if self.topology is not None:
             spec_from_json({"seed": self.seed, **self.topology})  # raises on a bad field
         if self.algorithms is not None:
@@ -105,16 +100,7 @@ class ExperimentConfig:
                         "external baselines are out of scope"
                     )
         self.thresholds = tuple(self.thresholds)
-        rules = _SCENARIOS[self.scenario].options
-        for key, value in self.options.items():
-            if key not in rules:
-                raise ValueError(
-                    f"unknown {self.scenario} option {key!r}; known options: {', '.join(rules)}"
-                )
-            if not rules[key][0](value):
-                raise ValueError(
-                    f"{self.scenario} option {key!r} must be {rules[key][1]}, got {value!r}"
-                )
+        _check_fields(self.options, _SCENARIOS[self.scenario].options, (), f"{self.scenario} options")
         if self.scenario == "purify-compare":
             _pair_counts(self)  # raises on an empty range
         if self.scenario in ("route-compare", "multiflow"):
@@ -149,20 +135,13 @@ def _algorithm_known(scenario: str, name: str) -> bool:
     return scenario == "strategy-compare" and bool(_SPS.match(name))
 
 
-_CONFIG_FIELDS = ("scenario", "trials", "seed", "output", "topology", "thresholds", "algorithms")
-
-
 def config_from_json(d: dict) -> ExperimentConfig:
-    """Top-level keys map to config fields; anything else is a scenario
-    option."""
+    """Top-level keys that name config fields set them; every other key is
+    a scenario option."""
     if not isinstance(d, dict):
-        raise ValueError(f"a config must be a JSON object, got {d!r}")
-    kwargs = {k: d[k] for k in _CONFIG_FIELDS if k in d}
-    opts = d.get("options", {})
-    if not isinstance(opts, dict):
-        raise ValueError(f"'options' must be an object, got {opts!r}")
-    opts = {**opts, **{k: v for k, v in d.items() if k not in _CONFIG_FIELDS and k != "options"}}
-    return ExperimentConfig(options=opts, **kwargs)
+        raise ValueError(f"config must be a JSON object, got {d!r}")
+    fields = _check_fields({k: v for k, v in d.items() if k in _FIELDS}, _FIELDS, ("scenario",), "config")
+    return ExperimentConfig(**fields, options={k: v for k, v in d.items() if k not in _FIELDS})
 
 
 @dataclass
@@ -462,29 +441,9 @@ def _pair(v, test) -> bool:
 
 
 _POSITIVE = (lambda v: _number(v) and v > 0, "positive")
-# a search step: a subnormal one has an infinite reciprocal and overflows the grid
-_STEP = (
-    lambda v: _number(v) and 0 < v < math.inf and 1 / v < math.inf,
-    "a finite number > 0 with a finite reciprocal",
-)
+_STEP = (_step, "a finite number > 0 with a finite reciprocal")
 _COUNT = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
 _FIDELITY = (lambda v: _number(v) and 0.25 < v <= 1, "in (0.25, 1]")
-# the config fields past the scenario, with the rule each value must meet
-_FIELDS = {
-    "trials": _COUNT,
-    "seed": (_seed, "an integer in [0, 2**64)"),
-    "output": (lambda v: v is None or isinstance(v, str), "a path"),
-    "topology": (lambda v: v is None or isinstance(v, dict), "an object"),
-    # read by route-compare: pseudo_fidelity needs F > 0.25
-    "thresholds": (
-        lambda v: isinstance(v, (list, tuple)) and all(map(_FIDELITY[0], v)),
-        "a list of numbers in (0.25, 1]",
-    ),
-    "algorithms": (
-        lambda v: v is None or isinstance(v, (list, tuple)) and all(isinstance(a, str) for a in v),
-        "a list of names",
-    ),
-}
 
 
 class _Scenario(NamedTuple):
@@ -546,7 +505,7 @@ _SCENARIOS = {
             "flow_fidelity": _FIDELITY,
             "epsilon": (lambda v: _number(v) and 0 < v < 0.5, "in (0, 0.5)"),
             "delta": (
-                lambda v: _number(v) and 0 < v < 1 and 1 / v < math.inf,
+                lambda v: _step(v) and v < 1,
                 "in (0, 1) with a finite reciprocal",
             ),
             "r_k": _COUNT,
@@ -555,5 +514,23 @@ _SCENARIOS = {
                 "two integers [lo, hi] with 0 <= lo <= hi",
             ),
         },
+    ),
+}
+
+# the config fields, with the rule each value must meet
+_FIELDS = {
+    "scenario": (lambda v: isinstance(v, str) and v in _SCENARIOS, f"one of {', '.join(_SCENARIOS)}"),
+    "trials": _COUNT,
+    "seed": (_seed, "an integer in [0, 2**64)"),
+    "output": (lambda v: v is None or isinstance(v, str), "a path"),
+    "topology": (lambda v: v is None or isinstance(v, dict), "an object"),
+    # read by route-compare: pseudo_fidelity needs F > 0.25
+    "thresholds": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_FIDELITY[0], v)),
+        "a list of numbers in (0.25, 1]",
+    ),
+    "algorithms": (
+        lambda v: v is None or isinstance(v, (list, tuple)) and all(isinstance(a, str) for a in v),
+        "a list of names",
     ),
 }

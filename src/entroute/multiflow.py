@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .auxgraph import build_aux_graph
-from .network import QuantumNetwork
+from .network import QuantumNetwork, _step
 from .pair_algebra import pseudo_fidelity
 from .routing import RoutePlan, discretization_steps, k_paths
 from .simplex import simplex_solve
@@ -271,7 +271,7 @@ def multiflow_solve(
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 0.5)")
     # a subnormal delta has an infinite 1/delta, and the trial count with it
-    if not (0.0 < delta < 1.0 and 1.0 / delta < math.inf):
+    if not (_step(delta) and delta < 1.0):
         raise ValueError(f"delta={delta!r} must lie in (0, 1) and have a finite reciprocal")
     candidates = [flow_candidates(net, fl, epsilon, deltaq=deltaq) for fl in flows]
     prog = build_program(flows, candidates, net, 1.0 - epsilon)

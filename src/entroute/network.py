@@ -25,29 +25,44 @@ def _seed(v) -> bool:
     return _integer(v) and 0 <= v < 2**64
 
 
+def _step(v) -> bool:
+    """A grid step: a finite number > 0 with a finite reciprocal (a
+    subnormal step has an infinite one and overflows the grid)."""
+    return _number(v) and 0 < v < math.inf and 1 / v < math.inf
+
+
+def _check_fields(obj, rules: dict, required, what: str):
+    """obj, checked to be a JSON object whose keys are all in rules and
+    include every key of required, each value meeting its rule (a test and
+    what it asks for); anything else raises ValueError naming what and the
+    key.  Every JSON input is read through it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    for key, value in obj.items():
+        if key not in rules:
+            raise ValueError(f"{what}: unknown key {key!r}; known keys: {', '.join(rules)}")
+        if not rules[key][0](value):
+            raise ValueError(f"{what}: {key!r} must be {rules[key][1]}, got {value!r}")
+    if missing := set(required) - obj.keys():
+        raise ValueError(f"{what} lacks {', '.join(map(repr, sorted(missing)))}")
+    return obj
+
+
 def _json_rows(rows, rules: dict, required, what: str) -> list:
-    """rows, checked to be a JSON list of objects whose keys are all in
-    rules and include every key of required, each value meeting its rule
-    (a test and what it asks for); anything else raises ValueError naming
-    the row by what and position, and the key."""
+    """rows, checked to be a JSON list of objects that _check_fields
+    passes, each named by what and its position."""
     if not isinstance(rows, list):
         raise ValueError(f"{what}s must be a JSON list, got {rows!r}")
     for n, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ValueError(f"{what} {n} must be a JSON object, got {row!r}")
-        for key, value in row.items():
-            if key not in rules:
-                raise ValueError(f"{what} {n}: unknown key {key!r}; known keys: {', '.join(rules)}")
-            if not rules[key][0](value):
-                raise ValueError(f"{what} {n}: {key!r} must be {rules[key][1]}, got {value!r}")
-        if missing := set(required) - row.keys():
-            raise ValueError(f"{what} {n} lacks {', '.join(map(repr, sorted(missing)))}")
+        _check_fields(row, rules, required, f"{what} {n}")
     return rows
 
 
 # the keys of a network file's node and edge objects with their rules; the
 # values are checked further by NodeSpec and EdgeSpec
 _ID = (lambda v: isinstance(v, str) or _number(v), "a string or a number")
+_ROWS = (lambda v: isinstance(v, list), "a JSON list")
+_NETWORK_KEYS = {"nodes": _ROWS, "edges": _ROWS}
 _NODE_KEYS = {"id": _ID, "qubits": (_integer, "an integer"), "swap_prob": (_number, "a number")}
 _EDGE_KEYS = {
     "u": _ID,
@@ -188,8 +203,7 @@ class QuantumNetwork:
         """The network of a JSON object as to_json writes it.  A wrong JSON
         type, an unknown or missing key, or both cost keys on one edge raise
         ValueError naming the node or edge (by position) and the key."""
-        if not isinstance(obj, dict) or obj.keys() != {"nodes", "edges"}:
-            raise ValueError("a network must be a JSON object with the keys 'nodes' and 'edges' alone")
+        _check_fields(obj, _NETWORK_KEYS, _NETWORK_KEYS, "network")
         nodes = [
             NodeSpec(n["id"], n["qubits"], n.get("swap_prob", 1.0))
             for n in _json_rows(obj["nodes"], _NODE_KEYS, ("id", "qubits"), "node")

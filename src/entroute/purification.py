@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .network import _step
 from .pair_algebra import purification_success_prob, purified_fidelity
 
 # A tree is either the LEAF sentinel or a (left, right) tuple of trees.
@@ -117,9 +118,8 @@ class SchedulerConfig:
     def __post_init__(self):
         _check_budget(self.n, self.f_e)
         _check_threshold(self.f_theta)
-        # a step with an infinite reciprocal (a subnormal) overflows the grid
         for name, step in (("delta_f", self.delta_f), ("delta_xi", self.delta_xi)):
-            if not (0.0 < step < 1.0 and 1.0 / step < math.inf):
+            if not (_step(step) and step < 1.0):
                 raise ValueError(f"{name}={step!r} must lie in (0, 1) and have a finite reciprocal")
 
 

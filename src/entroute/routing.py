@@ -156,7 +156,7 @@ from typing import Optional
 import numpy as np
 
 from .auxgraph import VIRTUAL_SINK, AuxiliaryGraph, build_aux_graph
-from .network import QuantumNetwork
+from .network import QuantumNetwork, _step
 from .pair_algebra import (
     _purified_fidelity_raw,
     pseudo_fidelity,
@@ -437,8 +437,8 @@ def edge_throughput_table(
         raise ValueError("m must be >= 1")
     if edge_budget < m:
         raise ValueError(f"edge_budget {edge_budget} is below m {m}")
-    if delta_phi <= 0:
-        raise ValueError("delta_phi must be positive")
+    if not _step(delta_phi):
+        raise ValueError(f"delta_phi={delta_phi!r} must be a finite number > 0 with a finite reciprocal")
     frontier = _frontier(min(edge_budget, 1 << (m - 1).bit_length()), f_e, delta_f, delta_xi, mode)
     steps: list = []
     best = None
@@ -616,9 +616,8 @@ def _search(
     for name, step in (
         ("delta_phi", delta_phi), ("delta_psi", delta_psi), ("delta_f", delta_f), ("delta_xi", delta_xi)
     ):
-        # a step with an infinite reciprocal (a subnormal) overflows the grid
-        if not (step > 0 and 1.0 / step < _INF):
-            raise ValueError(f"step sizes must be positive with a finite reciprocal: {name}={step!r}")
+        if not _step(step):
+            raise ValueError(f"{name}={step!r} must be a finite number > 0 with a finite reciprocal")
     if R < 1:
         raise ValueError("R must be >= 1")
     net = aux.net

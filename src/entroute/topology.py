@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .multiflow import FlowRequest
-from .network import EdgeSpec, NodeSpec, QuantumNetwork, _integer, _number, _seed
+from .network import EdgeSpec, NodeSpec, QuantumNetwork, _check_fields, _integer, _number, _seed
 
 _MAX_RETRIES = 64
 # the least share of fidelity draws a spec may keep: _truncated_normal then
@@ -87,25 +87,17 @@ _JSON_TYPES = {
 }
 
 
+# the rules of a topology spec's JSON keys: each field's annotation, and
+# for seed the range of every seed source
+_SPEC_KEYS = {f.name: _JSON_TYPES[f.type] for f in fields(TopologySpec)} | {
+    "seed": (_seed, "an integer in [0, 2**64)")
+}
+
+
 def spec_from_json(d: dict) -> TopologySpec:
     """A TopologySpec from a JSON object.  A missing kind, an unknown
     field or a value of the wrong JSON type raises ValueError."""
-    if not isinstance(d, dict):
-        raise ValueError(f"a topology must be a JSON object, got {d!r}")
-    if "kind" not in d:
-        raise ValueError("a topology needs a 'kind'")
-    annotations = {f.name: f.type for f in fields(TopologySpec)}
-    for key, value in d.items():
-        if key not in annotations:
-            raise ValueError(
-                f"unknown topology field {key!r}; known fields: {', '.join(annotations)}"
-            )
-        test, wanted = _JSON_TYPES[annotations[key]]
-        if key == "seed":  # the range of every seed source
-            test, wanted = _seed, "an integer in [0, 2**64)"
-        if not test(value):
-            raise ValueError(f"topology field {key!r} must be {wanted}, got {value!r}")
-    return TopologySpec(**d)
+    return TopologySpec(**_check_fields(d, _SPEC_KEYS, ("kind",), "topology"))
 
 
 def _truncated_normal(rng, mu, sigma, lo, hi) -> float:

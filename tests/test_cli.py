@@ -21,7 +21,7 @@ from entroute.pair_algebra import (
     pseudo_fidelity,
 )
 from entroute.strategies import _blocks, _delta_block, _swap_block
-from entroute.topology import TopologySpec, perturbed
+from entroute.topology import TopologySpec, perturbed, spec_from_json
 from oracles import lemma1_delta
 
 
@@ -320,7 +320,7 @@ def _broken(net: dict, where: str, key: str, value) -> dict:
     "breakage, name",
     [
         (lambda net: net["nodes"], "JSON object"),
-        (lambda net: {**net, "nodes": {}}, "nodes must be a JSON list"),
+        (lambda net: {**net, "nodes": {}}, "network: 'nodes' must be a JSON list"),
         (lambda net: {**net, "edges": [3]}, "edge 0 must be a JSON object"),
         (lambda net: _broken(net, "nodes", "qubits", "4"), "'qubits'"),
         (lambda net: _broken(net, "nodes", "id", None), "'id'"),
@@ -590,6 +590,15 @@ def test_purify_checks_fe_in_every_mode_exits_2(capsys, baseline, fe):
     assert "--fe" in err
 
 
+@pytest.mark.parametrize("baseline", ["symmetric", "pumping"])
+@pytest.mark.parametrize("flag", [["--ftheta", "2"], ["--oracle"]], ids=["ftheta", "oracle"])
+def test_purify_baseline_rejects_schedule_flags_exits_2(capsys, baseline, flag):
+    # a baseline tree is fixed by --n alone; it must not ignore a threshold or the oracle
+    code, out, err = run_cli(capsys, "purify", "--n", "4", "--fe", "0.9", "--baseline", baseline, *flag)
+    assert code == 2 and out == ""
+    assert f"{flag[0]} does not apply to --baseline" in err
+
+
 def test_topo_gen_deterministic(grid_net, tmp_path):
     spec_path, net_path = grid_net
     again = tmp_path / "again.json"
@@ -720,7 +729,7 @@ def test_experiment_rejects_bad_topology_seed_exits_2(capsys, tmp_path, monkeypa
     outdir = tmp_path / "out"
     code, out, err = run_cli(capsys, "experiment", "run", "--config", str(cfg), "--out", str(outdir))
     assert code == 2 and out == ""
-    assert f"topology field 'seed' must be an integer in [0, 2**64), got {seed}" in err
+    assert f"topology: 'seed' must be an integer in [0, 2**64), got {seed}" in err
     assert not outdir.exists()
 
 
@@ -853,6 +862,17 @@ def test_pseudo_fidelity_threshold_used_by_route(capsys, grid_net):
     rec = json.loads(out)
     slack = len(rec["nodes"]) * 0.005
     assert rec["phi_hat"] >= pseudo_fidelity(0.75) - slack - 1e-9
+
+
+def test_experiment_without_scenario_exits_2(capsys, tmp_path):
+    # ExperimentConfig needs a scenario: a config without one raised TypeError (exit 1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 1}), encoding="utf-8")
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "experiment", "run", "--config", str(cfg), "--out", str(outdir))
+    assert code == 2 and out == ""
+    assert "config lacks 'scenario'" in err and "Traceback" not in err
+    assert not outdir.exists()
 
 
 def test_experiment_unknown_option_exits_2(capsys, tmp_path):
@@ -1021,6 +1041,97 @@ def test_topo_gen_rejects_bad_spec_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "topo", "gen", "--spec", str(spec), "--out", str(out))
     assert code == 2 and "'rowz'" in err
     assert not out.exists()
+
+
+# every JSON reader goes through one checker: each reader's parser, and the
+# CLI arguments that make it read the JSON written to path (net: a network file)
+_JSON_READERS = {
+    "network": (
+        lambda obj, net: QuantumNetwork.from_json(obj),
+        lambda path, net: ["route", "--net", path, "--src", "0", "--dst", "1", "--f0", "0.8"],
+    ),
+    "flows": (
+        lambda obj, net: cli._flows_from_json(obj, QuantumNetwork.load(net), 3),
+        lambda path, net: ["multiflow", "--net", net, "--flows", path],
+    ),
+    "topology": (
+        lambda obj, net: spec_from_json(obj),
+        lambda path, net: ["topo", "gen", "--spec", path, "--out", path + ".net"],
+    ),
+    "config": (
+        lambda obj, net: config_from_json(obj),
+        lambda path, net: ["experiment", "run", "--config", path, "--out", path + ".out"],
+    ),
+    "chain": (
+        lambda obj, net: cli._parse_chain(json.dumps(obj)),
+        lambda path, net: ["strategy", "--chain", Path(path).read_text(encoding="utf-8"), "--policy", "pas"],
+    ),
+}
+_FLOW_NO_F0 = {k: v for k, v in _FLOW.items() if k != "f0"}
+
+
+@pytest.mark.parametrize(
+    "reader, obj, message",
+    [
+        pytest.param("network", [], "network must be a JSON object, got []", id="network-not-object"),
+        pytest.param(
+            "network", {"nodes": [], "edges": [], "links": []}, "network: unknown key 'links'", id="network-unknown"
+        ),
+        pytest.param(
+            "network", {"nodes": {}, "edges": []}, "network: 'nodes' must be a JSON list, got {}", id="network-type"
+        ),
+        pytest.param("network", {"nodes": []}, "network lacks 'edges'", id="network-missing"),
+        pytest.param("flows", [3], "flow 0 must be a JSON object, got 3", id="flows-not-object"),
+        pytest.param("flows", [{**_FLOW, "pos": 1}], "flow 0: unknown key 'pos'", id="flows-unknown"),
+        pytest.param(
+            "flows", [{**_FLOW, "weight": "2"}], "flow 0: 'weight' must be a finite number >= 0, got '2'",
+            id="flows-type",
+        ),
+        pytest.param("flows", [_FLOW_NO_F0], "flow 0 lacks 'f0'", id="flows-missing"),
+        pytest.param("topology", [], "topology must be a JSON object, got []", id="topology-not-object"),
+        pytest.param(
+            "topology", {"kind": "grid", "rows": 2, "cols": 2, "rowz": 3}, "topology: unknown key 'rowz'",
+            id="topology-unknown",
+        ),
+        pytest.param(
+            "topology", {"kind": "grid", "rows": "2", "cols": 2}, "topology: 'rows' must be an integer, got '2'",
+            id="topology-type",
+        ),
+        pytest.param("topology", {"rows": 2, "cols": 2}, "topology lacks 'kind'", id="topology-missing"),
+        pytest.param("config", [], "config must be a JSON object, got []", id="config-not-object"),
+        pytest.param(
+            "config", {"scenario": "route-compare", "dphis": [0.01]}, "route-compare options: unknown key 'dphis'",
+            id="config-unknown",
+        ),
+        pytest.param(
+            "config", {"scenario": "route-compare", "trials": "1"},
+            "config: 'trials' must be an integer >= 1, got '1'", id="config-type",
+        ),
+        pytest.param("config", {"trials": 1}, "config lacks 'scenario'", id="config-missing"),
+        # a --chain that is not an object is its hops
+        pytest.param(
+            "chain", 0.9, "--chain: 'hops' must be a list of non-empty lists of numbers, got 0.9",
+            id="chain-not-object",
+        ),
+        pytest.param("chain", {"hops": [[0.9]], "swap": 1}, "--chain: unknown key 'swap'", id="chain-unknown"),
+        pytest.param(
+            "chain", {"hops": [[0.9]], "swap_success": "1"}, "--chain: 'swap_success' must be a number, got '1'",
+            id="chain-type",
+        ),
+        pytest.param("chain", {"swap_success": 0.9}, "--chain lacks 'hops'", id="chain-missing"),
+    ],
+)
+def test_json_reader_names_reader_and_key_exits_2(capsys, grid_net, tmp_path, reader, obj, message):
+    parse, argv = _JSON_READERS[reader]
+    net = str(grid_net[1])
+    with pytest.raises(ValueError) as info:
+        parse(obj, net)
+    assert message in str(info.value)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv(str(path), net))
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -191,9 +191,11 @@ def test_config_rejects_unknown_options(scenario, options):
     for key, value in options.items():
         assert cfg.opt(key, None) == value
     for bad in ("workers", "dphis"):
-        with pytest.raises(ValueError, match=f"'{bad}'.*known options: {next(iter(options))}"):
+        message = f"{scenario} options: unknown key '{bad}'; known keys: {next(iter(options))}"
+        with pytest.raises(ValueError, match=message):
             config_from_json({"scenario": scenario, bad: 3, **options})
-        with pytest.raises(ValueError, match=bad):
+        # options are top-level keys alone: a nested "options" object is an unknown option
+        with pytest.raises(ValueError, match=f"{scenario} options: unknown key 'options'"):
             config_from_json({"scenario": scenario, "options": {bad: 3}})
     with pytest.raises(KeyError):
         cfg.opt("dphis", None)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from entroute.auxgraph import VIRTUAL_SINK, build_aux_graph
-from entroute.network import EdgeSpec, NodeSpec, QuantumNetwork
+from entroute.network import EdgeSpec, NodeSpec, QuantumNetwork, _step
 from oracles import VIRTUAL_SOURCE, decode_path, encode_path, out_arcs
 
 
@@ -16,6 +16,16 @@ def make_line(qubits=(2, 3, 3, 2), caps=(2, 2, 2), fids=(0.85, 0.97, 0.85)):
         for a, b, c, f in zip(names, names[1:], caps, fids)
     ]
     return QuantumNetwork(nodes, edges)
+
+
+@pytest.mark.parametrize("value", [0.01, 3, 1e-300, 1e308])
+def test_step_accepts_a_finite_number_with_a_finite_reciprocal(value):
+    assert _step(value)
+
+
+@pytest.mark.parametrize("value", [0, -0.01, math.inf, math.nan, 1e-320, True, "0.01", None])
+def test_step_rejects_everything_else(value):
+    assert not _step(value)
 
 
 def test_reachable():

@@ -414,6 +414,17 @@ def test_table_tiny_step_completes():
         prev = e
 
 
+@pytest.mark.parametrize("name", ["delta_phi", "delta_psi", "delta_f", "delta_xi"])
+def test_search_rejects_an_infinite_step(name):
+    # delta_phi = inf passed the former test (step > 0 and 1/step < inf)
+    # and the search returned a plan with phi_hat nan
+    net = topology.generate(topology.TopologySpec(kind="grid", rows=3, cols=3, capacity=5, seed=0))
+    aux = build_aux_graph(net, 0, 8, 1)
+    steps = {"delta_phi": 0.01, "delta_psi": 0.01, "delta_f": 1e-4, "delta_xi": 1e-4, name: math.inf}
+    with pytest.raises(ValueError, match=f"{name}=inf must be a finite number > 0"):
+        min_cost_path(aux, pseudo_fidelity(0.95), 0.0, steps.pop("delta_phi"), steps.pop("delta_psi"), **steps)
+
+
 # --- single-path search ---
 
 
