@@ -28,6 +28,7 @@ from .multiflow import FlowRequest, multiflow_solve
 from .network import QuantumNetwork, _check_fields, _integer, _json_rows, _number, _seed, _step
 from .pair_algebra import pseudo_fidelity
 from .purification import (
+    PAIRS_MAX,
     SchedulerConfig,
     brute_force_optimal,
     evaluate_tree,
@@ -88,6 +89,8 @@ def _load_json(path):
 
 
 def _cmd_purify(args) -> int:
+    if not 1 <= args.n <= PAIRS_MAX:
+        raise ValueError(f"--n={args.n!r} outside [1, {PAIRS_MAX}]")
     if not 0.5 <= args.fe <= 1.0:
         raise ValueError(f"--fe={args.fe!r} outside [0.5, 1]")
     if args.baseline is not None:
@@ -148,7 +151,10 @@ def _parse_chain(text: str) -> RepeaterChain:
     optional "swap_success"."""
     obj = json.loads(text)
     chain = _check_fields(obj if isinstance(obj, dict) else {"hops": obj}, _CHAIN_KEYS, ("hops",), "--chain")
-    return RepeaterChain(chain["hops"], chain.get("swap_success", 1.0))
+    try:
+        return RepeaterChain(chain["hops"], chain.get("swap_success", 1.0))
+    except ValueError as exc:
+        raise ValueError(f"--chain: {exc}") from None
 
 
 # rows joined per write: the scan CSV is written a bounded block at a time,

@@ -28,6 +28,7 @@ from .multiflow import FlowRequest, multiflow_solve
 from .network import _check_fields, _integer, _number, _seed, _step
 from .pair_algebra import pseudo_fidelity
 from .purification import (
+    PAIRS_MAX,
     evaluate_tree,
     max_fidelity_schedule,
     pumping_schedule,
@@ -36,7 +37,7 @@ from .purification import (
     tree_to_json,
 )
 from .routing import min_cost_path
-from .strategies import RepeaterChain, purify_and_swap, swap_and_purify, swap_purify_swap
+from .strategies import HOP_PAIRS_MAX, RepeaterChain, purify_and_swap, swap_and_purify, swap_purify_swap
 from .topology import TopologySpec, generate, perturbed, sample_flows, spec_from_json
 
 CSV_COLUMNS = ("scenario", "algorithm", "parameter", "metric", "value", "seed", "runtime_ms")
@@ -462,10 +463,7 @@ _SCENARIOS = {
                 "a list of numbers in [0.5, 1]",
             ),
             "pairs_min": _COUNT,
-            # a pumping tree of n pairs is n - 1 levels deep, and the summary
-            # writes it as nested lists, which json.dumps walks recursively
-            # (RecursionError near 1,000)
-            "pairs_max": (lambda v: _integer(v) and 1 <= v <= 512, "an integer in [1, 512]"),
+            "pairs_max": (lambda v: _integer(v) and 1 <= v <= PAIRS_MAX, f"an integer in [1, {PAIRS_MAX}]"),
         },
     ),
     "strategy-compare": _Scenario(
@@ -476,7 +474,9 @@ _SCENARIOS = {
                 lambda v: isinstance(v, (list, tuple)) and all(map(_COUNT[0], v)),
                 "a list of integers >= 1",
             ),
-            "pairs_per_hop": _COUNT,
+            "pairs_per_hop": (
+                lambda v: _integer(v) and 1 <= v <= HOP_PAIRS_MAX, f"an integer in [1, {HOP_PAIRS_MAX}]"
+            ),
             "fidelity_band": (
                 lambda v: _pair(v, _pair_fidelity),
                 "two numbers [lo, hi] with 0.5 <= lo <= hi <= 1",

@@ -21,6 +21,12 @@ LEAF = "L"
 
 _BRUTE_FORCE_MAX_N = 10
 
+# The most pairs purify --n and purify-compare schedule one link over.  A
+# pumping tree of n pairs is n - 1 levels deep: folding its text and the
+# scheduler's min_leaves both take O(n^2), and json.dumps walks its nested
+# lists recursively (RecursionError near 1,000).
+PAIRS_MAX = 512
+
 # Grid-comparison slack: discretized values are multiples of delta computed in
 # floating point, so equality checks need a hair of tolerance.
 _GRID_TOL = 1e-12

@@ -76,8 +76,8 @@ the safe labels are admitted, killed and popped, in the same relative
 order, as without the bound.  Sink labels are safe, so the sink pops and
 plans are unchanged.
 
-Each edge is charged _least_charge: the first k, less one, of a ceiling on
-the f_hat of its frontier.  Each ceiling is a recursion over the edge's
+Each edge is charged the first k, less one, of _ceiling, a ceiling on the
+f_hat of its frontier.  Each ceiling is a recursion over the edge's
 budget, and on a network with many edges or large budgets, running it over
 every edge at once costs less than edge by edge (_BATCH_SIZE's rule), so
 such a network takes its ceilings from one numpy batch (_ceilings), the
@@ -145,7 +145,6 @@ retained labels still certify phi_hat >= phi0 - |path|*delta_phi.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -155,7 +154,7 @@ from typing import Optional
 
 import numpy as np
 
-from .auxgraph import VIRTUAL_SINK, AuxiliaryGraph, build_aux_graph
+from .auxgraph import VIRTUAL_SINK, AuxiliaryGraph
 from .network import QuantumNetwork, _step
 from .pair_algebra import (
     _purified_fidelity_raw,
@@ -168,6 +167,7 @@ from .purification import (
     candidate_frontier,
     evaluate_tree,
     pumping_frontier,
+    tree_to_json,
 )
 
 _TOL = 1e-12
@@ -245,11 +245,12 @@ def _first_k(f_hat: float, delta_phi: float) -> int:
 
 
 @lru_cache(maxsize=FRONTIER_CACHE_SIZE)
-def _least_charge(budget: int, f_e: float, delta_phi: float, delta_f: float, mode: str) -> int:
-    """A lower bound on k - 1, the phi charge in units of delta_phi, of
-    every table step of an edge at budget, for any delta_xi, built without
-    a frontier: the first k of a ceiling g on the f_hat of every entry of
-    _frontier(budget, ...), less one.
+def _ceiling(budget: int, f_e: float, delta_f: float, mode: str) -> float:
+    """A ceiling g[budget] on the f_hat of every entry of _frontier(budget,
+    f_e, delta_f, delta_xi, mode), for any delta_xi, built without a
+    frontier; so _first_k(g[budget], delta_phi) - 1 is a lower bound on the
+    phi charge k - 1, in units of delta_phi, of every table step of an edge
+    at budget.
 
     g[i] bounds the entries with at most i leaves.  Optimal mode runs the
     gamma recursion on the delta_f grid: g[1] = f_e and g[i] = max(g[i-1],
@@ -266,11 +267,6 @@ def _least_charge(budget: int, f_e: float, delta_phi: float, delta_f: float, mod
     _charge_to_sink charges edge by edge this way on small networks only;
     larger ones take every ceiling from one _ceilings batch (_BATCH_SIZE).
     """
-    return _first_k(_ceiling(budget, f_e, delta_f, mode), delta_phi) - 1
-
-
-def _ceiling(budget: int, f_e: float, delta_f: float, mode: str) -> float:
-    """g[budget] of _least_charge's recursion, for one edge."""
 
     def up(f):
         return min(math.ceil((f + 1e-12) / delta_f) * delta_f, 1.0)
@@ -280,14 +276,11 @@ def _ceiling(budget: int, f_e: float, delta_f: float, mode: str) -> float:
         for i in range(2, budget + 1):
             merged = max(map(_purified_fidelity_raw, g[1 : i // 2 + 1], g[i - 1 : (i - 1) // 2 : -1]))
             g.append(max(g[i - 1], up(merged)))
-        top = g[budget]
-    elif mode == "pumping":
-        top = cur = f_e
-        for _ in range(budget - 1):
-            cur = up(_purified_fidelity_raw(cur, f_e))
-            top = max(top, cur)
-    else:
-        raise ValueError(f"unknown schedule mode {mode!r}")
+        return g[budget]
+    top = cur = f_e
+    for _ in range(budget - 1):
+        cur = up(_purified_fidelity_raw(cur, f_e))
+        top = max(top, cur)
     return top
 
 
@@ -313,13 +306,16 @@ def _ceilings(budgets: tuple, fidelities: tuple, delta_f: float, mode: str) -> t
         for i in range(2, len(g)):
             merged = _purified_fidelity_raw(g[1 : i // 2 + 1], g[i - 1 : (i - 1) // 2 : -1]).max(axis=0)
             g[i] = np.maximum(g[i - 1], up(merged))
-    elif mode == "pumping":
+    else:
         for i in range(2, len(g)):
             g[i] = up(_purified_fidelity_raw(g[i - 1], g[1]))
         np.maximum.accumulate(g[1:], axis=0, out=g[1:])
-    else:
-        raise ValueError(f"unknown schedule mode {mode!r}")
     return tuple(g[budgets, np.arange(len(budgets))].tolist())
+
+
+def _edge_budget(net: QuantumNetwork, edge) -> int:
+    """The most pairs any arc over edge allocates: min(capacity, Q_u, Q_v)."""
+    return min(edge.capacity, net.node(edge.u).qubits, net.node(edge.v).qubits)
 
 
 def _to_sink(net: QuantumNetwork, s, t, limit, weight) -> dict:
@@ -350,26 +346,29 @@ def _charge_to_sink(
     net: QuantumNetwork, s, t, limit: int, delta_phi: float, delta_f: float, mode: str
 ) -> dict:
     """LB(v) for every node v != s with LB(v) <= limit: the least sum of
-    _least_charge over the edges of any v-t path that avoids s.  The search
-    never enters s, and the bound ignores copy indices and simplicity, so no
-    path it can extend a label along from v to t charges less than
-    LB(v)*delta_phi.  A network large by _BATCH_SIZE's rule takes its
-    ceilings from one _ceilings batch, giving _least_charge's charges."""
-    budgets = {id(e): min(e.capacity, net.node(e.u).qubits, net.node(e.v).qubits) for e in net.edges}
-    per_level = 29 + (max(budgets.values(), default=0) if mode == "optimal" else 0)
+    the edge charges _first_k(_ceiling(budget, ...), delta_phi) - 1 over the
+    edges of any v-t path that avoids s.  The search never enters s, and the
+    bound ignores copy indices and simplicity, so no path it can extend a
+    label along from v to t charges less than LB(v)*delta_phi.  A network
+    large by _BATCH_SIZE's rule takes its ceilings from one _ceilings batch,
+    the same floats."""
+    budgets = [_edge_budget(net, e) for e in net.edges]
+    per_level = 29 + (max(budgets, default=0) if mode == "optimal" else 0)
     if len(budgets) * per_level > _BATCH_SIZE:
-        fidelities = tuple(e.fidelity for e in net.edges)
-        tops = dict(zip(budgets, _ceilings(tuple(budgets.values()), fidelities, delta_f, mode)))
+        tops = _ceilings(tuple(budgets), tuple(e.fidelity for e in net.edges), delta_f, mode)
+        top_of = dict(zip(map(id, net.edges), tops))
 
-        def charge(edge):
-            return _first_k(tops[id(edge)], delta_phi) - 1
+        def ceiling(edge):
+            return top_of[id(edge)]
 
     else:
+        # only for the edges _to_sink weighs (none into s): one ceiling at
+        # budget 39 takes ~0.19 ms on a 2-vCPU Xeon
 
-        def charge(edge):
-            return _least_charge(budgets[id(edge)], edge.fidelity, delta_phi, delta_f, mode)
+        def ceiling(edge):
+            return _ceiling(_edge_budget(net, edge), edge.fidelity, delta_f, mode)
 
-    return _to_sink(net, s, t, limit, charge)
+    return _to_sink(net, s, t, limit, lambda edge: _first_k(ceiling(edge), delta_phi) - 1)
 
 
 def _cost_to_sink(aux: AuxiliaryGraph) -> dict:
@@ -479,20 +478,8 @@ class RoutePlan:
     psi_hat: float
 
     def to_json(self) -> dict:
-        from .purification import tree_to_json
-
-        return {
-            "nodes": list(self.nodes),
-            "pair_counts": list(self.pair_counts),
-            "trees": [tree_to_json(t) for t in self.trees],
-            "edge_fidelities": list(self.edge_fidelities),
-            "edge_throughputs": list(self.edge_throughputs),
-            "fidelity": self.fidelity,
-            "throughput": self.throughput,
-            "cost": self.cost,
-            "phi_hat": self.phi_hat,
-            "psi_hat": self.psi_hat,
-        }
+        """Every field in declaration order, the trees as JSON lists."""
+        return {**vars(self), "trees": [tree_to_json(t) for t in self.trees]}
 
 
 class _Label:
@@ -611,8 +598,10 @@ def _search(
     stats: Optional[dict],
     mode: str = "optimal",
 ) -> list[_Label]:
-    if phi0 > _TOL:
-        raise ValueError("phi0 must be <= 0")
+    if not phi0 <= _TOL:
+        raise ValueError(f"phi0={phi0!r} must be <= 0")
+    if math.isnan(psi0):
+        raise ValueError("psi0 must not be nan")
     for name, step in (
         ("delta_phi", delta_phi), ("delta_psi", delta_psi), ("delta_f", delta_f), ("delta_xi", delta_xi)
     ):
@@ -620,6 +609,8 @@ def _search(
             raise ValueError(f"{name}={step!r} must be a finite number > 0 with a finite reciprocal")
     if R < 1:
         raise ValueError("R must be >= 1")
+    if mode not in ("optimal", "pumping"):
+        raise ValueError(f"unknown schedule mode {mode!r}")
     net = aux.net
     # per-search memos, shared by every pass: (u, w) -> the block of arcs
     # from a copy of u into w, as (w, (str(w),), Q_w, edge, the edge's
@@ -639,13 +630,11 @@ def _search(
 
     def block_of(u, w):
         edge = net.edge(u, w)
-        q_w = net.node(w).qubits
-        # every arc over the edge allocates m <= min(capacity, Q_u, Q_w)
-        budget = min(edge.capacity, net.node(u).qubits, q_w)
         ms = aux.pair_counts(u, w)
         psi_w = 0.0 if w == aux.t else math.log(net.node(w).swap_prob)
         return (
-            w, (str(w),), q_w, edge, budget, ms, tuple(map(edge.cost_of, ms)), psi_w,
+            w, (str(w),), net.node(w).qubits, edge, _edge_budget(net, edge), ms,
+            tuple(map(edge.cost_of, ms)), psi_w,
             to_sink.get(w, _INF), togo.get(w, _INF),
         )
 
@@ -927,22 +916,14 @@ def discretization_steps(aux: AuxiliaryGraph, phi0: float, psi0: float, eps: flo
 
 
 def _max_allocation(aux: AuxiliaryGraph, edge) -> int:
-    """Largest pair count any auxiliary arc realizes over this edge."""
+    """Largest pair count any auxiliary arc realizes over this edge: per
+    direction, the first of aux.pair_counts (m descending) that the tail's
+    top copy can allocate."""
     best = 0
     for tail, head in ((edge.u, edge.v), (edge.v, edge.u)):
-        if head == aux.s or tail == aux.t:
-            continue
-        tail_idx = aux.copy_indices(tail)
-        head_idx = aux.copy_indices(head)
-        if not tail_idx or not head_idx:
-            continue
-        q_head = aux.net.node(head).qubits
-        cap = min(tail_idx[-1], edge.capacity)
-        # copy indices ascend, so the least j with m = q_head - j <= cap
-        # gives the largest such m
-        at = bisect.bisect_left(head_idx, q_head - cap)
-        if at < len(head_idx) and q_head - head_idx[at] >= 1:
-            best = max(best, q_head - head_idx[at])
+        copies = aux.copy_indices(tail)
+        if head != aux.s and tail != aux.t and copies:
+            best = max(best, next((m for m in aux.pair_counts(tail, head) if m <= copies[-1]), 0))
     return best
 
 

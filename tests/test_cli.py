@@ -20,6 +20,7 @@ from entroute.pair_algebra import (
     purified_fidelity,
     pseudo_fidelity,
 )
+from entroute.purification import evaluate_tree, leaf_count, pumping_schedule, tree_to_text
 from entroute.strategies import _blocks, _delta_block, _swap_block
 from entroute.topology import TopologySpec, perturbed, spec_from_json
 from oracles import lemma1_delta
@@ -87,17 +88,31 @@ def test_purify_infeasible_exit_code(capsys):
 
 def test_purify_deep_pumping_tree_exits_0(capsys):
     # a pumping tree of n pairs is n - 1 levels deep; every tree walk is
-    # iterative, so it prints its schedule
-    n, fe = 5000, 0.9
+    # iterative, so the library walks one past the recursion limit, and
+    # the CLI prints the schedule at its pair bound
+    fe = 0.9
+    for n in (5000, 512):
+        f = fe
+        for _ in range(n - 1):
+            f = purified_fidelity(f, fe)
+        text = "(" * (n - 1) + "L" + ",L)" * (n - 1)
+        tree = pumping_schedule(n)
+        assert (tree_to_text(tree), leaf_count(tree), evaluate_tree(tree, fe)[0]) == (text, n, f)
+    # n is now 512, the CLI's bound
     code, out, _ = run_cli(capsys, "purify", "--n", str(n), "--fe", str(fe), "--baseline", "pumping")
     assert code == 0
     rec = json.loads(out)
-    f = fe
-    for _ in range(n - 1):
-        f = purified_fidelity(f, fe)
-    assert rec["exact_fidelity"] == f
-    assert rec["leaves"] == n
-    assert rec["tree"] == "(" * (n - 1) + "L" + ",L)" * (n - 1)
+    assert (rec["tree"], rec["leaves"], rec["exact_fidelity"]) == (text, n, f)
+
+
+@pytest.mark.parametrize("baseline", [[], ["--baseline", "pumping"], ["--baseline", "symmetric"], ["--oracle"]])
+@pytest.mark.parametrize("n", ["-3", "0", "513"])
+def test_purify_rejects_n_outside_the_pair_bound_exits_2(capsys, n, baseline):
+    # a pumping tree's text and the scheduler's time both grow as n^2
+    ftheta = [] if baseline[:1] == ["--baseline"] else ["--ftheta", "0.95"]
+    code, out, err = run_cli(capsys, "purify", "--n", n, "--fe", "0.9", *ftheta, *baseline)
+    assert code == 2 and out == ""
+    assert f"--n={n} outside [1, 512]" in err
 
 
 @pytest.mark.parametrize("flag", ["--df", "--dxi"])
@@ -533,7 +548,11 @@ def test_multiflow_accepts_the_largest_seed(capsys, grid_net, tmp_path):
 
 @pytest.mark.parametrize(
     "chain",
-    ["[0.9, 0.8]", '{"hops": 3}', "3", "[[true]]", '{"hops": [[0.9]], "swap_success": "1"}'],
+    [
+        "[0.9, 0.8]", '{"hops": 3}', "3", "[[true]]", '{"hops": [[0.9]], "swap_success": "1"}',
+        # a hop's exhaustive merge search grows steeply past 8 pairs
+        json.dumps([[0.9] * 9]),
+    ],
 )
 def test_strategy_rejects_bad_chain_exits_2(capsys, chain):
     code, out, err = run_cli(capsys, "strategy", "--chain", chain, "--policy", "pas")
@@ -951,6 +970,8 @@ def test_experiment_rejects_bad_sps_exits_2(capsys, tmp_path, alg):
         ("purify-compare", "pairs_max", 513),
         # 1/delta is inf, and so was the trial count ceil(ln(1/delta)/ln 3)
         ("multiflow", "delta", 1e-310),
+        # a hop's merge-order search grows steeply past 8 pairs
+        ("strategy-compare", "pairs_per_hop", 9),
     ],
 )
 def test_experiment_rejects_bad_option_value_exits_2(capsys, tmp_path, scenario, option, value):

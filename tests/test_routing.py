@@ -335,7 +335,7 @@ def test_table_steps_match_former_first_k_order_sweep(m, extra, f_e, delta_phi, 
 def test_least_charge_bounds_every_step(budget, f_e, delta_phi, grid, mode):
     """The charge built without a frontier is no more than that of the
     edge's cheapest step: the least first k of its full-budget frontier."""
-    cheap = routing._least_charge(budget, f_e, delta_phi, grid[0], mode)
+    cheap = routing._first_k(routing._ceiling(budget, f_e, grid[0], mode), delta_phi) - 1
     k_min = min(routing._first_k(e.f_hat, delta_phi) for e in routing._frontier(budget, f_e, *grid, mode))
     assert 0 <= cheap <= k_min - 1
 
@@ -351,13 +351,13 @@ def test_least_charge_bounds_every_step(budget, f_e, delta_phi, grid, mode):
 def test_ceilings_batch_matches_least_charge(edges, f_one, budget_one, delta_f, mode):
     """The batch kernel gives every edge of a network of mixed budgets, a
     budget-1 edge and an f_e = 1.0 edge among them, the per-edge ceiling bit
-    for bit, and so _least_charge's charge at every delta_phi."""
+    for bit, and so the same charge at every delta_phi."""
     edges = ((1, f_one), (budget_one, 1.0), *edges)
     tops = routing._ceilings(*zip(*edges), delta_f, mode)
     assert list(tops) == [routing._ceiling(b, f_e, delta_f, mode) for b, f_e in edges]
     for delta_phi in (0.001, 0.005, 0.01, 0.02):
         got = [routing._first_k(top, delta_phi) - 1 for top in tops]
-        assert got == [routing._least_charge(b, f_e, delta_phi, delta_f, mode) for b, f_e in edges]
+        assert got == [routing._first_k(routing._ceiling(b, f_e, delta_f, mode), delta_phi) - 1 for b, f_e in edges]
 
 
 @pytest.mark.parametrize(
@@ -423,6 +423,30 @@ def test_search_rejects_an_infinite_step(name):
     steps = {"delta_phi": 0.01, "delta_psi": 0.01, "delta_f": 1e-4, "delta_xi": 1e-4, name: math.inf}
     with pytest.raises(ValueError, match=f"{name}=inf must be a finite number > 0"):
         min_cost_path(aux, pseudo_fidelity(0.95), 0.0, steps.pop("delta_phi"), steps.pop("delta_psi"), **steps)
+
+
+@pytest.mark.parametrize("name", ["phi0", "psi0"])
+def test_search_rejects_nan_thresholds(name):
+    # psi0 = nan dropped the throughput constraint (a plan of throughput
+    # 0.736 at cost 11.0); phi0 = nan failed converting nan to an integer
+    net = topology.generate(topology.TopologySpec(kind="grid", rows=3, cols=3, capacity=5, seed=0))
+    aux = build_aux_graph(net, 0, 8, 1)
+    thresholds = {"phi0": pseudo_fidelity(0.8), "psi0": 0.0, name: math.nan}
+    with pytest.raises(ValueError, match=name):
+        min_cost_path(aux, thresholds["phi0"], thresholds["psi0"], 0.01, 0.01)
+
+
+def test_search_checks_mode_before_any_work(monkeypatch):
+    net = topology.generate(topology.TopologySpec(kind="grid", rows=3, cols=3, capacity=5, seed=0))
+    aux = build_aux_graph(net, 0, 8, 1)
+    calls = []
+    real = routing._charge_to_sink
+    monkeypatch.setattr(routing, "_charge_to_sink", lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(ValueError, match="unknown schedule mode 'greedy'"):
+        min_cost_path(aux, pseudo_fidelity(0.8), 0.0, 0.01, 0.01, mode="greedy")
+    assert calls == []
+    assert min_cost_path(aux, pseudo_fidelity(0.8), 0.0, 0.01, 0.01, mode="pumping") is not None
+    assert len(calls) == 1
 
 
 # --- single-path search ---
@@ -1146,7 +1170,7 @@ def test_charge_to_sink_is_least_path_charge():
                     for a, b in zip(nodes, nodes[1:]):
                         e = net.edge(a, b)
                         budget = min(e.capacity, net.node(a).qubits, net.node(b).qubits)
-                        total += routing._least_charge(budget, e.fidelity, 0.005, 1e-4, mode)
+                        total += routing._first_k(routing._ceiling(budget, e.fidelity, 1e-4, mode), 0.005) - 1
                     want[v] = min(total, want.get(v, total))
             for limit in (10**9, max(max(want.values()) - 1, 0)):
                 got = routing._charge_to_sink(net, s, t, limit, 0.005, 1e-4, mode)
@@ -1639,13 +1663,13 @@ def test_routing_caches_stay_bounded():
     for i in range(n):
         f_e = 0.6 + 0.3 * i / n
         routing.edge_throughput_table(1, 1, f_e, 0.01, 1e-4, 1e-4, "optimal")
-        routing._least_charge(1, f_e, 0.01, 1e-4, "optimal")
+        routing._ceiling(1, f_e, 1e-4, "optimal")
         routing._ceilings((1,), (f_e,), 1e-4, "optimal")
         routing._fronts(1, f_e)
     # every cache of the module saw more keys than it may hold: each is
     # bounded, and full, not over
     caches = {name: fn for name, fn in vars(routing).items() if hasattr(fn, "cache_info")}
-    assert {"edge_throughput_table", "_frontier", "_first_k"} <= caches.keys()
+    assert {"edge_throughput_table", "_frontier", "_first_k", "_ceiling", "_ceilings"} <= caches.keys()
     for name, cache in caches.items():
         info = cache.cache_info()
         assert info.maxsize in bounds and info.currsize == info.maxsize, (name, info)

@@ -157,6 +157,14 @@ def test_chain_validation():
         swap_purify_swap(RepeaterChain([[0.9], [0.9]]), 3)
 
 
+def test_chain_rejects_a_hop_over_the_pair_bound():
+    # _merge_all's search over merge orders grows steeply with a hop's pairs
+    assert purify_and_swap(RepeaterChain([[0.9] * 8, [0.8]])).fidelity > 0
+    for hops in ([[0.9] * 9], [[0.8], [0.9] * 24]):
+        with pytest.raises(ValueError, match="every hop needs 1 to 8 elementary pairs"):
+            RepeaterChain(hops)
+
+
 def test_lemma1_scan_coarse():
     report = lemma1_scan(0.05)
     assert report["lemma1"]["violations"] == 0
@@ -311,7 +319,8 @@ def test_policy_layout_cache_stays_bounded():
     assert len(layouts) == len(set(layouts)) == 255
     for counts in layouts:
         optimal_policy_fidelity(RepeaterChain([[1.0] * k for k in counts]))
-    for counts in ((9,), (4, 5), (1,) * 9):
+    # a single hop of 9 pairs is rejected by RepeaterChain itself
+    for counts in ((8, 1), (4, 5), (1,) * 9):
         with pytest.raises(ValueError, match="bounded at 8"):
             optimal_policy_fidelity(RepeaterChain([[1.0] * k for k in counts]))
     assert strategies._policy_layout.cache_info().currsize <= 255
