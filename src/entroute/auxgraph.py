@@ -9,6 +9,8 @@ capacity); no arc enters the source.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .network import QuantumNetwork
 
 VIRTUAL_SINK = ("__virtual__", "sink")
@@ -45,10 +47,12 @@ class AuxiliaryGraph:
         """The pair counts of the arcs from the copies of u into its
         neighbour w, j ascending (so m descending): m = Q_w - j for each
         copy index j of w with 1 <= m <= the edge's capacity.  The copy
-        (u, i) takes those with m <= i, a suffix."""
+        (u, i) takes those with m <= i, a suffix.  The copy indices ascend,
+        so those j, Q_w - capacity <= j <= Q_w - 1, are one slice."""
         q_w = self.net.node(w).qubits
         cap = self.net.edge(u, w).capacity
-        return tuple(q_w - j for j in self._indices[w] if 1 <= q_w - j <= cap)
+        idx = self._indices[w]
+        return tuple(q_w - j for j in idx[bisect_left(idx, q_w - cap) : bisect_left(idx, q_w)])
 
 
 def build_aux_graph(net: QuantumNetwork, s, t, deltaq: int = 1) -> AuxiliaryGraph:

@@ -38,7 +38,7 @@ from .purification import (
     symmetric_schedule,
     tree_to_text,
 )
-from .routing import brute_force_route, min_cost_path
+from .routing import DELTA_PHI_MIN, brute_force_route, min_cost_path
 from .strategies import (
     RepeaterChain,
     purify_and_swap,
@@ -246,6 +246,8 @@ def _cmd_route(args) -> int:
     for flag, step in (("--dphi", args.dphi), ("--dpsi", args.dpsi)):
         if not _step(step):
             raise ValueError(f"{flag}={step!r} must be a finite number > 0 with a finite reciprocal")
+    if args.dphi < DELTA_PHI_MIN:
+        raise ValueError(f"--dphi={args.dphi!r} is below the least step {DELTA_PHI_MIN!r}")
     net = QuantumNetwork.load(args.net)
     src, dst = _node_id(net, args.src), _node_id(net, args.dst)
     aux = build_aux_graph(net, src, dst, deltaq=args.deltaq)

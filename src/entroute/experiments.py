@@ -36,7 +36,7 @@ from .purification import (
     tree_success_prob,
     tree_to_json,
 )
-from .routing import min_cost_path
+from .routing import DELTA_PHI_MIN, min_cost_path
 from .strategies import HOP_PAIRS_MAX, RepeaterChain, purify_and_swap, swap_and_purify, swap_purify_swap
 from .topology import TopologySpec, generate, perturbed, sample_flows, spec_from_json
 
@@ -489,8 +489,9 @@ _SCENARIOS = {
         ("ours", "q-step"),
         {
             "dphi": (
-                lambda v: isinstance(v, (list, tuple)) and all(map(_STEP[0], v)),
-                "a list of finite numbers > 0 with finite reciprocals",
+                lambda v: isinstance(v, (list, tuple))
+                and all(_number(d) and DELTA_PHI_MIN <= d < math.inf for d in v),
+                f"a list of finite numbers >= {DELTA_PHI_MIN!r}",
             ),
             "dpsi": _STEP,
             "demand": _POSITIVE,

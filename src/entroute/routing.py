@@ -4,17 +4,21 @@ Label-setting search over the auxiliary graph.  A label carries the path
 cost, the bottleneck edge log-throughput, and two whole step counts: the
 delta_phi steps of pseudo-fidelity budget charged (phi_units) and the
 discretized path log-throughput over delta_psi (psi_units).  Per-edge
-purification options come from two memoized functions, each a pure
-function of its arguments: the purification frontier of an edge's
-fidelity, and per pair count m a throughput table, the immutable
-staircase of finished search steps (split index, schedule, edge
-log-throughput) swept from the frontier built at the least power of two
->= m, or at the edge's budget min(capacity, Q_u, Q_v) if that is smaller.
-The table depends on the edge and m alone, so every search over a network
-shares its frontiers and tables, and a search that reaches small pair
-counts only never builds the large frontiers.  The search reads the table
-of each arc it walks, and builds the arc record (m, k, edge, schedule) of
-a step only for a label it admits.
+purification options come from per pair count m a memoized throughput
+table, the immutable staircase of finished search steps (split index,
+schedule, edge log-throughput) swept over the entries with b <= m of a
+purification frontier of the edge's fidelity.  The frontier cache keeps
+one entry per fidelity, grid and schedule mode, its largest build so far.
+A table reads it when it was built at m or more pairs, and otherwise
+builds at the least power of two >= m, or at the edge's budget
+min(capacity, Q_u, Q_v) if that is smaller, and replaces it.  The entries
+with b <= m of any build at m or more are the build at m (see _frontier),
+so the table is a pure function of the edge and m whichever build it
+reads.  Every search over a network shares its frontiers and tables, and
+a search that reaches small pair counts only never builds the large
+frontiers.  The search reads the table of each arc it walks, and builds
+the arc record (m, k, edge, schedule) of a step only for a label it
+admits.
 
 The search starts from a single label at the top source copy.  Every
 intermediate copy index is fixed by the allocation into it (j = Q_v - m),
@@ -65,7 +69,12 @@ steps.  A label meets phi0 when it carries at most room = floor(-phi0 /
 delta_phi + 1e-9) steps, so one with u steps takes a step k (charged k -
 1) into v only when k <= kmax - LB(v), kmax = room - u + 1.  Steps ascend
 in k, so this caps each arc's k at no cost per step; stats= counts the
-arcs whose cap it lowers (LB(v) > 0) as pruned.  A dropped step carries u
+arcs whose cap it lowers (LB(v) > 0) as pruned.  Every step over an edge
+has k >= c_e + 1, c_e being the edge's charge below, so a block with
+kmax - LB(v) <= c_e has no step to take: it is skipped before any table is
+built, and so is a block with kmax - LB(v) < 1.  The edges at s, which the
+Dijkstra never weighs, are charged 0 here, so only the latter test skips
+them and no ceiling is computed for them.  A dropped step carries u
 + k - 1 + LB(v) > room steps with its least completion, so it cannot reach
 the sink.  Call a label at v safe when u + LB(v) <= room.  A label that can
 complete is safe, and a safe label is never dropped.  The parent of a safe
@@ -76,8 +85,8 @@ the safe labels are admitted, killed and popped, in the same relative
 order, as without the bound.  Sink labels are safe, so the sink pops and
 plans are unchanged.
 
-Each edge is charged the first k, less one, of _ceiling, a ceiling on the
-f_hat of its frontier.  Each ceiling is a recursion over the edge's
+Each edge is charged c_e, the first k, less one, of _ceiling, a ceiling on
+the f_hat of its frontier.  Each ceiling is a recursion over the edge's
 budget, and on a network with many edges or large budgets, running it over
 every edge at once costs less than edge by edge (_BATCH_SIZE's rule), so
 such a network takes its ceilings from one numpy batch (_ceilings), the
@@ -95,6 +104,9 @@ c, which bounds their rounding along paths of under 2,000 edges.
 
 The search runs in passes.  A pass cuts, before its table is built, every
 arc whose reach (shared by the arc's steps) exceeds cap + _MARGIN*(1 + cap).
+The arcs of a block the phi bound skips are neither cut nor let through:
+they have no step to take in any pass, capped or not, so below "arc"
+means an arc of a block the bound does not skip.
 The first cap is togo(s), the least cost of an s-t path at those pair
 counts, which no first arc reaches below.  Whenever the sink pool holds R
 labels, the cap drops to the R-th smallest of their costs (an infinite cap
@@ -179,7 +191,7 @@ _ROUND = 1e-12
 
 # Bounds of the caches below.  They are keyed by float fidelities, so a
 # long-lived process would otherwise grow them without limit; one search
-# needs a few frontiers per edge and a table per (edge, m).
+# needs one frontier per edge fidelity and a table per (edge, m).
 FRONTIER_CACHE_SIZE = 1024
 TABLE_CACHE_SIZE = 8192
 FRONTS_CACHE_SIZE = 256
@@ -201,23 +213,37 @@ FIRST_K_CACHE_SIZE = 4096
 # budget 15 (route-compare): 0.28 vs 1.09 ms optimal, 0.29 vs 0.40 ms
 # pumping; 4 at budget 39 (multiflow-mc): 0.55 vs 0.45 ms and 0.35 vs 0.09.
 _BATCH_SIZE = 350
+# the least delta_phi a search or table takes, discretization_steps' floor;
+# far below it, at about 2**-53 of -pseudo_fidelity(f_hat), a unit step of
+# k no longer changes k*delta_phi and _first_k's loops would not end
+DELTA_PHI_MIN = 1e-12
 
 
-@lru_cache(maxsize=FRONTIER_CACHE_SIZE)
 def _frontier(budget: int, f_e: float, delta_f: float, delta_xi: float, mode: str) -> tuple:
     """The purification frontier of mode's schedule family, built at
-    exactly budget pairs.
+    exactly budget pairs, uncached (the tables keep one build per edge
+    fidelity in _frontier_slot).
 
     Its entries with b <= m equal a fresh build at m, entry for entry and
     in order: an entry with b leaves is built only from entries with at
     most b leaves, and only such entries can dominate it.  So one build at
-    an edge's largest pair count serves every smaller one.
+    m or more pairs serves the table of m.
     """
     if mode == "optimal":
         return tuple(candidate_frontier(budget, f_e, delta_f, delta_xi))
     if mode == "pumping":
         return tuple(pumping_frontier(budget, f_e, delta_f, delta_xi))
     raise ValueError(f"unknown schedule mode {mode!r}")
+
+
+@lru_cache(maxsize=FRONTIER_CACHE_SIZE)
+def _frontier_slot(f_e: float, delta_f: float, delta_xi: float, mode: str) -> list:
+    """The frontier cache's one entry for an edge fidelity, grid and mode:
+    a list holding the pair (size, _frontier(size, ...)), the largest build
+    so far, or (0, ()) until edge_throughput_table fills it.  A table reads
+    the pair once and replaces it whole, so a thread sweeps a build of its
+    own m or more pairs even while another stores a different one."""
+    return [(0, ())]
 
 
 @lru_cache(maxsize=FIRST_K_CACHE_SIZE)
@@ -344,14 +370,17 @@ def _to_sink(net: QuantumNetwork, s, t, limit, weight) -> dict:
 
 def _charge_to_sink(
     net: QuantumNetwork, s, t, limit: int, delta_phi: float, delta_f: float, mode: str
-) -> dict:
+) -> tuple:
     """LB(v) for every node v != s with LB(v) <= limit: the least sum of
-    the edge charges _first_k(_ceiling(budget, ...), delta_phi) - 1 over the
-    edges of any v-t path that avoids s.  The search never enters s, and the
-    bound ignores copy indices and simplicity, so no path it can extend a
-    label along from v to t charges less than LB(v)*delta_phi.  A network
-    large by _BATCH_SIZE's rule takes its ceilings from one _ceilings batch,
-    the same floats."""
+    the edge charges c_e = _first_k(_ceiling(budget, ...), delta_phi) - 1
+    over the edges of any v-t path that avoids s.  The search never enters
+    s, and the bound ignores copy indices and simplicity, so no path it can
+    extend a label along from v to t charges less than LB(v)*delta_phi.  A
+    network large by _BATCH_SIZE's rule takes its ceilings from one
+    _ceilings batch, the same floats.
+
+    Returns LB and c_e by id(edge) for every edge the Dijkstra weighed:
+    each edge with an end that has an LB and no end at s."""
     budgets = [_edge_budget(net, e) for e in net.edges]
     per_level = 29 + (max(budgets, default=0) if mode == "optimal" else 0)
     if len(budgets) * per_level > _BATCH_SIZE:
@@ -368,7 +397,13 @@ def _charge_to_sink(
         def ceiling(edge):
             return _ceiling(_edge_budget(net, edge), edge.fidelity, delta_f, mode)
 
-    return _to_sink(net, s, t, limit, lambda edge: _first_k(ceiling(edge), delta_phi) - 1)
+    charges: dict = {}
+
+    def charge(edge):
+        charges[id(edge)] = c = _first_k(ceiling(edge), delta_phi) - 1
+        return c
+
+    return _to_sink(net, s, t, limit, charge), charges
 
 
 def _cost_to_sink(aux: AuxiliaryGraph) -> dict:
@@ -394,6 +429,13 @@ def _cost_to_sink(aux: AuxiliaryGraph) -> dict:
     return togo
 
 
+def _check_delta_phi(delta_phi) -> None:
+    if not _step(delta_phi):
+        raise ValueError(f"delta_phi={delta_phi!r} must be a finite number > 0 with a finite reciprocal")
+    if delta_phi < DELTA_PHI_MIN:
+        raise ValueError(f"delta_phi={delta_phi!r} is below the least step {DELTA_PHI_MIN!r}")
+
+
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def edge_throughput_table(
     edge_budget: int,
@@ -416,36 +458,41 @@ def edge_throughput_table(
     left).  The staircase ends at the raw pair (ratio 1, which no purified
     entry reaches).
 
-    The frontier is built at the least power of two >= m, or at
-    edge_budget if that is smaller (see the module docstring); its entries
-    with b <= m are the frontier of m (see _frontier), so any size >= m
-    gives the same staircase.  An entry meets the threshold of k exactly
-    when k is at least its first k (the test is monotone in k), so the pick
-    can change only at some entry's first k.  The frontier is sorted by
-    f_hat ascending and a larger f_hat has a first k no larger, so swept in
-    reverse its entries come in first-k order.  The sweep, over the entries
-    with b <= m, keeps a running pick by best_entry's rule and closes a
-    step candidate at the end of each first-k group.  That is best_entry's
-    pick over the whole qualifying set, because the rule's pick does not
-    depend on the order it meets the entries in: yields are multiples of
-    delta_xi, so ratios within _GRID_TOL of each other are equal (distinct
-    ones differ by about delta_xi/b^2 or more), and a frontier holds no two
-    entries with equal b and ratio (one would dominate the other).
+    The frontier is the build f_e's cache entry (_frontier_slot) holds when
+    it has m or more pairs, and otherwise a new build at the least power of
+    two >= m, or at edge_budget if that is smaller, which replaces it.  Its
+    entries with b <= m are the frontier of m (see _frontier), so any size
+    >= m gives the same staircase; the others are dropped before any first
+    k is taken.  An entry meets the threshold of k exactly when k is at
+    least its first k (the test is monotone in k), so the pick can change
+    only at some entry's first k.  The frontier is sorted by f_hat
+    ascending and a larger f_hat has a first k no larger, so swept in
+    reverse its entries come in first-k order.  The sweep keeps a running
+    pick by best_entry's rule and closes a step candidate at the end of
+    each first-k group.  That is best_entry's pick over the whole
+    qualifying set, because the rule's pick does not depend on the order it
+    meets the entries in: yields are multiples of delta_xi, so ratios
+    within _GRID_TOL of each other are equal (distinct ones differ by about
+    delta_xi/b^2 or more), and a frontier holds no two entries with equal b
+    and ratio (one would dominate the other).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if edge_budget < m:
         raise ValueError(f"edge_budget {edge_budget} is below m {m}")
-    if not _step(delta_phi):
-        raise ValueError(f"delta_phi={delta_phi!r} must be a finite number > 0 with a finite reciprocal")
-    frontier = _frontier(min(edge_budget, 1 << (m - 1).bit_length()), f_e, delta_f, delta_xi, mode)
+    _check_delta_phi(delta_phi)
+    slot = _frontier_slot(f_e, delta_f, delta_xi, mode)
+    size, frontier = slot[0]
+    if size < m:
+        size = min(edge_budget, 1 << (m - 1).bit_length())
+        frontier = _frontier(size, f_e, delta_f, delta_xi, mode)
+        slot[0] = size, frontier
+    entries = [e for e in reversed(frontier) if e.b <= m]
     steps: list = []
     best = None
     best_ratio = last_ratio = -_INF
-    for k, group in itertools.groupby(reversed(frontier), key=lambda e: _first_k(e.f_hat, delta_phi)):
+    for k, group in itertools.groupby(entries, key=lambda e: _first_k(e.f_hat, delta_phi)):
         for e in group:
-            if e.b > m:
-                continue
             # best_entry's rule (purification._prefer)
             ratio = e.ratio()
             if ratio > best_ratio + _GRID_TOL or (
@@ -598,13 +645,12 @@ def _search(
     stats: Optional[dict],
     mode: str = "optimal",
 ) -> list[_Label]:
-    if not phi0 <= _TOL:
-        raise ValueError(f"phi0={phi0!r} must be <= 0")
+    if not -_INF < phi0 <= _TOL:
+        raise ValueError(f"phi0={phi0!r} must be finite and <= 0")
     if math.isnan(psi0):
         raise ValueError("psi0 must not be nan")
-    for name, step in (
-        ("delta_phi", delta_phi), ("delta_psi", delta_psi), ("delta_f", delta_f), ("delta_xi", delta_xi)
-    ):
+    _check_delta_phi(delta_phi)
+    for name, step in (("delta_psi", delta_psi), ("delta_f", delta_f), ("delta_xi", delta_xi)):
         if not _step(step):
             raise ValueError(f"{name}={step!r} must be a finite number > 0 with a finite reciprocal")
     if R < 1:
@@ -615,17 +661,20 @@ def _search(
     # per-search memos, shared by every pass: (u, w) -> the block of arcs
     # from a copy of u into w, as (w, (str(w),), Q_w, edge, the edge's
     # budget, pair counts descending, their edge costs, psi_w, LB(w),
-    # togo(w)); vertex -> its nonempty slices, a block and the index where
-    # the slice starts
+    # togo(w), c_e); vertex -> its nonempty slices, a block and the index
+    # where the slice starts
     block_memo: dict = {}
     arc_memo: dict = {}
     # a label meets phi0 while it carries at most room delta_phi steps, and
     # psi0 while its psi_hat is at least psi_min delta_psi steps
-    room = math.floor(-phi0 / delta_phi + 1e-9)
+    room = -phi0 / delta_phi + 1e-9
+    if room == _INF:
+        raise ValueError(f"phi0={phi0!r} over delta_phi={delta_phi!r} overflows the step count")
+    room = math.floor(room)
     psi_min = _least_steps(psi0 - _TOL, delta_psi)
     # no label carries fewer steps than the root's 0, so none can use an
     # LB(v) above room; such nodes are left out, as if unreachable
-    to_sink = _charge_to_sink(net, aux.s, aux.t, room, delta_phi, delta_f, mode)
+    to_sink, charges = _charge_to_sink(net, aux.s, aux.t, room, delta_phi, delta_f, mode)
     togo = _cost_to_sink(aux)
 
     def block_of(u, w):
@@ -635,7 +684,7 @@ def _search(
         return (
             w, (str(w),), net.node(w).qubits, edge, _edge_budget(net, edge), ms,
             tuple(map(edge.cost_of, ms)), psi_w,
-            to_sink.get(w, _INF), togo.get(w, _INF),
+            to_sink.get(w, _INF), togo.get(w, _INF), charges.get(id(edge), 0),
         )
 
     def arcs_of(vertex):
@@ -712,14 +761,14 @@ def _search(
             arcs = arc_memo.get(vertex)
             if arcs is None:
                 arcs = arc_memo[vertex] = arcs_of(vertex)
-            for key, pkey_v, q_v, edge, budget, ms, costs, psi_v, lb, g, start in arcs:
+            for key, pkey_v, q_v, edge, budget, ms, costs, psi_v, lb, g, c_e, start in arcs:
                 if key in path:
                     continue
                 kcap = kmax - lb  # a larger k cannot reach t (see the module docstring)
                 if kcap < kmax:
                     pruned += len(ms) - start
-                    if kcap < 1:
-                        continue
+                if kcap <= c_e:
+                    continue  # every step over the edge has k > c_e
                 # reaches do not rise along a block, so the arcs the cap cuts
                 # are its first ones: scan back from the cheap end to the
                 # last one cut, the least reach cut
@@ -904,7 +953,7 @@ def discretization_steps(aux: AuxiliaryGraph, phi0: float, psi0: float, eps: flo
     if eps <= 0:
         raise ValueError("eps must be positive")
     n_nodes = len(aux.net.nodes)
-    delta_phi = max(eps * abs(phi0) / n_nodes, 1e-12)
+    delta_phi = max(eps * abs(phi0) / n_nodes, DELTA_PHI_MIN)
     psi_max = 0.0
     for e in aux.net.edges:
         m = _max_allocation(aux, e)

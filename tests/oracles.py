@@ -28,7 +28,7 @@ from entroute.purification import (
     _best_schedules,
     _ceil_to_grid,
 )
-from entroute.routing import _first_k, _frontier
+from entroute.routing import _first_k
 
 # the auxiliary graph's virtual source; the search starts at the top source
 # copy instead
@@ -227,27 +227,22 @@ def pumping_frontier_former(n: int, f_e: float, delta_f: float, delta_xi: float)
     return entries
 
 
-def first_k_order(budget: int, f_e: float, delta_phi: float, delta_f: float, delta_xi: float, mode: str):
+def first_k_order(frontier, delta_phi: float):
     """routing's former first-k order: the (first k, ratio xi_hat/b, entry)
-    triples of the frontier built at budget, sorted by first k (ties in
-    frontier order)."""
-    entries = _frontier(budget, f_e, delta_f, delta_xi, mode)
-    return sorted(((_first_k(e.f_hat, delta_phi), e.xi_hat / e.b, e) for e in entries), key=itemgetter(0))
+    triples of a frontier, sorted by first k (ties in frontier order)."""
+    return sorted(((_first_k(e.f_hat, delta_phi), e.xi_hat / e.b, e) for e in frontier), key=itemgetter(0))
 
 
-def throughput_steps(
-    edge_budget: int, m: int, f_e: float, delta_phi: float, delta_f: float, delta_xi: float, mode: str
-) -> tuple:
+def throughput_steps(frontier, m: int, delta_phi: float) -> tuple:
     """The search's former successors of an edge at pair count m, less the
-    arc record: the frontier built at the least power of two >= m capped
-    at edge_budget, its table swept over first_k_order, and per step (k,
-    entry, log(entry.ratio() * m))."""
-    budget = min(edge_budget, 1 << (m - 1).bit_length())
+    arc record, read off a frontier built at m or more pairs: its table
+    swept over first_k_order of the whole frontier, skipping the entries
+    with b > m inside each first-k group, and per step (k, entry,
+    log(entry.ratio() * m))."""
     steps = []
     best = None
     best_ratio = last_ratio = -math.inf
-    order = first_k_order(budget, f_e, delta_phi, delta_f, delta_xi, mode)
-    for k, group in itertools.groupby(order, key=itemgetter(0)):
+    for k, group in itertools.groupby(first_k_order(frontier, delta_phi), key=itemgetter(0)):
         for _, ratio, e in group:
             if e.b <= m and (
                 ratio > best_ratio + _GRID_TOL

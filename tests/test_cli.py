@@ -406,6 +406,33 @@ def test_route_checks_step_flags_exits_2(capsys, tmp_path, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["route", "experiment"])
+def test_a_dphi_below_the_floor_exits_2(tmp_path, command):
+    # route --dphi 1e-20 on this grid never returned: past k ~ 2**53 a unit
+    # step of k no longer moves k*dphi; each run has a hard timeout
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "grid", "rows": 3, "cols": 3, "capacity": 5, "seed": 0}), encoding="utf-8")
+    net = tmp_path / "net.json"
+    assert main(["topo", "gen", "--spec", str(spec), "--out", str(net)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"scenario": "route-compare", "trials": 1, "thresholds": [0.8], "dphi": [0.01, 1e-20]}),
+        encoding="utf-8",
+    )
+    argv = {
+        "route": ["route", "--net", str(net), "--src", "0", "--dst", "8", "--f0", "0.8", "--dphi", "1e-20"],
+        "experiment": ["experiment", "run", "--config", str(cfg), "--out", str(tmp_path / "out")],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "entroute", *argv],
+        capture_output=True, text=True, env=_checkout_env(), cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert ("--dphi=1e-20 is below the least step 1e-12" if command == "route" else "'dphi'") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_route_rejects_costs_summing_to_inf_exits_2(capsys, tmp_path):
     # each edge's cost at capacity is finite (2 pairs cost 1.6e308), but a
     # path over all three would cost inf
@@ -965,6 +992,8 @@ def test_experiment_rejects_bad_sps_exits_2(capsys, tmp_path, alg):
         ("strategy-compare", "swap_success", 0),
         # a subnormal step has an infinite reciprocal
         ("route-compare", "dphi", [0.01, 1e-320]),
+        # below the least delta_phi a search takes (discretization_steps' floor)
+        ("route-compare", "dphi", [0.01, 9.9e-13]),
         ("route-compare", "dpsi", 1e-320),
         # the summary's nested tree lists would overflow json.dumps' recursion
         ("purify-compare", "pairs_max", 513),

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entroute.auxgraph import VIRTUAL_SINK, build_aux_graph
 from entroute.network import EdgeSpec, NodeSpec, QuantumNetwork, _step
@@ -209,3 +210,21 @@ def test_deltaq_coarsening():
         assert m % 2 == 0  # allocations come in deltaq chunks
     with pytest.raises(ValueError):
         encode_path(aux, ["s", "v", "u", "t"], [2, 1, 2])  # m=1 not on the grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 40), min_size=3, max_size=3),
+    st.lists(st.integers(1, 45), min_size=2, max_size=2),
+    st.integers(1, 6),
+)
+def test_pair_counts_is_the_filter_of_every_copy_index(qubits, caps, deltaq):
+    """The bisect slice of pair_counts equals a test of every copy index j
+    of the head w, 1 <= Q_w - j <= capacity, in both directions of every
+    edge, source and sink copies included."""
+    aux = build_aux_graph(make_line(qubits=tuple(qubits), caps=tuple(caps), fids=(0.9, 0.9)), "s", "u", deltaq)
+    for e in aux.net.edges:
+        for u, w in ((e.u, e.v), (e.v, e.u)):
+            q_w = aux.net.node(w).qubits
+            want = tuple(q_w - j for j in aux.copy_indices(w) if 1 <= q_w - j <= e.capacity)
+            assert aux.pair_counts(u, w) == want

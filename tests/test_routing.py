@@ -3,8 +3,13 @@ import heapq
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
 from collections import Counter
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -313,15 +318,49 @@ def test_sweep_staircase_matches_per_k_best_entry(f_e, budgets, delta_phis, grid
     st.sampled_from(["optimal", "pumping"]),
 )
 def test_table_steps_match_former_first_k_order_sweep(m, extra, f_e, delta_phi, grid, mode):
-    """The table of an edge of any budget >= m, swept over its frontier in
-    reverse, gives the former successors step for step: the same k and
-    entry objects, and psi_e equal to the float of the former expression."""
+    """The table of an edge of any budget >= m, swept in reverse over the
+    frontier its cache entry holds, gives the former successors over that
+    frontier step for step: the same k and entry objects, and psi_e equal
+    to the float of the former expression.  That frontier was built at m or
+    more pairs, and its entries with b <= m are those of the former build,
+    at the least power of two >= m capped at the budget, entry for entry
+    and in order.  The table body is called uncached, so that its steps
+    come from the frontier the entry holds now."""
     edge_budget = m + extra
-    got = edge_throughput_table(edge_budget, m, f_e, delta_phi, *grid, mode)
-    want = throughput_steps(edge_budget, m, f_e, delta_phi, *grid, mode)
+    got = edge_throughput_table.__wrapped__(edge_budget, m, f_e, delta_phi, *grid, mode)
+    size, frontier = routing._frontier_slot(f_e, *grid, mode)[0]
+    former = routing._frontier(min(edge_budget, 1 << (m - 1).bit_length()), f_e, *grid, mode)
+    assert size >= m
+    assert [_entry_key(e) for e in frontier if e.b <= m] == [_entry_key(e) for e in former if e.b <= m]
+    want = throughput_steps(frontier, m, delta_phi)
     assert len(got) == len(want) > 0
     for (k, e, psi_e), (k0, e0, psi_e0) in zip(got, want):
         assert k == k0 and e is e0 and psi_e == psi_e0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 40), min_size=3, max_size=3).map(sorted),
+    st.floats(0.5, 1.0),
+    st.one_of(st.sampled_from([1e-12, 0.001, 0.005, 0.01, 0.02]), st.floats(1e-4, 0.05)),
+    st.sampled_from([(1e-4, 1e-4), (1e-3, 1e-3), (1e-2, 1e-3), (1e-3, 1e-2)]),
+    st.sampled_from(["optimal", "pumping"]),
+)
+def test_table_is_the_same_whichever_cached_frontier_it_reads(sizes, f_e, delta_phi, grid, mode):
+    """A table of pair count m of an edge of budget B gives the same steps
+    (k, entry values and tree, psi_e) when the cache entry holds a build of
+    any size in [m, B]: the former size (the least power of two >= m, or B
+    if smaller), one between, and B itself.  The entry is read, not
+    rebuilt; the table body is called uncached."""
+    m, between, budget = sizes
+    slot = routing._frontier_slot(f_e, *grid, mode)
+    tables = []
+    for size in (min(budget, 1 << (m - 1).bit_length()), between, budget):
+        held = slot[0] = size, routing._frontier(size, f_e, *grid, mode)
+        steps = edge_throughput_table.__wrapped__(budget, m, f_e, delta_phi, *grid, mode)
+        assert slot[0] is held
+        tables.append([(k, _entry_key(e), psi_e) for k, e, psi_e in steps])
+    assert tables[0] and tables[0] == tables[1] == tables[2]
 
 
 @settings(max_examples=80, deadline=None)
@@ -370,8 +409,9 @@ def test_ceilings_batch_matches_least_charge(edges, f_one, budget_one, delta_f, 
     ],
 )
 def test_charge_to_sink_same_on_both_sides_of_the_size_rule(monkeypatch, spec, batched):
-    """_charge_to_sink returns the same LB(v) whether the ceilings come from
-    one batch or edge by edge; the size rule batches the 5x5 grid only."""
+    """_charge_to_sink returns the same LB(v) and edge charges whether the
+    ceilings come from one batch or edge by edge; the size rule batches the
+    5x5 grid only."""
     net = topology.generate(spec)
     s, t = min(net.nodes), max(net.nodes)
     rule, real, calls = routing._BATCH_SIZE, routing._ceilings, []
@@ -382,7 +422,7 @@ def test_charge_to_sink_same_on_both_sides_of_the_size_rule(monkeypatch, spec, b
             monkeypatch.setattr(routing, "_BATCH_SIZE", rule)
             want = routing._charge_to_sink(net, s, t, limit, delta_phi, 1e-4, mode)
             assert bool(calls) == batched
-            assert max(want.values()) > 0
+            assert max(want[0].values()) > 0
             for size in (0, math.inf):  # every network batched, then none
                 monkeypatch.setattr(routing, "_BATCH_SIZE", size)
                 assert routing._charge_to_sink(net, s, t, limit, delta_phi, 1e-4, mode) == want
@@ -434,6 +474,47 @@ def test_search_rejects_nan_thresholds(name):
     thresholds = {"phi0": pseudo_fidelity(0.8), "psi0": 0.0, name: math.nan}
     with pytest.raises(ValueError, match=name):
         min_cost_path(aux, thresholds["phi0"], thresholds["psi0"], 0.01, 0.01)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # an OverflowError converting -inf steps to an integer
+        ("min_cost_path(aux, -math.inf, 0.0, 0.01, 0.01)", "phi0=-inf must be finite and <= 0"),
+        # finite, but -phi0/delta_phi overflows the step count
+        ("min_cost_path(aux, -1e300, 0.0, 1e-12, 0.01)", "phi0=-1e+300 over delta_phi=1e-12 overflows"),
+        # never returned: past k ~ 2**53 a unit step of k no longer moves
+        # k*delta_phi, so _first_k's loops ran on
+        ("min_cost_path(aux, pseudo_fidelity(0.8), 0.0, 1e-20, 0.01)", "delta_phi=1e-20 is below the least step"),
+        ("k_paths(aux, pseudo_fidelity(0.8), 0.0, (9.9e-13, 0.01), 3)", "delta_phi=9.9e-13 is below the least step"),
+        ("edge_throughput_table(4, 4, 0.8, 1e-20, 1e-4, 1e-4, 'optimal')", "delta_phi=1e-20 is below the least step"),
+        # the floor itself is accepted, and the search ends
+        ("print(min_cost_path(aux, pseudo_fidelity(0.8), 0.0, 1e-12, 0.01).nodes)", "[0, "),
+    ],
+)
+def test_search_and_table_reject_a_phi_input_they_cannot_finish(call, message):
+    """Each call runs in a subprocess under a hard timeout, so a hang fails
+    the test instead of stalling the suite."""
+    code = "\n".join(
+        [
+            "import math",
+            "from entroute import topology",
+            "from entroute.auxgraph import build_aux_graph",
+            "from entroute.pair_algebra import pseudo_fidelity",
+            "from entroute.routing import edge_throughput_table, k_paths, min_cost_path",
+            "net = topology.generate(topology.TopologySpec(kind='grid', rows=3, cols=3, capacity=5, seed=0))",
+            "aux = build_aux_graph(net, 0, 8)",
+            "try:",
+            f"    {call}",
+            "except ValueError as exc:",
+            "    print(exc)",
+        ]
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(message), proc.stdout
 
 
 def test_search_checks_mode_before_any_work(monkeypatch):
@@ -1118,7 +1199,7 @@ def test_search_matches_former_search(case, R, mode, delta_phi, delta_psi):
     phi0 = pseudo_fidelity(f0)
     args = (aux, phi0, math.log(0.2), delta_phi, delta_psi, R, 1e-4, 1e-4)
     room = math.floor(-phi0 / delta_phi + 1e-9)
-    to_sink = routing._charge_to_sink(aux.net, aux.s, aux.t, room, delta_phi, 1e-4, mode)
+    to_sink = routing._charge_to_sink(aux.net, aux.s, aux.t, room, delta_phi, 1e-4, mode)[0]
     togo = routing._cost_to_sink(aux)
 
     got, got_stats, pushed, expanded = _logged_search(*args, mode)
@@ -1156,25 +1237,29 @@ def test_search_matches_former_search(case, R, mode, delta_phi, delta_psi):
 def test_charge_to_sink_is_least_path_charge():
     """LB(v) is the least sum of the per-edge least charges over the
     simple v-t paths that avoid s, found by enumerating them, and exactly
-    the nodes with such a path and LB(v) <= limit have one."""
+    the nodes with such a path and LB(v) <= limit have one.  The charges
+    returned are those of every edge with an end that has an LB and no end
+    at s."""
     cut = 0
     for seed in range(8):
         net, s, t, _ = rand_net(seed)
         for mode in ("optimal", "pumping"):
+            def charge(e):
+                budget = min(e.capacity, net.node(e.u).qubits, net.node(e.v).qubits)
+                return routing._first_k(routing._ceiling(budget, e.fidelity, 1e-4, mode), 0.005) - 1
+
             want = {}
             for v in net.nodes:
                 for nodes in routing._simple_paths(net, v, t):
                     if s in nodes:
                         continue
-                    total = 0
-                    for a, b in zip(nodes, nodes[1:]):
-                        e = net.edge(a, b)
-                        budget = min(e.capacity, net.node(a).qubits, net.node(b).qubits)
-                        total += routing._first_k(routing._ceiling(budget, e.fidelity, 1e-4, mode), 0.005) - 1
+                    total = sum(charge(net.edge(a, b)) for a, b in zip(nodes, nodes[1:]))
                     want[v] = min(total, want.get(v, total))
             for limit in (10**9, max(max(want.values()) - 1, 0)):
-                got = routing._charge_to_sink(net, s, t, limit, 0.005, 1e-4, mode)
+                got, charges = routing._charge_to_sink(net, s, t, limit, 0.005, 1e-4, mode)
                 assert got == {v: d for v, d in want.items() if d <= limit}, (seed, mode, limit)
+                weighed = [e for e in net.edges if s not in (e.u, e.v) and (e.u in got or e.v in got)]
+                assert charges == {id(e): charge(e) for e in weighed}, (seed, mode, limit)
                 cut += len(got) < len(want) and max(got.values()) > 0
     assert cut > 0  # some limit leaves out nodes and keeps a charged one
 
@@ -1410,6 +1495,50 @@ def test_uncertified_pass_reruns_uncapped(monkeypatch):
     assert (stats["passes"], stats["cap"], stats["capped"]) == (3, math.inf, 0)
 
 
+@pytest.mark.parametrize("mode", ["optimal", "pumping"])
+@pytest.mark.parametrize("R", [1, 3])
+def test_own_edge_skip_changes_no_label(R, mode):
+    """Skipping a block whose every step exceeds its k cap (kmax - LB(w) <=
+    c_e, the edge's charge) before its table is read changes nothing the
+    search reports: the same plans, and the same labels pushed, expanded
+    and alive in the final pass, as the search that reads every table and
+    breaks before its first step (every charge taken as 0, as for the
+    edges at s).  The skip must read fewer tables over the instances, so
+    that it is exercised at all."""
+    real = routing._charge_to_sink
+    tables = routing.edge_throughput_table
+    cases = [_rand_case(seed) for seed in range(12)]
+    grids = ((1, 0, 0.8), (2, 3, 0.85), (5, 7, 0.9))
+    cases += [_grid_case(3, (dq, min(15, 3 * dq)), seed, f0) for dq, seed, f0 in grids]
+    cases += [_weighted_case(seed, (0.1, 0.2, 0.3, 0.7)) for seed in range(4)]
+    reads = {True: 0, False: 0}
+    for aux, f0 in cases:
+        for delta_phi in (0.005, 0.02):
+            args = (aux, pseudo_fidelity(f0), math.log(0.2), delta_phi, 0.01, R, 1e-4, 1e-4)
+            seen = {}
+            for skip in (True, False):
+
+                def counted(*a):
+                    reads[skip] += 1
+                    return tables(*a)
+
+                stats: dict = {}
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(routing, "edge_throughput_table", counted)
+                    if not skip:
+                        patch.setattr(routing, "_charge_to_sink", lambda *a: (real(*a)[0], {}))
+                    found = routing._search(*args, stats, mode)
+                seen[skip] = (
+                    _plan_keys(aux, found, delta_phi, 0.01),
+                    stats["pushed"],
+                    stats["expanded"],
+                    stats["alive_per_vertex"],
+                    stats["pruned"],
+                )
+            assert seen[True] == seen[False], (f0, delta_phi)
+    assert reads[True] < reads[False]
+
+
 def test_phi_bound_prunes_and_keeps_the_optimum():
     """A pinned 2x4 grid query on which the bound caps some arcs, and
     the search still returns the exhaustive oracle's path and allocation."""
@@ -1452,24 +1581,84 @@ def test_frontier_nests_by_budget(build, f_e, a, b, grid):
 
 
 def test_frontier_cache_serves_smaller_budgets():
+    """One cache entry per edge fidelity, grid and mode holds the largest
+    frontier built so far.  A table of pair count m reads it when it was
+    built at m or more pairs; otherwise the table builds at the least power
+    of two >= m, or at the edge's budget if that is smaller, and the build
+    replaces the entry."""
     f_e, grid = 0.8123, (1e-3, 1e-3)
     big = routing._frontier(12, f_e, *grid, "optimal")
     small = routing._frontier(5, f_e, *grid, "optimal")
     assert small == tuple(candidate_frontier(5, f_e, *grid))
     assert small == tuple(e for e in big if e.b <= 5)
-    # each call returns the build of its own budget, whatever came before
-    assert routing._frontier(12, f_e, *grid, "optimal") is big
-    assert routing._frontier(20, f_e, *grid, "optimal") == tuple(candidate_frontier(20, f_e, *grid))
-    assert routing._frontier(5, f_e, *grid, "optimal") is small
-    # a table of an edge of budget 12 reads the frontier built at the least
-    # power of two >= m, or at 12 if that is smaller
-    for m, size in ((1, 1), (2, 2), (3, 4), (5, 8), (8, 8), (9, 12), (12, 12)):
-        front = routing._frontier(size, f_e, *grid, "optimal")
+    slot = routing._frontier_slot(f_e, *grid, "optimal")
+    assert slot == [(0, ())] and routing._frontier_slot(f_e, *grid, "optimal") is slot
+    assert routing._frontier_slot(f_e, *grid, "pumping") is not slot
+    # (m, the size of the build a table of an edge of budget 12 reads); no
+    # m repeats, so every table is built, none read from the table cache
+    for m, size in ((1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (8, 8), (6, 8), (9, 12), (12, 12), (7, 12)):
+        held = slot[0]
         for delta_phi in (0.01, 0.02):
             steps = edge_throughput_table(12, m, f_e, delta_phi, *grid, "optimal")
-            assert steps and all(any(e is x for x in front) for _, e, _ in steps)
+            assert steps and all(any(e is x for x in slot[0][1]) for _, e, _ in steps)
+        assert slot[0][0] == size and slot[0][1] == tuple(candidate_frontier(size, f_e, *grid))
+        if held[0] >= m:
+            assert slot[0] is held  # read, not rebuilt
     with pytest.raises(ValueError):
         routing._frontier(3, f_e, *grid, "greedy")
+
+
+class _CountedSlot(list):
+    """A frontier cache entry that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_concurrent_tables_read_a_whole_cache_entry(monkeypatch):
+    """A table reads its cache entry once, so it never pairs one build's
+    size with another build's entries; and threads sweeping the tables of
+    one edge fidelity while they replace its entry (by new builds, and by
+    the empty pair, as after an eviction) get the serial tables."""
+    f_e, grid, budget = 0.7771, (1e-3, 1e-3), 8
+    body = edge_throughput_table.__wrapped__
+
+    def keys(m):
+        return [(k, _entry_key(e), psi_e) for k, e, psi_e in body(budget, m, f_e, 0.01, *grid, "optimal")]
+
+    counts = list(range(1, budget + 1))
+    expected = {m: keys(m) for m in counts}
+    counted = _CountedSlot([(0, ())])
+    with monkeypatch.context() as patch:
+        patch.setattr(routing, "_frontier_slot", lambda *key: counted)
+        for m in counts + counts[::-1]:
+            reads = counted.reads
+            assert keys(m) == expected[m]
+            assert counted.reads == reads + 1
+    slot = routing._frontier_slot(f_e, *grid, "optimal")
+    wrong = []
+
+    def sweep(order):
+        for _ in range(40):
+            slot[0] = (0, ())
+            wrong.extend(m for m in order if keys(m) != expected[m])
+
+    orders = (counts, counts[::-1], counts[1::2] + counts[::2], counts[::2] + counts[1::2])
+    threads = [threading.Thread(target=sweep, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def _full_recount_insert(pool, lab, R):
@@ -1669,7 +1858,7 @@ def test_routing_caches_stay_bounded():
     # every cache of the module saw more keys than it may hold: each is
     # bounded, and full, not over
     caches = {name: fn for name, fn in vars(routing).items() if hasattr(fn, "cache_info")}
-    assert {"edge_throughput_table", "_frontier", "_first_k", "_ceiling", "_ceilings"} <= caches.keys()
+    assert {"edge_throughput_table", "_frontier_slot", "_first_k", "_ceiling", "_ceilings"} <= caches.keys()
     for name, cache in caches.items():
         info = cache.cache_info()
         assert info.maxsize in bounds and info.currsize == info.maxsize, (name, info)
