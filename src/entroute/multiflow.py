@@ -10,7 +10,11 @@ u per flow and picks the first candidate whose running sum of x, added left
 to right, exceeds u, by bisect over those sums (its interval ends).  They
 are computed once per x and program and kept in FlowProgram.ends; they
 ascend only when x >= 0, so an x with a negative or NaN entry raises
-ValueError (solve_lp clamps its optimum at 0).
+ValueError (solve_lp clamps its optimum at 0).  A draw lies in
+[0, 1 - 2**-53], so when no end lies in (0, 1), as on a 0/1 LP optimum,
+every draw makes one selection: it is kept with the ends, and a trial on
+such an x takes no draw.  Each trial's substream is its own, so skipping
+its draw changes no other trial.
 """
 
 from __future__ import annotations
@@ -75,7 +79,8 @@ class FlowProgram:
     limits: np.ndarray  # budgets + 1e-9: what a 0/1 selection may use
     # tuple(chosen) -> (weight, node usage, link usage, fits), filled by _judge
     verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # x.tobytes() -> each flow's interval ends under x, filled by _interval_ends
+    # x.tobytes() -> (each flow's interval ends under x, the selection every
+    # draw makes or None), filled by _interval_ends
     ends: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def lp_arrays(self):
@@ -173,22 +178,35 @@ def _evaluate(prog: FlowProgram, chosen) -> RoundedSelection:
     return RoundedSelection(chosen, *prog.verdicts[key])
 
 
-def _interval_ends(prog: FlowProgram, x: np.ndarray) -> list:
+def _interval_ends(prog: FlowProgram, x: np.ndarray) -> tuple:
     """Per flow, the running sums of its columns' x, added left to right:
     candidate i is drawn when u < ends[i] and u >= every earlier end.  The
     ends ascend, so bisect finds that i, only when x >= 0; an x with a
-    negative or NaN entry raises ValueError.  Computed once per x (keyed by
-    its bytes) and program; threads that compute one x at once store equal
-    lists."""
+    negative or NaN entry raises ValueError.  With the ends comes the
+    selection every draw makes, or None when some end lies in (0, 1): a
+    draw u lies in [0, 1 - 2**-53], so an end <= 0 is always <= u and an
+    end >= 1 never is.  Computed once per x (keyed by its bytes) and
+    program; threads that compute one x at once store equal entries."""
     x = np.asarray(x, dtype=float)
     key = x.tobytes()
-    ends = prog.ends.get(key)
-    if ends is None:
+    entry = prog.ends.get(key)
+    if entry is None:
         if not (x >= 0).all():
             raise ValueError("rounding needs x >= 0 in every entry, with no NaN")
         xs, spans = x.tolist(), itertools.pairwise(prog.offsets)
-        ends = prog.ends[key] = [list(itertools.accumulate(xs[lo:hi])) for lo, hi in spans]
-    return ends
+        ends = [list(itertools.accumulate(xs[lo:hi])) for lo, hi in spans]
+        drawn = any(0.0 < e < 1.0 for row in ends for e in row)
+        entry = prog.ends[key] = (ends, None if drawn else tuple(_pick(ends, itertools.repeat(0.0))))
+    return entry
+
+
+def _pick(ends, draws) -> list:
+    """Per flow, the candidate whose interval holds its draw u, else None."""
+    chosen = []
+    for row, u in zip(ends, draws):
+        i = bisect.bisect_right(row, u)
+        chosen.append(i if i < len(row) else None)
+    return chosen
 
 
 _philox = functools.cache(lambda: np.random.Philox(0))  # built on first use: numpy.random adds ~6 MB
@@ -196,11 +214,15 @@ _philox = functools.cache(lambda: np.random.Philox(0))  # built on first use: nu
 _EMPTY = {"bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
+def _check_key(seed: int, trial: int) -> None:
+    if not (0 <= seed < 2**64 and 0 <= trial < 2**64):
+        raise ValueError(f"seed {seed!r} and trial {trial!r} must lie in [0, 2**64)")
+
+
 def _trial_draws(seed: int, trial: int, n: int) -> list:
     """The first n values of Generator(Philox(key=[seed, trial])).random(),
     each word w as Generator.random forms it: (w >> 11) * 2**-53."""
-    if not (0 <= seed < 2**64 and 0 <= trial < 2**64):
-        raise ValueError(f"seed {seed!r} and trial {trial!r} must lie in [0, 2**64)")
+    _check_key(seed, trial)
     philox = _philox()
     with philox.lock:
         philox.state = {**_EMPTY, "state": {"counter": (0,) * 4, "key": (seed, trial)}}
@@ -212,13 +234,13 @@ def randomized_round(
     prog: FlowProgram, x: np.ndarray, seed: int, trial: int = 0
 ) -> RoundedSelection:
     """One uniform draw per flow selects at most one candidate; feasibility
-    is judged against the ORIGINAL undiscounted budgets."""
-    ends = _interval_ends(prog, x)
-    chosen = []
-    for row, u in zip(ends, _trial_draws(seed, trial, len(prog.flows))):
-        i = bisect.bisect_right(row, u)
-        chosen.append(i if i < len(row) else None)
-    return _evaluate(prog, chosen)
+    is judged against the ORIGINAL undiscounted budgets.  An x on which
+    every draw selects alike takes no draw (see _interval_ends)."""
+    ends, fixed = _interval_ends(prog, x)
+    if fixed is not None:
+        _check_key(seed, trial)
+        return _evaluate(prog, list(fixed))
+    return _evaluate(prog, _pick(ends, _trial_draws(seed, trial, len(prog.flows))))
 
 
 def flow_candidates(

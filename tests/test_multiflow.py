@@ -168,24 +168,98 @@ def _bare_program(pool_sizes) -> FlowProgram:
 
 
 _x_entries = st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 0.5]), st.floats(0, 1))
+# rows of 0/1 entries only: no running sum lies in (0, 1), so a trial takes no draw
+_integral_rows = st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0]), max_size=5), min_size=1, max_size=4)
+_U_MAX = math.nextafter(1.0, 0.0)  # the greatest draw, (2**64 - 1 >> 11) * 2**-53
+
+
+def _counted_draws(draws, calls):
+    """A stand-in for _trial_draws that hands out draws and logs each call's n."""
+    def trial_draws(seed, trial, n):
+        calls.append(n)
+        return draws[:n]
+    return trial_draws
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(_x_entries, max_size=5), min_size=1, max_size=4), st.data())
+@given(st.one_of(st.lists(st.lists(_x_entries, max_size=5), min_size=1, max_size=4), _integral_rows), st.data())
 def test_round_picks_what_select_picks(rows, data):
-    """For nonnegative x, the bisect over each flow's cached interval ends
-    picks what _select's walk picks, zeros (empty intervals) and draws
-    exactly at an interval end included."""
+    """For nonnegative x and every draw a trial can make, u in
+    [0, 1 - 2**-53], randomized_round picks what _select's walk picks,
+    zeros (empty intervals) and draws exactly at an interval end included:
+    by bisect over each flow's cached interval ends, or with no draw at all
+    when no running sum lies in (0, 1)."""
     prog = _bare_program([len(row) for row in rows])
     x = np.array([v for row in rows for v in row], dtype=float)
-    # u anywhere in [0, 1), or exactly at one of _select's own running sums
-    ats = [st.sampled_from([0.0, *itertools.accumulate(row)]) for row in rows]
-    draws = [data.draw(st.one_of(st.floats(0, 1, exclude_max=True), at)) for at in ats]
+    sums = [list(itertools.accumulate(row)) for row in rows]
+    # u anywhere a draw can lie, or exactly at one of _select's own running sums
+    ats = [st.sampled_from([0.0, _U_MAX, *(s for s in row if s < 1)]) for row in sums]
+    draws = [data.draw(st.one_of(st.floats(0, _U_MAX), at)) for at in ats]
+    draw_free = not any(0 < s < 1 for row in sums for s in row)
+    calls = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(multiflow, "_trial_draws", lambda seed, trial, n: draws[:n])
+        patch.setattr(multiflow, "_trial_draws", _counted_draws(draws, calls))
         for _ in range(2):  # the first call fills the cache, the second reads it
             sel = randomized_round(prog, x, 0, 0)
             assert sel.chosen == [_select(row, u) for row, u in zip(rows, draws)]
+    assert calls == ([] if draw_free else [len(rows)] * 2)
+
+
+def _boundary_rows(end):
+    """Two flows whose interval ends are [end] and [0.0, end]."""
+    return [[end], [0.0, end]], np.array([end, 0.0, end])
+
+
+@pytest.mark.parametrize("end", [0.0, -0.0, 1.0, 1.0000000000000002])
+def test_ends_at_0_or_from_1_take_no_draw(end):
+    rows, x = _boundary_rows(end)
+    prog = _bare_program([1, 2])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multiflow, "_trial_draws", lambda *key: pytest.fail(f"end {end!r} drew"))
+        chosen = randomized_round(prog, x, 0, 0).chosen
+    for u in (0.0, _U_MAX):
+        assert chosen == [_select(row, u) for row in rows]
+
+
+@pytest.mark.parametrize("end", [math.nextafter(1, 0), 0.9999999999, 5e-324])
+@pytest.mark.parametrize("u", [0.0, math.nextafter(1, 0)])
+def test_ends_inside_0_1_still_draw(end, u):
+    rows, x = _boundary_rows(end)
+    prog = _bare_program([1, 2])
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multiflow, "_trial_draws", _counted_draws([u, u], calls))
+        chosen = randomized_round(prog, x, 0, 0).chosen
+    assert calls == [2]
+    assert chosen == [_select(row, u) for row in rows]
+
+
+@pytest.mark.parametrize("seed, trial", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_draw_free_round_rejects_keys_outside_64_bits(seed, trial):
+    prog = _bare_program([2, 1])
+    x = np.array([1.0, 0.0, 0.0])
+    assert randomized_round(prog, x, 0, 0).chosen == [0, None]
+    assert prog.ends[x.tobytes()][1] == (0, None)  # no draw is taken on this x
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)") as drawn:
+        _trial_draws(seed, trial, 2)
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)") as rounded:
+        randomized_round(prog, x, seed, trial)
+    assert str(rounded.value) == str(drawn.value)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_draw_free_rounds_match_drawn_selections_on_the_mc_recipe(seed):
+    """theorem4-mc's LP optimum is 0/1, so its trials take no draw; each
+    still picks what _select picks under the trial's own draws."""
+    net, flows = rounding_mc_instance(seed)
+    prog = build_program(flows, [flow_candidates(net, fl, 0.2) for fl in flows], net, 0.8)
+    x, _ = solve_lp(prog)
+    rows = [x[lo:hi].tolist() for lo, hi in itertools.pairwise(prog.offsets)]
+    assert not any(0 < s < 1 for row in rows for s in itertools.accumulate(row))
+    assert multiflow._interval_ends(prog, x)[1] is not None
+    for trial in range(300):
+        draws = _trial_draws(seed, trial, len(flows))
+        assert randomized_round(prog, x, seed, trial).chosen == [_select(row, u) for row, u in zip(rows, draws)]
 
 
 @pytest.mark.parametrize("bad", [-0.25, -1e-300, math.nan])
