@@ -30,6 +30,7 @@ from .pair_algebra import pseudo_fidelity
 from .purification import (
     PAIRS_MAX,
     SchedulerConfig,
+    _check_step,
     brute_force_optimal,
     evaluate_tree,
     leaf_count,
@@ -93,10 +94,16 @@ def _cmd_purify(args) -> int:
         raise ValueError(f"--n={args.n!r} outside [1, {PAIRS_MAX}]")
     if not 0.5 <= args.fe <= 1.0:
         raise ValueError(f"--fe={args.fe!r} outside [0.5, 1]")
+    # the flags that the mode given takes no value from
+    grid = [("--df", args.df is not None), ("--dxi", args.dxi is not None)]
     if args.baseline is not None:
-        for flag, given in (("--ftheta", args.ftheta is not None), ("--oracle", args.oracle)):
-            if given:
-                raise ValueError(f"{flag} does not apply to --baseline")
+        unused = [("--ftheta", args.ftheta is not None), ("--oracle", args.oracle)] + grid
+    else:
+        unused = grid if args.oracle else []
+    mode = "--oracle" if args.baseline is None else "--baseline"
+    for flag, given in unused:
+        if given:
+            raise ValueError(f"{flag} does not apply to {mode}")
     if args.baseline == "symmetric":
         tree = symmetric_schedule(args.n)
     elif args.baseline == "pumping":
@@ -107,12 +114,11 @@ def _cmd_purify(args) -> int:
         if args.oracle:
             tree = brute_force_optimal(args.n, args.fe, args.ftheta)
         else:
-            for flag, step in (("--df", args.df), ("--dxi", args.dxi)):
-                if not (_step(step) and step < 1.0):
-                    raise ValueError(f"{flag}={step!r} must lie in (0, 1) and have a finite reciprocal")
-            ent = schedule(
-                SchedulerConfig(args.n, args.fe, args.ftheta, args.df, args.dxi)
-            )
+            df = SchedulerConfig.delta_f if args.df is None else args.df
+            dxi = SchedulerConfig.delta_xi if args.dxi is None else args.dxi
+            _check_step("--df", df)
+            _check_step("--dxi", dxi)
+            ent = schedule(SchedulerConfig(args.n, args.fe, args.ftheta, df, dxi))
             tree = None if ent is None else ent.tree
     if tree is None:
         _emit_json({"infeasible": True, "n": args.n, "f_e": args.fe, "f_theta": args.ftheta})
@@ -364,8 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--fe", type=float, required=True)
     q.add_argument("--ftheta", type=float)
-    q.add_argument("--df", type=float, default=1e-4)
-    q.add_argument("--dxi", type=float, default=1e-4)
+    q.add_argument("--df", type=float, help="fidelity grid step of the scheduler (default: 1e-4)")
+    q.add_argument("--dxi", type=float, help="yield grid step of the scheduler (default: 1e-4)")
     q.add_argument("--baseline", choices=("symmetric", "pumping"))
     q.add_argument("--oracle", action="store_true")
     q.set_defaults(fn=_cmd_purify)

@@ -31,6 +31,12 @@ PAIRS_MAX = 512
 # floating point, so equality checks need a hair of tolerance.
 _GRID_TOL = 1e-12
 
+# The least delta_f and delta_xi the scheduler takes.  At or above it, and
+# with b <= PAIRS_MAX, grid values that differ and ratios xi_hat/b that
+# differ do so by more than _GRID_TOL, which the yield-per-pair bound of
+# _merge_frontier needs.
+STEP_MIN = 1e-6
+
 
 def _fold(tree, leaf, merge):
     """The value of tree, each leaf valued leaf and each merge node
@@ -108,6 +114,13 @@ def _check_budget(n: int, f_e: float) -> None:
         raise ValueError(f"f_e={f_e!r} outside [0.5, 1]")
 
 
+def _check_step(name: str, step) -> None:
+    if not (_step(step) and step < 1.0):
+        raise ValueError(f"{name}={step!r} must lie in (0, 1) and have a finite reciprocal")
+    if step < STEP_MIN:
+        raise ValueError(f"{name}={step!r} is below the least step {STEP_MIN!r}")
+
+
 def _check_threshold(f_theta: float) -> None:
     if not 0.25 < f_theta <= 1.0 + _GRID_TOL:
         raise ValueError(f"f_theta={f_theta!r} outside (0.25, 1]")
@@ -123,10 +136,11 @@ class SchedulerConfig:
 
     def __post_init__(self):
         _check_budget(self.n, self.f_e)
+        if self.n > PAIRS_MAX:
+            raise ValueError(f"n={self.n!r} is above the pair bound {PAIRS_MAX}")
         _check_threshold(self.f_theta)
-        for name, step in (("delta_f", self.delta_f), ("delta_xi", self.delta_xi)):
-            if not (_step(step) and step < 1.0):
-                raise ValueError(f"{name}={step!r} must lie in (0, 1) and have a finite reciprocal")
+        _check_step("delta_f", self.delta_f)
+        _check_step("delta_xi", self.delta_xi)
 
 
 @dataclass(slots=True)
@@ -184,7 +198,12 @@ def _ceil_to_grid(x: float, delta: float) -> float:
 
 
 def _merge_frontier(
-    bound: int, f_e: float, delta_f: float, delta_xi: float, trace: Optional[list] = None
+    bound: int,
+    f_e: float,
+    delta_f: float,
+    delta_xi: float,
+    trace: Optional[list] = None,
+    f_theta: Optional[float] = None,
 ) -> list[ScheduleEntry]:
     """Dominance-filtered candidate list over all trees with at most bound
     leaves, in merge order (unsorted).
@@ -213,10 +232,60 @@ def _merge_frontier(
     arguments and fixes 0.5 and 1), inside the checked domain [0.25, 1];
     so the floats are the same and the checks could never fire.
 
+    Given f_theta, the loop keeps best, the largest ratio xi_hat/b of an
+    admitted entry with f_hat >= f_theta - _GRID_TOL, and drops a
+    candidate whose ratio is below best - _GRID_TOL before its dominance
+    test and before its f_hat is computed; with no f_theta nothing
+    qualifies, best stays -inf and nothing is dropped.  The pick that
+    best_entry(list, f_theta) makes is then the one it makes on the
+    unpruned list: the same b, f_hat and xi_hat bits and the same tree.
+
+    A merge lowers the ratio: xi_3 rounds P*min(xi_1, xi_2) up to the
+    delta_xi grid, P <= 1, and the smaller child yield is itself on that
+    grid (or is 1.0, the cap), so the rounding cannot pass it; with b_3 >
+    b_1, b_2, xi_3/b_3 is below both children's ratios.  This needs of
+    delta_xi one grid for every yield, and a step of at least STEP_MIN
+    (at most a million steps to 1), so that the ceiling's 1e-9 guard
+    absorbs the float error of the product.  The proof also reads each
+    comparison within _GRID_TOL as exact, as best_entry's tie rule does:
+    two f_hat, two xi_hat or two ratios the loop compares are equal or
+    more than _GRID_TOL apart.  Distinct grid values differ by about a
+    step and distinct ratios by about delta_xi/b^2, both more than
+    _GRID_TOL for steps of at least STEP_MIN and b <= PAIRS_MAX, which
+    SchedulerConfig enforces.
+
+    Let X be best - _GRID_TOL at the end; best only rises, so every
+    dropped candidate has a ratio below X.  Call an entry high when its
+    ratio is X or more.  (1) A candidate that rejects or removes an entry
+    has no more leaves and, comparisons being exact, no lower yield, so
+    that entry's ratio is no higher than the candidate's: a dropped
+    candidate, like any entry below X, would reject or remove only
+    entries below X.  (2) By induction over the candidates in merge order,
+    the high entries of the two loops are the same (bits and tree), carry
+    the same round stamps and stand in the same order.  A high candidate's
+    parents are high, so both loops merge it in the same round and at the
+    same place among the high pairs; it is not dropped; by (1) only high
+    entries can reject it, so both loops keep or reject it alike, and its
+    admit removes the same high entries.  The entries the loops differ in
+    are below X and by (1) reject or remove no high entry; a round that
+    one loop runs after the other has stopped merges a newcomer below X
+    into each of its candidates, so they are below X too.  (3) The entry
+    that last raised best is high and qualifies; a candidate that removes
+    it has no lower ratio and no lower f_hat, so it qualifies in turn, and
+    the final list holds a qualifying entry of ratio best or more.  Every
+    entry below X is more than _GRID_TOL under it, so best_entry's pick
+    lies among the qualifying high entries, the same in both lists and in
+    the same order: the same pick.
+
     When trace is a list, every merged pair's candidate is appended to it
-    as (entry, kept), then ("final", entries).
+    as (entry, kept), kept being None for a dropped one, then ("final",
+    entries).
     """
     entries: list = [(1, f_e, 1.0, LEAF, -1)]
+    # with no threshold no entry qualifies: best stays -inf, and cut with it
+    qualify = math.inf if f_theta is None else f_theta - _GRID_TOL
+    best = 1.0 if f_e >= qualify else -math.inf
+    cut = best - _GRID_TOL
     for r in range(bound):
         snapshot = entries[:]
         old = sum(e[4] < r - 1 for e in snapshot)
@@ -232,17 +301,25 @@ def _merge_frontier(
                     continue
                 b2, f2, xi2, t2, _ = l2
                 b3 = b1 + b2
-                # min(_ceil_to_grid(...), 1.0) of _purified_fidelity_raw and
-                # of _purification_success_raw times min(xi1, xi2), the
-                # min()s written out
-                f3 = (f10 * f2 - f1 - f2 + 1.0) / (f8 * f2 - f2x - 2.0 * f2 + 5.0)
-                f3 = math.ceil(f3 / delta_f - 1e-9) * delta_f
-                if f3 > 1.0:
-                    f3 = 1.0
+                # min(_ceil_to_grid(...), 1.0) of _purification_success_raw
+                # times min(xi1, xi2) and of _purified_fidelity_raw, the
+                # min()s written out; the yield first, for the bound
                 xi3 = (p8 * f2 - (2.0 / 9.0) * (f1 + f2) + 5.0 / 9.0) * (xi2 if xi2 < xi1 else xi1)
                 xi3 = math.ceil(xi3 / delta_xi - 1e-9) * delta_xi
                 if xi3 > 1.0:
                     xi3 = 1.0
+                ratio = xi3 / b3
+                if ratio < cut:
+                    # only the trace record needs f_hat; the checked map
+                    # gives the raw map's float
+                    if trace is not None:
+                        f3 = min(_ceil_to_grid(purified_fidelity(f1, f2), delta_f), 1.0)
+                        trace.append((ScheduleEntry(b3, f3, xi3, (t1, t2)), None))
+                    continue
+                f3 = (f10 * f2 - f1 - f2 + 1.0) / (f8 * f2 - f2x - 2.0 * f2 + 5.0)
+                f3 = math.ceil(f3 / delta_f - 1e-9) * delta_f
+                if f3 > 1.0:
+                    f3 = 1.0
                 # the dominance test, then the admit, which drops what the
                 # candidate dominates
                 f_low, xi_low = f3 - _GRID_TOL, xi3 - _GRID_TOL
@@ -258,6 +335,8 @@ def _merge_frontier(
                         if not (b3 <= e[0] and f3 >= e[1] - _GRID_TOL and xi3 >= e[2] - _GRID_TOL)
                     ]
                     entries.append((b3, f3, xi3, (t1, t2), r))
+                    if f3 >= qualify and ratio > best:
+                        best, cut = ratio, ratio - _GRID_TOL
                 if trace is not None:
                     trace.append((ScheduleEntry(b3, f3, xi3, (t1, t2)), kept))
     final = [ScheduleEntry(b, f, xi, tree) for b, f, xi, tree, _ in entries]
@@ -293,17 +372,21 @@ def schedule(cfg: SchedulerConfig, trace: Optional[list] = None) -> Optional[Sch
 
     Returns the entry with discretized fidelity >= f_theta maximizing
     xi_hat/b (ties: smaller b, then higher f_hat), or None when the
-    threshold is unreachable with n pairs.
+    threshold is unreachable with n pairs.  The merge loop takes f_theta
+    and drops every candidate whose xi_hat/b is more than _GRID_TOL below
+    the best qualifying entry so far; no merge of it could be the pick, so
+    the pick is the one the unpruned list gives (see _merge_frontier).
 
     When trace is a list, one (entry, kept) record per distinct pair merged
-    is appended to it, then ("final", entries), so tests can audit the
-    dominance pruning.
+    is appended to it, kept being None for a candidate that bound dropped,
+    then ("final", entries), so tests can audit the dominance pruning and
+    the bound.
     """
     nprime = min_leaves(cfg.n, cfg.f_e, cfg.f_theta)
     if nprime is None:
         return None
     bound = min(cfg.n, 2 * (nprime - 1)) if nprime > 1 else 1
-    entries = _merge_frontier(bound, cfg.f_e, cfg.delta_f, cfg.delta_xi, trace)
+    entries = _merge_frontier(bound, cfg.f_e, cfg.delta_f, cfg.delta_xi, trace, f_theta=cfg.f_theta)
     return best_entry(entries, cfg.f_theta)
 
 
@@ -313,8 +396,9 @@ def candidate_frontier(
     """Dominance-filtered candidate list over all trees with up to n leaves,
     independent of any fidelity threshold.
 
-    The merge loop of schedule() with the leaf bound fixed at n, so one
-    frontier serves queries at every threshold (sorted by f_hat ascending).
+    The merge loop of schedule() with the leaf bound fixed at n and no
+    threshold, so it drops no candidate by yield per pair, and one frontier
+    serves queries at every threshold (sorted by f_hat ascending).
     """
     _check_budget(n, f_e)
     entries = _merge_frontier(n, f_e, delta_f, delta_xi)

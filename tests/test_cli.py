@@ -123,6 +123,43 @@ def test_purify_checks_subnormal_step_exits_2(capsys, flag):
     assert f"{flag}=1e-320 must lie in (0, 1)" in err
 
 
+@pytest.mark.parametrize("flag", ["--df", "--dxi"])
+def test_purify_checks_step_floor_exits_2(capsys, flag):
+    # below STEP_MIN the scheduler's yield-per-pair bound could misread a tie
+    args = ["purify", "--n", "6", "--fe", "0.7", "--ftheta", "0.76", flag]
+    code, out, err = run_cli(capsys, *args, "9e-7")
+    assert code == 2 and out == ""
+    assert f"{flag}=9e-07 is below the least step 1e-06" in err
+    assert run_cli(capsys, *args, "1e-6")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "args, mode",
+    [
+        (["--baseline", "symmetric"], "--baseline"),
+        (["--baseline", "pumping"], "--baseline"),
+        (["--ftheta", "0.76", "--oracle"], "--oracle"),
+    ],
+)
+@pytest.mark.parametrize("flag", ["--df", "--dxi"])
+def test_purify_rejects_grid_flags_it_does_not_use_exits_2(capsys, args, mode, flag):
+    # the baselines and the oracle take no grid: a step given to them is an
+    # error, not a value dropped in silence
+    code, out, err = run_cli(capsys, "purify", "--n", "6", "--fe", "0.7", *args, flag, "0.3")
+    assert code == 2 and out == ""
+    assert f"{flag} does not apply to {mode}" in err
+
+
+def test_purify_grid_defaults_to_1e_4(capsys):
+    # the scheduler applies the default steps, and a given one is used
+    args = ["purify", "--n", "20", "--fe", "0.7", "--ftheta", "0.85"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert run_cli(capsys, *args, "--df", "1e-4", "--dxi", "1e-4") == (0, out, "")
+    for flag in ("--df", "--dxi"):
+        assert run_cli(capsys, *args, flag, "0.05")[1] != out
+
+
 @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["scheduler", "oracle"])
 @pytest.mark.parametrize("ftheta", ["5", "nan", "0.25"])
 def test_purify_checks_ftheta_exits_2(capsys, ftheta, oracle):

@@ -9,7 +9,10 @@ from entroute.purification import (
     LEAF,
     ScheduleEntry,
     SchedulerConfig,
+    STEP_MIN,
     _ceil_to_grid,
+    _merge_frontier,
+    best_entry,
     brute_force_optimal,
     candidate_frontier,
     evaluate_tree,
@@ -198,9 +201,10 @@ def test_serialization_roundtrip():
 
 
 def test_dominance_soundness_and_loop_bound():
-    for n, f_e, f_theta in [(6, 0.7, 0.76), (8, 0.75, 0.8), (8, 0.8, 0.82)]:
+    dropped = 0
+    for n, f_e, f_theta in [(6, 0.7, 0.76), (8, 0.75, 0.8), (8, 0.8, 0.82), (20, 0.7, 0.85)]:
         trace = []
-        schedule(SchedulerConfig(n, f_e, f_theta), trace=trace)
+        pick = schedule(SchedulerConfig(n, f_e, f_theta), trace=trace)
         final = trace[-1][1]
         nprime = min_leaves(n, f_e, f_theta)
         bound = min(n, 2 * (nprime - 1))
@@ -208,16 +212,22 @@ def test_dominance_soundness_and_loop_bound():
         final_keys = {(e.b, round(e.f_hat, 9), round(e.xi_hat, 9)) for e in final}
         for item in trace[:-1]:
             cand, kept = item
+            if kept is None:
+                # dropped by the yield-per-pair bound: below the pick's ratio
+                assert cand.ratio() < pick.ratio() - 1e-12
+                dropped += 1
+                continue
             key = (cand.b, round(cand.f_hat, 9), round(cand.xi_hat, 9))
             if key in final_keys:
                 continue
-            # pruned or later removed: some survivor must dominate it
+            # rejected or later removed: some survivor must dominate it
             assert any(
                 e.b <= cand.b
                 and e.f_hat >= cand.f_hat - 1e-9
                 and e.xi_hat >= cand.xi_hat - 1e-9
                 for e in final
             )
+    assert dropped > 0
 
 
 def test_scheduler_not_worse_than_baselines():
@@ -278,6 +288,13 @@ def test_config_validation():
     for name in ("delta_f", "delta_xi"):
         with pytest.raises(ValueError, match=f"{name}=1e-320"):
             SchedulerConfig(4, 0.75, 0.8, **{name: 1e-320})
+        # below STEP_MIN, ratios xi_hat/b that differ can lie within
+        # _GRID_TOL, which the yield-per-pair bound reads as a tie
+        with pytest.raises(ValueError, match=f"{name}=9e-07 is below the least step 1e-06"):
+            SchedulerConfig(4, 0.75, 0.8, **{name: 9e-7})
+        assert schedule(SchedulerConfig(4, 0.75, 0.8, **{name: STEP_MIN})) is not None
+    with pytest.raises(ValueError, match="n=513 is above the pair bound 512"):
+        SchedulerConfig(513, 0.75, 0.8)
 
 
 # --- semi-naive merge loop against the full re-merge loop it replaced ---
@@ -353,9 +370,10 @@ _GRIDS = [(1e-4, 1e-4), (1e-3, 1e-3), (1e-2, 1e-2), (1e-3, 1e-2)]
     st.floats(0.0, 1.1),
 )
 def test_merge_loop_matches_full_remerge_oracle(f_e, n, grid, reach):
-    """candidate_frontier and schedule (its final list and the returned
-    entry) equal the full re-merge loop entry for entry and in order; the
-    1e-2 grid makes equal candidates, where the first one must win."""
+    """candidate_frontier and the threshold-free merge loop at schedule's
+    leaf bound equal the full re-merge loop entry for entry and in order,
+    and schedule returns the full list's pick; the 1e-2 grid makes equal
+    candidates, where the first one must win."""
     oracle = sorted(_full_remerge_frontier(n, f_e, *grid), key=lambda e: (e.f_hat, -e.xi_hat, e.b))
     assert _keys(candidate_frontier(n, f_e, *grid)) == _keys(oracle)
 
@@ -369,7 +387,7 @@ def test_merge_loop_matches_full_remerge_oracle(f_e, n, grid, reach):
         return
     bound = min(n, 2 * (nprime - 1)) if nprime > 1 else 1
     entries = _full_remerge_frontier(bound, f_e, *grid)
-    assert _keys(trace[-1][1]) == _keys(entries)
+    assert _keys(_merge_frontier(bound, f_e, *grid)) == _keys(entries)
     assert _keys([got]) == _keys([_oracle_pick(entries, f_theta)])
 
 
@@ -442,13 +460,16 @@ def _trace_keys(trace):
     st.floats(0.0, 1.1),
 )
 def test_schedule_trace_matches_former_merge_loop(f_e, n, grid, reach):
-    """schedule(..., trace=) records the same (entry, kept) sequence, bit
-    for bit, as the former loop: the raw maps equal the checked ones on
-    every f_hat, and testing dominance before building the entry changes
-    nothing but the allocation."""
+    """The threshold-free merge loop at schedule's leaf bound records the
+    same (entry, kept) sequence, bit for bit, as the former loop: the raw
+    maps equal the checked ones on every f_hat, and testing dominance
+    before building the entry changes nothing but the allocation.
+    schedule's own trace, cut to the records whose ratio is within
+    _GRID_TOL of its pick or above, is the former trace cut the same way:
+    the yield-per-pair bound drops only candidates below that."""
     f_theta = min(f_e + reach * (gamma_table(n, f_e)[n] - f_e), 1.0)
     trace = []
-    schedule(SchedulerConfig(n, f_e, f_theta, *grid), trace=trace)
+    pick = schedule(SchedulerConfig(n, f_e, f_theta, *grid), trace=trace)
     nprime = min_leaves(n, f_e, f_theta)
     if nprime is None:
         assert trace == []
@@ -456,7 +477,76 @@ def test_schedule_trace_matches_former_merge_loop(f_e, n, grid, reach):
     bound = min(n, 2 * (nprime - 1)) if nprime > 1 else 1
     oracle = []
     _former_merge_frontier(bound, f_e, *grid, oracle)
-    assert _trace_keys(trace) == _trace_keys(oracle)
+    unpruned = []
+    _merge_frontier(bound, f_e, *grid, unpruned)
+    assert _trace_keys(unpruned) == _trace_keys(oracle)
+
+    def high(records):
+        return [r for r in _trace_keys(records)[0] if r[2] / r[0] >= pick.ratio() - 1e-12]
+
+    assert high(trace) == high(oracle)
+
+
+# a grid step: one of the decimal steps down to STEP_MIN, or any step in
+# [STEP_MIN, 0.5]
+_STEPS = st.one_of(st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5, STEP_MIN]), st.floats(STEP_MIN, 0.5))
+
+
+def _pick_bits(e):
+    return None if e is None else (e.b, e.f_hat.hex(), e.xi_hat.hex(), e.tree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.just(1.0), st.floats(0.5, 1.0)),
+    st.integers(1, 64),
+    st.one_of(st.sampled_from(_GRIDS), st.tuples(_STEPS, _STEPS)),
+    st.floats(-0.5, 1.1),
+)
+def test_schedule_pick_bit_equal_to_unpruned_loop(f_e, n, grid, reach):
+    """schedule's pick, under the yield-per-pair bound, is best_entry's pick
+    over the unpruned merge loop's list at the same leaf bound: the same b,
+    f_hat and xi_hat bits and the same tree.  Thresholds run from below f_e
+    (the leaf qualifies) to past the best fidelity with n pairs."""
+    f_theta = min(max(f_e + reach * (gamma_table(n, f_e)[n] - f_e), 0.26), 1.0)
+    got = schedule(SchedulerConfig(n, f_e, f_theta, *grid))
+    nprime = min_leaves(n, f_e, f_theta)
+    if nprime is None:
+        assert got is None
+        return
+    bound = min(n, 2 * (nprime - 1)) if nprime > 1 else 1
+    want = best_entry(_merge_frontier(bound, f_e, *grid), f_theta)
+    assert _pick_bits(got) == _pick_bits(want)
+
+
+@pytest.mark.parametrize(
+    "n, f_e, f_theta, grid, leaves",
+    [
+        # an exact tie: 21 leaves and yield 0.21 hold best when the pick (20
+        # leaves, yield 0.2) comes; a bound that drops ratio <= best loses it
+        (31, 0.68, 0.86, (1e-2, 1e-2), 20),
+        # a float tie: 24 leaves and yield 0.6000000000000001 lift best one
+        # ulp above the pick's 0.55/22; a bound with no _GRID_TOL drops it
+        (40, 0.83, 0.9524, (1e-4, 0.05), 22),
+    ],
+)
+def test_schedule_keeps_a_tied_candidate_with_fewer_leaves(n, f_e, f_theta, grid, leaves):
+    """The pick ties in ratio with a qualifying entry of more leaves
+    admitted before it and wins the tie on fewer leaves, so the bound must
+    keep a candidate within _GRID_TOL under best."""
+    nprime = min_leaves(n, f_e, f_theta)
+    want = best_entry(_merge_frontier(min(n, 2 * (nprime - 1)), f_e, *grid), f_theta)
+    assert want.b == leaves
+    trace = []
+    got = schedule(SchedulerConfig(n, f_e, f_theta, *grid), trace=trace)
+    assert _pick_bits(got) == _pick_bits(want)
+    records = trace[:-1]
+    at = next(i for i, (e, _) in enumerate(records) if e.tree == want.tree)
+    assert records[at][1] is True
+    assert any(
+        kept and e.b > want.b and e.f_hat >= f_theta - 1e-12 and 0 <= e.ratio() - want.ratio() <= 1e-12
+        for e, kept in records[:at]
+    )
 
 
 def _bits(entries):
